@@ -9,9 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use smash_core::{SmashConfig, SmashMatrix};
-use smash_kernels::{native, Executor};
-use smash_matrix::{generators, Bcsr, Dense};
-use smash_parallel::{par_spmm_dense_csr, ThreadPool};
+use smash_kernels::Executor;
+use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Dense};
+use smash_parallel::{par_spmm_dense_rows, ThreadPool};
 use std::time::Duration;
 
 fn test_batch(rows: usize, cols: usize) -> Dense<f64> {
@@ -44,21 +44,21 @@ fn bench_batched_rhs(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("spmv_per_column", n), &n, |bch, _| {
             bch.iter(|| {
                 for x in &cols {
-                    native::spmv_csr(&a, x, &mut y);
+                    spmv_rows(&a, x, &mut y);
                 }
             })
         });
-        group.bench_with_input(BenchmarkId::new("spmm_dense_csr", n), &n, |bch, _| {
-            bch.iter(|| native::spmm_dense_csr(&a, &b, &mut out))
+        group.bench_with_input(BenchmarkId::new("csr", n), &n, |bch, _| {
+            bch.iter(|| spmm_dense_rows(&a, &b, &mut out))
         });
-        group.bench_with_input(BenchmarkId::new("spmm_dense_bcsr", n), &n, |bch, _| {
-            bch.iter(|| native::spmm_dense_bcsr(&bcsr, &b, &mut out))
+        group.bench_with_input(BenchmarkId::new("bcsr", n), &n, |bch, _| {
+            bch.iter(|| spmm_dense_rows(&bcsr, &b, &mut out))
         });
-        group.bench_with_input(BenchmarkId::new("spmm_dense_smash", n), &n, |bch, _| {
-            bch.iter(|| native::spmm_dense_smash(&sm, &b, &mut out))
+        group.bench_with_input(BenchmarkId::new("smash", n), &n, |bch, _| {
+            bch.iter(|| spmm_dense_rows(&sm, &b, &mut out))
         });
-        group.bench_with_input(BenchmarkId::new("par_spmm_dense_csr", n), &n, |bch, _| {
-            bch.iter(|| par_spmm_dense_csr(&pool, &a, &b, &mut out))
+        group.bench_with_input(BenchmarkId::new("par_csr", n), &n, |bch, _| {
+            bch.iter(|| par_spmm_dense_rows(&pool, &a, &b, &mut out))
         });
         group.bench_with_input(BenchmarkId::new("executor_auto", n), &n, |bch, _| {
             bch.iter(|| exec.spmm_dense(&a, &b, &mut out))

@@ -1,4 +1,4 @@
-//! Thread-scaling of the parallel kernels: 1/2/4/8 workers across the
+//! Thread-scaling of the parallel drivers: 1/2/4/8 workers across the
 //! CSR, BCSR and SMASH formats, plus the parallel compressor.
 //!
 //! Because the parallel kernels are bit-identical to the serial ones,
@@ -8,11 +8,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use smash_core::{SmashConfig, SmashMatrix};
-use smash_kernels::parallel::{
-    par_csr_to_smash, par_spmm_csr, par_spmv_bcsr, par_spmv_csr, par_spmv_smash, ThreadPool,
-};
 use smash_kernels::test_vector;
 use smash_matrix::{generators, Bcsr};
+use smash_parallel::{par_csr_to_smash, par_spmm_csr, par_spmv_rows, ThreadPool};
 use std::time::Duration;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -39,16 +37,16 @@ fn bench_spmv(c: &mut Criterion) {
     for threads in THREAD_COUNTS {
         let pool = ThreadPool::new(threads);
         group.bench_with_input(BenchmarkId::new("csr", threads), &a, |b, a| {
-            b.iter(|| par_spmv_csr(&pool, a, &x, &mut y))
+            b.iter(|| par_spmv_rows(&pool, a, &x, &mut y))
         });
         group.bench_with_input(BenchmarkId::new("bcsr", threads), &bcsr, |b, m| {
-            b.iter(|| par_spmv_bcsr(&pool, m, &x, &mut y))
+            b.iter(|| par_spmv_rows(&pool, m, &x, &mut y))
         });
         group.bench_with_input(BenchmarkId::new("smash", threads), &sm, |b, m| {
-            b.iter(|| par_spmv_smash(&pool, m, &x, &mut y))
+            b.iter(|| par_spmv_rows(&pool, m, &x, &mut y))
         });
         group.bench_with_input(BenchmarkId::new("smash_flat", threads), &sm_flat, |b, m| {
-            b.iter(|| par_spmv_smash(&pool, m, &x, &mut y))
+            b.iter(|| par_spmv_rows(&pool, m, &x, &mut y))
         });
     }
     group.finish();

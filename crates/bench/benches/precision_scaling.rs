@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use smash_core::{SmashConfig, SmashMatrix};
 use smash_kernels::{native, test_vector, Executor};
-use smash_matrix::{generators, Csr, Scalar};
+use smash_matrix::{generators, spmv_rows, Csr, Scalar};
 use std::time::Duration;
 
 fn spmv_group<T: Scalar>(c: &mut Criterion, label: &str, a: &Csr<T>) {
@@ -30,13 +30,10 @@ fn spmv_group<T: Scalar>(c: &mut Criterion, label: &str, a: &Csr<T>) {
     let exec = Executor::auto();
 
     group.bench_with_input(BenchmarkId::new("csr", label), a, |b, a| {
-        b.iter(|| native::spmv_csr(a, &x, &mut y))
-    });
-    group.bench_with_input(BenchmarkId::new("csr_opt", label), a, |b, a| {
-        b.iter(|| native::spmv_csr_opt(a, &x, &mut y))
+        b.iter(|| spmv_rows(a, &x, &mut y))
     });
     group.bench_with_input(BenchmarkId::new("smash", label), &sm, |b, m| {
-        b.iter(|| native::spmv_smash(m, &x, &mut y))
+        b.iter(|| spmv_rows(m, &x, &mut y))
     });
     group.bench_with_input(BenchmarkId::new("executor_auto", label), a, |b, a| {
         b.iter(|| exec.spmv(a, &x, &mut y))

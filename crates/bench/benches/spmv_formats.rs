@@ -1,14 +1,15 @@
-//! Wall-clock SpMV across the software-only mechanisms (the Criterion
-//! counterpart of the paper's Fig. 9 SpMV column).
+//! Wall-clock SpMV across the software-only mechanisms' operand formats
+//! through the serial row driver (the Criterion counterpart of the
+//! paper's Fig. 9 SpMV column; MKL-CSR shares the CSR body).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smash_core::{SmashConfig, SmashMatrix};
-use smash_kernels::{native, test_vector};
-use smash_matrix::{suite::paper_suite, Bcsr};
+use smash_kernels::test_vector;
+use smash_matrix::{spmv_rows, suite::paper_suite, Bcsr};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("native_spmv");
+    let mut group = c.benchmark_group("spmv_formats");
     group
         .sample_size(20)
         .warm_up_time(Duration::from_millis(200))
@@ -25,16 +26,13 @@ fn bench(c: &mut Criterion) {
         let label = spec.label();
 
         group.bench_with_input(BenchmarkId::new("csr", &label), &a, |b, a| {
-            b.iter(|| native::spmv_csr(a, &x, &mut y))
-        });
-        group.bench_with_input(BenchmarkId::new("csr_opt(mkl)", &label), &a, |b, a| {
-            b.iter(|| native::spmv_csr_opt(a, &x, &mut y))
+            b.iter(|| spmv_rows(a, &x, &mut y))
         });
         group.bench_with_input(BenchmarkId::new("bcsr", &label), &bcsr, |b, m| {
-            b.iter(|| native::spmv_bcsr(m, &x, &mut y))
+            b.iter(|| spmv_rows(m, &x, &mut y))
         });
         group.bench_with_input(BenchmarkId::new("sw_smash", &label), &sm, |b, m| {
-            b.iter(|| native::spmv_smash(m, &x, &mut y))
+            b.iter(|| spmv_rows(m, &x, &mut y))
         });
     }
     group.finish();

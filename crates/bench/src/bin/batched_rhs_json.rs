@@ -6,7 +6,7 @@
 //! exits non-zero if the headline claim of the batched subsystem does not
 //! hold on this host:
 //!
-//! * the column-tiled `spmm_dense_csr` beats the loop of independent
+//! * the column-tiled CSR `spmm_dense_rows` beats the loop of independent
 //!   per-column SpMVs at ≥ 8 right-hand sides.
 //!
 //! It also re-verifies, on real data, that the batched output is
@@ -17,10 +17,9 @@
 //! buys from what vectorizing the tile bodies buys on top.
 
 use smash_core::{SmashConfig, SmashMatrix};
-use smash_kernels::native;
 use smash_matrix::simd::{self, Isa};
-use smash_matrix::{generators, Dense};
-use smash_parallel::{par_spmm_dense_csr, ThreadPool};
+use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Dense};
+use smash_parallel::{par_spmm_dense_rows, ThreadPool};
 use std::time::Instant;
 
 /// Median-of-5 wall-clock nanoseconds for `f`, amortized over `reps`
@@ -69,36 +68,36 @@ fn main() {
 
         let per_column_ns = time_ns(3, || {
             for x in &cols {
-                native::spmv_csr(&a, x, &mut y);
+                spmv_rows(&a, x, &mut y);
             }
             y.len()
         });
         let blocked_ns = time_ns(3, || {
-            native::spmm_dense_csr(&a, &b, &mut c);
+            spmm_dense_rows(&a, &b, &mut c);
             c.cols()
         });
         // The same tiled kernel with the dispatch layer pinned to the
         // scalar lane-order emulation: isolates the vector-body win.
         simd::set_override(Some(Isa::Scalar));
         let blocked_scalar_isa_ns = time_ns(3, || {
-            native::spmm_dense_csr(&a, &b, &mut c);
+            spmm_dense_rows(&a, &b, &mut c);
             c.cols()
         });
         simd::set_override(None);
         let smash_ns = time_ns(3, || {
-            native::spmm_dense_smash(&sm, &b, &mut c);
+            spmm_dense_rows(&sm, &b, &mut c);
             c.cols()
         });
         let parallel_ns = time_ns(3, || {
-            par_spmm_dense_csr(&pool, &a, &b, &mut c);
+            par_spmm_dense_rows(&pool, &a, &b, &mut c);
             c.cols()
         });
 
         // Determinism spot check on real data: every batched column must
         // equal its independent SpMV bit for bit.
-        native::spmm_dense_csr(&a, &b, &mut c);
+        spmm_dense_rows(&a, &b, &mut c);
         for (j, x) in cols.iter().enumerate() {
-            native::spmv_csr(&a, x, &mut y);
+            spmv_rows(&a, x, &mut y);
             assert_eq!(c.col(j), y, "batched column {j} diverged at width {n}");
         }
 

@@ -19,12 +19,9 @@
 use smash_bench::zoo::{self, Candidate, ZooMatrix, CALIBRATION_RHS};
 use smash_core::{SmashConfig, SmashMatrix};
 use smash_kernels::planner::{Format, Op, Planner};
-use smash_kernels::{native, spgemm};
-use smash_matrix::{generators, Bcsr, Dense};
-use smash_parallel::{
-    par_csr_to_smash, par_spmm_dense_bcsr, par_spmm_dense_csr, par_spmm_dense_smash, par_spmv_bcsr,
-    par_spmv_csr, par_spmv_smash, ThreadPool,
-};
+use smash_kernels::spgemm;
+use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Csr, Dense, RowRead};
+use smash_parallel::{par_csr_to_smash, par_spmm_dense_rows, par_spmv_rows, ThreadPool};
 use std::collections::BTreeSet;
 
 fn default_table_path() -> String {
@@ -39,6 +36,16 @@ fn smash_config() -> SmashConfig {
     SmashConfig::row_major(&[2, 4]).expect("valid ratios")
 }
 
+/// Runs `f` over `a` held in the candidate's operand format.
+fn with_operand<R>(a: &Csr<f64>, format: Format, f: impl FnOnce(&dyn RowRead<f64>) -> R) -> R {
+    match format {
+        Format::Csr => f(a),
+        Format::Bcsr => f(&Bcsr::from_csr(a, 2, 2).expect("2x2 blocking")),
+        Format::Smash => f(&SmashMatrix::encode(a, smash_config())),
+        Format::Dynamic => unreachable!("the candidate grid has no dynamic rows"),
+    }
+}
+
 /// Measures one candidate on one zoo matrix; returns `(work, ns)` in
 /// the planner's work measure (logical nnz, nnz × RHS, symbolic flops).
 fn measure(z: &ZooMatrix, c: &Candidate, pool: impl Fn(usize) -> ThreadPool) -> (f64, f64) {
@@ -50,104 +57,38 @@ fn measure(z: &ZooMatrix, c: &Candidate, pool: impl Fn(usize) -> ThreadPool) -> 
         Op::Spmv => {
             let x = vec![0.5f64; a.cols()];
             let mut y = vec![0.0f64; a.rows()];
-            let ns = match (c.format, c.threads) {
-                (Format::Csr, 1) => zoo::time_ns(samples, reps, || {
-                    native::spmv_csr(a, &x, &mut y);
+            let ns = with_operand(a, c.format, |r| match c.threads {
+                1 => zoo::time_ns(samples, reps, || {
+                    spmv_rows(r, &x, &mut y);
                     y.len()
                 }),
-                (Format::Csr, t) => {
+                t => {
                     let p = pool(t);
                     zoo::time_ns(samples, reps, || {
-                        par_spmv_csr(&p, a, &x, &mut y);
+                        par_spmv_rows(&p, r, &x, &mut y);
                         y.len()
                     })
                 }
-                (Format::Bcsr, t) => {
-                    let b = Bcsr::from_csr(a, 2, 2).expect("2x2 blocking");
-                    if t == 1 {
-                        zoo::time_ns(samples, reps, || {
-                            native::spmv_bcsr(&b, &x, &mut y);
-                            y.len()
-                        })
-                    } else {
-                        let p = pool(t);
-                        zoo::time_ns(samples, reps, || {
-                            par_spmv_bcsr(&p, &b, &x, &mut y);
-                            y.len()
-                        })
-                    }
-                }
-                (Format::Smash, t) => {
-                    let sm = SmashMatrix::encode(a, smash_config());
-                    if t == 1 {
-                        zoo::time_ns(samples, reps, || {
-                            native::spmv_smash(&sm, &x, &mut y);
-                            y.len()
-                        })
-                    } else {
-                        let p = pool(t);
-                        zoo::time_ns(samples, reps, || {
-                            par_spmv_smash(&p, &sm, &x, &mut y);
-                            y.len()
-                        })
-                    }
-                }
-                (Format::Dynamic, _) => {
-                    unreachable!("the candidate grid has no dynamic rows")
-                }
-            };
+            });
             (nnz as f64, ns)
         }
         Op::SpmmDense => {
             let b = generators::dense_batch(a.cols(), CALIBRATION_RHS, 5);
             let mut cmat = Dense::zeros(a.rows(), CALIBRATION_RHS);
             let reps = reps.div_ceil(CALIBRATION_RHS).max(1);
-            let ns = match (c.format, c.threads) {
-                (Format::Csr, 1) => zoo::time_ns(samples, reps, || {
-                    native::spmm_dense_csr(a, &b, &mut cmat);
+            let ns = with_operand(a, c.format, |r| match c.threads {
+                1 => zoo::time_ns(samples, reps, || {
+                    spmm_dense_rows(r, &b, &mut cmat);
                     cmat.cols()
                 }),
-                (Format::Csr, t) => {
+                t => {
                     let p = pool(t);
                     zoo::time_ns(samples, reps, || {
-                        par_spmm_dense_csr(&p, a, &b, &mut cmat);
+                        par_spmm_dense_rows(&p, r, &b, &mut cmat);
                         cmat.cols()
                     })
                 }
-                (Format::Bcsr, t) => {
-                    let bc = Bcsr::from_csr(a, 2, 2).expect("2x2 blocking");
-                    if t == 1 {
-                        zoo::time_ns(samples, reps, || {
-                            native::spmm_dense_bcsr(&bc, &b, &mut cmat);
-                            cmat.cols()
-                        })
-                    } else {
-                        let p = pool(t);
-                        zoo::time_ns(samples, reps, || {
-                            par_spmm_dense_bcsr(&p, &bc, &b, &mut cmat);
-                            cmat.cols()
-                        })
-                    }
-                }
-                (Format::Smash, t) => {
-                    let sm = SmashMatrix::encode(a, smash_config());
-                    if t == 1 {
-                        zoo::time_ns(samples, reps, || {
-                            native::spmm_dense_smash(&sm, &b, &mut cmat);
-                            cmat.cols()
-                        })
-                    } else {
-                        let p = pool(t);
-                        zoo::time_ns(samples, reps, || {
-                            par_spmm_dense_smash(&p, &sm, &b, &mut cmat);
-                            cmat.cols()
-                        })
-                    }
-                }
-                (Format::Dynamic, _) => {
-                    unreachable!("the candidate grid has no dynamic rows")
-                }
-            };
+            });
             ((nnz * CALIBRATION_RHS) as f64, ns)
         }
         Op::Spgemm => {

@@ -21,9 +21,9 @@
 use smash_bench::zoo::{self, Candidate};
 use smash_core::{SmashConfig, SmashMatrix};
 use smash_kernels::planner::{Format, Op, PlanRequest, Planner};
-use smash_kernels::{native, Executor};
-use smash_matrix::Bcsr;
-use smash_parallel::{par_spmv_bcsr, par_spmv_csr, par_spmv_smash, ThreadPool};
+use smash_kernels::{Executor, SpmvOperand};
+use smash_matrix::{spmv_rows, Bcsr};
+use smash_parallel::{par_spmv_rows, ThreadPool};
 
 /// Accepted slowdown of the planner's choice vs. the measured winner.
 /// Covers cross-host drift: the checked-in table ships serial/parallel
@@ -59,6 +59,14 @@ fn main() {
         let profile = z.profile();
         let bcsr = Bcsr::from_csr(a, 2, 2).expect("2x2 blocking");
         let sm = SmashMatrix::encode(a, cfg.clone());
+        let operand = |format| -> SpmvOperand<'_, f64> {
+            match format {
+                Format::Csr => a.into(),
+                Format::Bcsr => (&bcsr).into(),
+                Format::Smash => (&sm).into(),
+                Format::Dynamic => unreachable!("the candidate grid has no dynamic rows"),
+            }
+        };
         let x = vec![0.5f64; a.cols()];
         let mut y = vec![0.0f64; a.rows()];
         let nnz = a.nnz().max(1);
@@ -67,38 +75,18 @@ fn main() {
         // Measure every candidate.
         let mut measured: Vec<(Candidate, f64)> = Vec::new();
         for c in &spmv_grid {
-            let ns = match (c.format, c.threads) {
-                (Format::Csr, 1) => zoo::time_ns(5, reps, || {
-                    native::spmv_csr(a, &x, &mut y);
+            let r = operand(c.format).row_read();
+            let ns = match c.threads {
+                1 => zoo::time_ns(5, reps, || {
+                    spmv_rows(r, &x, &mut y);
                     y.len()
                 }),
-                (Format::Bcsr, 1) => zoo::time_ns(5, reps, || {
-                    native::spmv_bcsr(&bcsr, &x, &mut y);
-                    y.len()
-                }),
-                (Format::Smash, 1) => zoo::time_ns(5, reps, || {
-                    native::spmv_smash(&sm, &x, &mut y);
-                    y.len()
-                }),
-                (fmt, t) => {
+                t => {
                     let p = ThreadPool::new(t);
-                    match fmt {
-                        Format::Csr => zoo::time_ns(5, reps, || {
-                            par_spmv_csr(&p, a, &x, &mut y);
-                            y.len()
-                        }),
-                        Format::Bcsr => zoo::time_ns(5, reps, || {
-                            par_spmv_bcsr(&p, &bcsr, &x, &mut y);
-                            y.len()
-                        }),
-                        Format::Smash => zoo::time_ns(5, reps, || {
-                            par_spmv_smash(&p, &sm, &x, &mut y);
-                            y.len()
-                        }),
-                        Format::Dynamic => {
-                            unreachable!("the candidate grid has no dynamic rows")
-                        }
-                    }
+                    zoo::time_ns(5, reps, || {
+                        par_spmv_rows(&p, r, &x, &mut y);
+                        y.len()
+                    })
                 }
             };
             measured.push((*c, ns));
@@ -154,21 +142,9 @@ fn main() {
         // of the format the plan selected.
         let mut auto_y = vec![f64::NAN; a.rows()];
         let mut explicit = vec![0.0f64; a.rows()];
-        match plan.choice.format {
-            Format::Csr => {
-                exec.spmv(a, &x, &mut auto_y);
-                native::spmv_csr(a, &x, &mut explicit);
-            }
-            Format::Bcsr => {
-                exec.spmv(&bcsr, &x, &mut auto_y);
-                native::spmv_bcsr(&bcsr, &x, &mut explicit);
-            }
-            Format::Smash => {
-                exec.spmv(&sm, &x, &mut auto_y);
-                native::spmv_smash(&sm, &x, &mut explicit);
-            }
-            Format::Dynamic => unreachable!("the calibration table has no dynamic rows"),
-        }
+        let chosen = operand(plan.choice.format);
+        exec.spmv(chosen, &x, &mut auto_y);
+        spmv_rows(chosen.row_read(), &x, &mut explicit);
         assert_eq!(
             auto_y, explicit,
             "{}: Auto dispatch diverged from the explicit kernel",

@@ -14,7 +14,7 @@ use smash_core::{Bitmap, RankIndex, SmashConfig, SmashMatrix};
 use smash_kernels::native::spmm_smash;
 use smash_kernels::test_vector;
 use smash_matrix::generators;
-use smash_parallel::{par_spmv_smash, ThreadPool};
+use smash_parallel::{par_spmv_rows, ThreadPool};
 use std::time::Instant;
 
 /// Median-of-5 wall-clock nanoseconds for `f`, amortized over `reps`
@@ -122,7 +122,7 @@ fn main() {
     let mut y = vec![0.0f64; sm.rows()];
     let pool = ThreadPool::new(4);
     let spmv_ns = time_ns(10, || {
-        par_spmv_smash(&pool, &sm, &x, &mut y);
+        par_spmv_rows(&pool, &sm, &x, &mut y);
         y.len()
     });
     let spmv_nnz_per_s = a.nnz() as f64 / (spmv_ns / 1e9);

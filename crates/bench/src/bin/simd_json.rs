@@ -2,9 +2,10 @@
 //!
 //! Writes `BENCH_simd.json` (path overridable as the first CLI argument)
 //! with per-ISA wall-clock numbers for the three vectorized kernel
-//! families — the CSR `row_dot` (via `spmv_csr_opt`), the SMASH
-//! `block_dot` (via `spmv_smash`), and the dense RHS axpy tiles (via
-//! `spmm_dense_smash` at the 8-wide calibration batch) — on a structurally
+//! families — the CSR `row_dot` and the SMASH `block_dot` (via the
+//! `spmv_rows` driver over each operand), and the dense RHS axpy tiles
+//! (via `spmm_dense_rows` over SMASH at the 8-wide calibration batch) —
+//! on a structurally
 //! diverse slice of the planner zoo, in both precisions. Each kernel runs
 //! once under every ISA the host supports by forcing the dispatch layer
 //! through `smash_matrix::simd::set_override` (the in-process twin of the
@@ -25,9 +26,8 @@
 
 use smash_bench::zoo::{self, planner_zoo};
 use smash_core::{SmashConfig, SmashMatrix};
-use smash_kernels::native;
 use smash_matrix::simd::{self, Isa};
-use smash_matrix::{generators, Csr, Dense, Scalar};
+use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Csr, Dense, Scalar};
 
 /// RHS width the axpy-tile measurement leads with: one full register tile.
 const AXPY_RHS: usize = 8;
@@ -108,15 +108,15 @@ fn measure_matrix<T: Scalar>(name: &str, a: &Csr<T>, ty: &str, rows_json: &mut V
     let mut c = Dense::zeros(a.rows(), AXPY_RHS);
 
     rows_json.push(measure_kernel(name, "row_dot_spmv", ty, 5, 4, || {
-        native::spmv_csr_opt(a, &x, &mut y);
+        spmv_rows(a, &x, &mut y);
         y.len()
     }));
     rows_json.push(measure_kernel(name, "block_dot_spmv", ty, 5, 4, || {
-        native::spmv_smash(&sm, &x, &mut y);
+        spmv_rows(&sm, &x, &mut y);
         y.len()
     }));
     rows_json.push(measure_kernel(name, "axpy_tile_spmm", ty, 5, 2, || {
-        native::spmm_dense_smash(&sm, &b, &mut c);
+        spmm_dense_rows(&sm, &b, &mut c);
         c.cols()
     }));
 }

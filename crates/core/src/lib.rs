@@ -56,6 +56,4 @@ pub use error::SmashError;
 pub use hierarchy::{BitmapHierarchy, Blocks, Visit, Visits};
 pub use nza::Nza;
 pub use rank_select::{RankIndex, SUPERBLOCK_BITS};
-pub use smash_matrix::{
-    block_axpy_dense, block_dot, for_each_line_block, for_each_nz_block, SmashMatrix,
-};
+pub use smash_matrix::{block_axpy_dense, block_dot, for_each_line_block, SmashMatrix};

@@ -39,10 +39,10 @@ pub fn for_each_line_block<T: Scalar>(
 /// `smash_matrix::simd` by whichever ISA body is active (AVX2, SSE4.2, or
 /// the scalar emulation of the same order).
 ///
-/// This is the per-block body of every SMASH SpMV path — the serial
-/// single-level word scan and multi-level cursor walk
-/// (`smash_kernels::native::spmv_smash`) and the parallel row-range kernel
-/// (`smash_parallel::par_spmv_smash`) all call it, so their arithmetic
+/// This is the per-block body of every SMASH SpMV path — the single-level
+/// word scan and multi-level cursor walk of the matrix's `RowRead` body,
+/// driven serially by `smash_matrix::spmv_rows` and over row ranges by
+/// `smash_parallel::par_spmv_rows`, all call it, so their arithmetic
 /// order can never diverge and parallel output stays bit-identical to
 /// serial at every precision and under every ISA tier.
 ///
@@ -60,60 +60,13 @@ pub fn block_dot<T: Scalar>(block: &[T], x: &[T], col: usize, n: usize) -> T {
     T::simd_dot_contiguous(&block[..n], &x[col..col + n])
 }
 
-/// Visits every non-zero block of a row-major SMASH matrix in storage
-/// order, invoking `f(row, col, ordinal)` with the block's matrix row, its
-/// starting logical column, and its NZA ordinal.
-///
-/// This is *the* serial scan of the compressed form — the §4.4 software
-/// loop: a word-level `trailing_zeros` pass over the stored Bitmap-0 when
-/// the hierarchy is one level, the depth-first cursor otherwise. The
-/// serial SpMV (`smash_kernels::native::spmv_smash`) and the serial
-/// batched SpMM (`spmm_dense_smash`) both drive it, so their block
-/// visitation order — the foundation of the per-column bit-identity
-/// between the two — has exactly one definition.
-///
-/// # Panics
-///
-/// Panics if the matrix is not row-major.
-#[inline]
-pub fn for_each_nz_block<T: Scalar>(a: &SmashMatrix<T>, mut f: impl FnMut(usize, usize, usize)) {
-    assert_eq!(a.config().layout(), Layout::RowMajor, "row-major scan");
-    let b0 = a.config().block_size();
-    let bpl = a.blocks_per_line();
-    let mut ordinal = 0usize;
-    if a.hierarchy().num_levels() == 1 {
-        // Single-level fast path: the §4.4 loop verbatim — load a 64-bit
-        // bitmap word, trailing_zeros to find the set bit, AND to clear it.
-        let words = a.hierarchy().stored_level(0).words();
-        let total_bits = a.hierarchy().stored_level(0).len();
-        for (wi, &word) in words.iter().enumerate() {
-            let mut m = word;
-            while m != 0 {
-                let logical = wi * 64 + m.trailing_zeros() as usize;
-                m &= m - 1;
-                if logical >= total_bits {
-                    break;
-                }
-                f(logical / bpl, (logical % bpl) * b0, ordinal);
-                ordinal += 1;
-            }
-        }
-        return;
-    }
-    // Multi-level hierarchies scan through the depth-first cursor.
-    for logical in a.hierarchy().blocks() {
-        f(logical / bpl, (logical % bpl) * b0, ordinal);
-        ordinal += 1;
-    }
-}
-
 /// Multiplies one NZA block (logical columns `col..col + n`) against every
 /// column of the dense right-hand-side batch `b`, accumulating into the
 /// output row `out` (`out[j] += Σ_k block[k] * b[col + k][j]`).
 ///
 /// This is the per-block body of every *batched* SMASH SpMM path: the
-/// serial `smash_kernels::native::spmm_dense_smash` and the parallel
-/// `smash_parallel::par_spmm_dense_smash` both call it, so their
+/// serial `smash_matrix::spmm_dense_rows` and the parallel
+/// `smash_parallel::par_spmm_dense_rows` drivers both reach it, so their
 /// arithmetic order can never diverge. The columns of `b` are processed in
 /// register-blocked tiles of width 8/4/1; within a tile each column
 /// follows exactly the lane-striped order of [`block_dot`], so column `j`

@@ -1,13 +1,13 @@
 //! Multi-core PageRank and Betweenness Centrality: the reference
 //! algorithms with every matrix-vector product routed through the
-//! parallel SpMV kernels of `smash-parallel` — either CSR
+//! parallel SpMV driver of `smash-parallel` over either CSR
 //! ([`pagerank_parallel`], [`betweenness_parallel`]) or the SMASH
 //! compressed form ([`pagerank_parallel_smash`],
 //! [`betweenness_parallel_smash`]), whose workers partition rows
 //! directly on the compressed matrix through its
 //! [`LineDirectory`](smash_core::LineDirectory) (no bitmap expansion).
 //!
-//! Because both SpMV kernels are deterministic (contiguous nnz-balanced
+//! Because the SpMV driver is deterministic (contiguous nnz-balanced
 //! row ranges, serial per-row arithmetic), every application here
 //! produces bit-identical results at every thread count — a 1-thread
 //! pool and an 8-thread pool return exactly the same vectors. Relative
@@ -22,7 +22,7 @@
 use crate::{BcConfig, Graph, PageRankConfig};
 use smash_core::{SmashConfig, SmashMatrix};
 use smash_matrix::Scalar;
-use smash_parallel::{par_csr_to_smash, par_spmv_csr, par_spmv_smash, ThreadPool};
+use smash_parallel::{par_csr_to_smash, par_spmv_rows, ThreadPool};
 
 /// PageRank power iteration over an abstract SpMV (`y = M * r`): one
 /// algorithm body shared by the CSR and SMASH variants, so the two can
@@ -108,20 +108,20 @@ fn betweenness_with<T: Scalar>(
     bc
 }
 
-/// Parallel PageRank: each power iteration is one [`par_spmv_csr`] over
-/// the transition matrix followed by the element-wise rank update.
+/// Parallel PageRank: each power iteration is one [`par_spmv_rows`] over
+/// the CSR transition matrix followed by the element-wise rank update.
 pub fn pagerank_parallel<T: Scalar>(
     pool: &ThreadPool,
     g: &Graph<T>,
     cfg: &PageRankConfig,
 ) -> Vec<T> {
     let m = g.transition_matrix();
-    pagerank_with(g.vertices(), cfg, |r, y| par_spmv_csr(pool, &m, r, y))
+    pagerank_with(g.vertices(), cfg, |r, y| par_spmv_rows(pool, &m, r, y))
 }
 
 /// Parallel PageRank over the SMASH-compressed transition matrix: the
 /// matrix is compressed once (in parallel) and every power iteration is
-/// one [`par_spmv_smash`] whose workers seek their row ranges through
+/// one [`par_spmv_rows`] whose workers seek their row ranges through
 /// the compressed matrix's directory — rows are partitioned on the
 /// compressed form itself, never on an expanded bitmap.
 ///
@@ -138,7 +138,7 @@ pub fn pagerank_parallel_smash<T: Scalar>(
     smash_cfg: &SmashConfig,
 ) -> Vec<T> {
     let m: SmashMatrix<T> = par_csr_to_smash(pool, &g.transition_matrix(), smash_cfg.clone());
-    pagerank_with(g.vertices(), cfg, |r, y| par_spmv_smash(pool, &m, r, y))
+    pagerank_with(g.vertices(), cfg, |r, y| par_spmv_rows(pool, &m, r, y))
 }
 
 /// Parallel Betweenness Centrality in the level-synchronous
@@ -152,14 +152,14 @@ pub fn betweenness_parallel<T: Scalar>(pool: &ThreadPool, g: &Graph<T>, cfg: &Bc
     betweenness_with(
         g.vertices(),
         cfg,
-        |f, t| par_spmv_csr(pool, &at, f, t),
-        |w, t| par_spmv_csr(pool, a, w, t),
+        |f, t| par_spmv_rows(pool, &at, f, t),
+        |w, t| par_spmv_rows(pool, a, w, t),
     )
 }
 
 /// Parallel Betweenness Centrality with both sweeps' matrix-vector
 /// products running on SMASH-compressed operands (adjacency and its
-/// transpose, compressed once in parallel) through [`par_spmv_smash`] —
+/// transpose, compressed once in parallel) through [`par_spmv_rows`] —
 /// the level loops partition rows directly on the compressed form.
 ///
 /// Bit-identical across thread counts (like [`betweenness_parallel`]).
@@ -178,8 +178,8 @@ pub fn betweenness_parallel_smash<T: Scalar>(
     betweenness_with(
         g.vertices(),
         cfg,
-        |f, t| par_spmv_smash(pool, &at, f, t),
-        |w, t| par_spmv_smash(pool, &a, w, t),
+        |f, t| par_spmv_rows(pool, &at, f, t),
+        |w, t| par_spmv_rows(pool, &a, w, t),
     )
 }
 

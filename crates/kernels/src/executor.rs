@@ -1,20 +1,32 @@
-//! The unified **executor** layer: one `spmv`/`spmm` entry point over
+//! The unified **executor** layer: one entry point per operation over
 //! *format × precision × serial/parallel*.
 //!
-//! The native kernel families of this crate expose roughly ten per-format
-//! functions (`spmv_csr`, `spmv_bcsr`, `spmv_smash`, their `par_*` twins,
-//! the SpMM variants, the compressor…). The [`Executor`] hides that fan-out
-//! behind a single dispatcher: callers hand it any supported operand
-//! format — [`Csr`], [`Bcsr`](smash_matrix::Bcsr), a compressed
-//! [`SmashMatrix`] or a [`DynamicMatrix`] overlay — at any
-//! [`Scalar`] precision, and the executor picks the matching kernel and
-//! decides whether to run it serially or across a thread pool.
+//! Callers hand an [`Executor`] any supported operand format — [`Csr`],
+//! [`Bcsr`](smash_matrix::Bcsr), a compressed [`SmashMatrix`] or a
+//! [`DynamicMatrix`] overlay — at any [`Scalar`] precision. The operand's
+//! [`RowRead`](smash_matrix::RowRead) view feeds one serial/parallel
+//! driver pair (`spmv_rows` / `par_spmv_rows` and their dense-SpMM
+//! twins); there is no per-format kernel function in between.
+//!
+//! Each op (`spmv`, `spmm_dense`, `spgemm`, `encode`) has **one dispatch
+//! body** shared by two tiers:
+//!
+//! * the panicking tier (`spmv`, …) for trusted operands checks
+//!   dimensions only and panics with the typed [`SmashError`]'s message;
+//! * the fallible `try_*` tier for untrusted input adds the structural
+//!   `validate`, the [`NonFinitePolicy`] scan and the [`MemoryBudget`],
+//!   and returns the error and an [`ExecReport`] as values.
+//!
+//! Both tiers act on the same [`Plan`] and run the same degradation
+//! ladder: a panic on the pool is reported and retried serially.
 //!
 //! Three [`ExecMode`]s exist:
 //!
-//! * [`ExecMode::Serial`] — always the single-threaded native kernel.
-//! * [`ExecMode::Parallel`] — always the thread-pool kernel (worker count
-//!   from [`SMASH_THREADS`](smash_parallel::THREADS_ENV) or the available cores).
+//! * [`ExecMode::Serial`] — a plan pinned to one thread; nothing is
+//!   profiled.
+//! * [`ExecMode::Parallel`] — a plan pinned to the whole pool (worker
+//!   count from [`SMASH_THREADS`](smash_parallel::THREADS_ENV) or the
+//!   available cores); nothing is profiled.
 //! * [`ExecMode::Auto`] — per-call choice delegated to the measured
 //!   cost-model [`Planner`]: the operand is
 //!   profiled ([`MatrixProfile`]) and
@@ -24,7 +36,7 @@
 //!   exactly as before the planner existed. `Executor::plan_*` expose
 //!   the decision — with its rationale — without running anything.
 //!
-//! **Determinism guarantee:** because every parallel kernel in
+//! **Determinism guarantee:** because every parallel driver in
 //! `smash-parallel` is bit-identical to its serial counterpart, the
 //! executor's output is bit-identical across all three modes, every
 //! thread count, and both precisions — `Auto` never trades accuracy for
@@ -74,9 +86,10 @@ pub const AUTO_MIN_ROWS_PER_THREAD: usize = 4;
 /// Serial/parallel dispatch policy of an [`Executor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Always run the single-threaded native kernel.
+    /// Always run the single-threaded driver.
     Serial,
-    /// Always run the thread-pool kernel.
+    /// Always plan the whole pool (a one-worker pool runs the serial
+    /// driver).
     Parallel,
     /// Decide per call from the operand's shape and density.
     Auto,
@@ -130,11 +143,11 @@ impl MemoryBudget {
     }
 }
 
-/// How the fallible tier treats NaN/±infinity in operand values.
+/// How the fallible `try_*` tier treats NaN/±infinity in operand
+/// values. The panicking tier never scans values and always propagates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NonFinitePolicy {
-    /// IEEE semantics: non-finite inputs flow through the arithmetic
-    /// (the panicking tier's only behaviour).
+    /// IEEE semantics: non-finite inputs flow through the arithmetic.
     #[default]
     Propagate,
     /// `try_*` calls scan operand values up front and fail with
@@ -209,13 +222,6 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
-    fn new(plan: Plan) -> Self {
-        ExecReport {
-            plan,
-            degradations: Vec::new(),
-        }
-    }
-
     fn note(&mut self, d: Degradation) {
         self.plan.rationale.push_str("; ");
         self.plan.rationale.push_str(&d.to_string());
@@ -228,7 +234,8 @@ impl ExecReport {
     }
 }
 
-/// Format × precision × serial/parallel dispatcher for the native kernels.
+/// Format × precision × serial/parallel dispatcher for the native kernels
+/// and their drivers.
 ///
 /// One executor serves every [`Scalar`] precision — it owns a thread pool
 /// (for the parallel modes), not per-type state — so a single instance can
@@ -247,7 +254,7 @@ pub struct Executor {
     planner: Option<Planner>,
     /// Why `pool` is `None` although the mode wanted one (resilient
     /// construction after a spawn failure) — reported as a
-    /// [`Degradation::PoolUnavailable`] by every `try_*` call.
+    /// [`Degradation::PoolUnavailable`] in every call's report.
     pool_error: Option<String>,
     /// Transient-memory cap for `try_spgemm` (`None`: unbounded).
     budget: Option<MemoryBudget>,
@@ -267,7 +274,7 @@ impl Executor {
         }
     }
 
-    /// An executor that always runs the serial native kernels.
+    /// An executor that always runs the serial drivers, without planning.
     pub fn serial() -> Self {
         Executor::assemble(ExecMode::Serial, None, None)
     }
@@ -363,15 +370,16 @@ impl Executor {
         }
     }
 
-    /// Sets the transient-memory budget consulted by
-    /// [`Executor::try_spgemm`].
+    /// Sets the transient-memory budget. Only [`Executor::try_spgemm`]
+    /// consults it; the panicking [`Executor::spgemm`] runs unbudgeted.
     #[must_use]
     pub fn with_budget(mut self, budget: MemoryBudget) -> Self {
         self.budget = Some(budget);
         self
     }
 
-    /// Sets the NaN/infinity policy of the `try_*` tier.
+    /// Sets the NaN/infinity policy of the `try_*` tier (the panicking
+    /// tier always propagates).
     #[must_use]
     pub fn with_non_finite_policy(mut self, policy: NonFinitePolicy) -> Self {
         self.nonfinite = policy;
@@ -405,64 +413,20 @@ impl Executor {
         self.pool.as_ref().map_or(1, ThreadPool::threads)
     }
 
-    /// Whether a call over `rows` output rows and `work` stored values
-    /// runs on the pool under the current mode, judged by the legacy
-    /// **threshold tier** alone. This is the planner's fallback rule;
-    /// ops the planner doesn't model (block-granular SMASH×SMASH SpMM)
-    /// still use it directly.
-    fn parallelize(&self, rows: usize, work: usize) -> bool {
-        match self.mode {
-            ExecMode::Serial => false,
-            ExecMode::Parallel => self.pool.is_some(),
-            ExecMode::Auto => {
-                let threads = self.threads();
-                threads > 1
-                    && work >= AUTO_PARALLEL_NNZ
-                    && rows >= AUTO_MIN_ROWS_PER_THREAD * threads
-            }
+    /// The plan a call acts on. `Auto` profiles the operand and asks its
+    /// planner; the fixed modes pin the request's thread count (1 or the
+    /// pool width) without profiling anything.
+    fn plan(&self, req: PlanRequest, profile: impl FnOnce() -> MatrixProfile) -> Plan {
+        match (&self.planner, self.mode) {
+            (Some(p), _) => p.plan(&profile(), &req),
+            (None, ExecMode::Serial) => Plan::fixed(&req, "fixed Serial mode: not profiled"),
+            (None, _) => Plan::fixed(&req, "fixed Parallel mode: not profiled"),
         }
     }
 
-    /// Whether an `Auto` call dispatches wide, as judged by the planner
-    /// over the operand's profile. `Serial`/`Parallel` modes keep their
-    /// unconditional answer.
-    fn planned_wide(
-        &self,
-        op: Op,
-        format: Format,
-        profile: impl FnOnce() -> MatrixProfile,
-        rhs_cols: usize,
-        work: Option<u64>,
-    ) -> bool {
-        match self.mode {
-            ExecMode::Serial => false,
-            ExecMode::Parallel => self.pool.is_some(),
-            ExecMode::Auto => self
-                .make_plan(op, format, &profile(), rhs_cols, work)
-                .choice
-                .parallel(),
-        }
-    }
-
-    /// Builds the plan an `Auto` dispatch would act on (the fixed modes
-    /// consult the built-in planner, so explainability never requires an
-    /// `Auto` executor).
-    fn make_plan(
-        &self,
-        op: Op,
-        format: Format,
-        profile: &MatrixProfile,
-        rhs_cols: usize,
-        work: Option<u64>,
-    ) -> Plan {
-        let mut req = PlanRequest::pinned(op, format, self.threads()).with_rhs(rhs_cols);
-        if let Some(w) = work {
-            req = req.with_work(w);
-        }
-        match &self.planner {
-            Some(p) => p.plan(profile, &req),
-            None => Planner::built_in().plan(profile, &req),
-        }
+    /// A request pinned to `format` over this executor's worker budget.
+    fn request(&self, op: Op, format: Format) -> PlanRequest {
+        PlanRequest::pinned(op, format, self.threads())
     }
 
     /// The [`Plan`] — choice, predicted cost, rationale — that
@@ -470,7 +434,7 @@ impl Executor {
     /// anything.
     pub fn plan_spmv<'a, T: Scalar>(&self, a: impl Into<SpmvOperand<'a, T>>) -> Plan {
         let a = a.into();
-        self.make_plan(a.op_spmv(), a.format(), &a.profile(), 1, None)
+        self.plan(self.request(a.op_spmv(), a.format()), || a.profile())
     }
 
     /// The [`Plan`] that [`Executor::spmm_dense`] would act on for this
@@ -481,38 +445,41 @@ impl Executor {
         rhs_cols: usize,
     ) -> Plan {
         let a = a.into();
-        self.make_plan(a.op_spmm_dense(), a.format(), &a.profile(), rhs_cols, None)
+        let req = self
+            .request(a.op_spmm_dense(), a.format())
+            .with_rhs(rhs_cols);
+        self.plan(req, || a.profile())
     }
 
     /// The [`Plan`] that [`Executor::spgemm`] would act on, including
     /// the symbolic flop count it weighs.
     pub fn plan_spgemm<T: Scalar>(&self, a: &Csr<T>, b: &Csr<T>) -> Plan {
-        let work = crate::spgemm::stored_work(a, b);
-        self.make_plan(
-            Op::Spgemm,
-            Format::Csr,
-            &MatrixProfile::of_csr(a),
-            1,
-            Some(work),
-        )
+        let req = self
+            .request(Op::Spgemm, Format::Csr)
+            .with_work(crate::spgemm::stored_work(a, b));
+        self.plan(req, || MatrixProfile::of_csr(a))
     }
 
     /// The [`Plan`] that [`Executor::encode`] would act on.
     pub fn plan_encode<T: Scalar>(&self, a: &Csr<T>) -> Plan {
-        self.make_plan(Op::Encode, Format::Csr, &MatrixProfile::of_csr(a), 1, None)
+        self.plan(self.request(Op::Encode, Format::Csr), || {
+            MatrixProfile::of_csr(a)
+        })
     }
 
     /// Sparse matrix-vector product `y = A * x` over any supported format
     /// and precision.
     ///
-    /// Dispatches to the serial or parallel kernel of the operand's format
-    /// per the executor's [`ExecMode`]; the result is bit-identical
-    /// whichever path runs.
+    /// Runs the serial or parallel driver over the operand's row view per
+    /// the executor's [`ExecMode`]; the result is bit-identical whichever
+    /// path runs. The trusted-input twin of [`Executor::try_spmv`]: the
+    /// same dispatch, without the O(nnz) operand scans.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != a.cols()`, `y.len() != a.rows()`, or (for
-    /// SMASH operands) the matrix is not row-major.
+    /// Panics with the [`SmashError`] message if `x.len() != a.cols()`,
+    /// `y.len() != a.rows()`, or the kernel panics even on the serial
+    /// retry (e.g. a column-major SMASH operand).
     ///
     /// # Example
     ///
@@ -531,14 +498,7 @@ impl Executor {
     /// # Ok::<(), smash_core::SmashError>(())
     /// ```
     pub fn spmv<'a, T: Scalar>(&self, a: impl Into<SpmvOperand<'a, T>>, x: &[T], y: &mut [T]) {
-        let a = a.into();
-        let wide = self.planned_wide(a.op_spmv(), a.format(), || a.profile(), 1, None);
-        let r = a.row_read();
-        if wide {
-            par_spmv_rows(self.pool(), r, x, y);
-        } else {
-            spmv_rows(r, x, y);
-        }
+        trusted(self.spmv_body(a.into(), x, y, Validation::Trusted));
     }
 
     /// Batched sparse × dense multiply `C = A * B` over any supported
@@ -547,20 +507,19 @@ impl Executor {
     /// in register-blocked column tiles so the sparse operand is streamed
     /// once per tile instead of once per vector.
     ///
-    /// Dispatches to the serial or parallel kernel of the operand's format
-    /// per the executor's [`ExecMode`]. Under [`ExecMode::Auto`] the
-    /// decision weighs the *total* work — stored values × right-hand
-    /// sides — against [`AUTO_PARALLEL_NNZ`], so a matrix too small to
-    /// parallelize one SpMV can still go wide once enough right-hand
-    /// sides are batched. Whichever path runs, the result is bit-identical
-    /// — and column `j` of `C` is bit-identical to [`Executor::spmv`]
-    /// against column `j` of `B`.
+    /// Serial or parallel per the executor's [`ExecMode`]. Under
+    /// [`ExecMode::Auto`] the decision weighs the *total* work — stored
+    /// values × right-hand sides — so a matrix too small to parallelize
+    /// one SpMV can still go wide once enough right-hand sides are
+    /// batched. Whichever path runs, the result is bit-identical — and
+    /// column `j` of `C` is bit-identical to [`Executor::spmv`] against
+    /// column `j` of `B`.
     ///
     /// # Panics
     ///
-    /// Panics if `b.rows() != a.cols()`, `c.rows() != a.rows()`,
-    /// `c.cols() != b.cols()`, or (for SMASH operands) the matrix is not
-    /// row-major.
+    /// Panics with the [`SmashError`] message if `b.rows() != a.cols()`,
+    /// `c.rows() != a.rows()`, `c.cols() != b.cols()`, or the kernel
+    /// panics even on the serial retry.
     ///
     /// # Example
     ///
@@ -584,20 +543,7 @@ impl Executor {
         b: &Dense<T>,
         c: &mut Dense<T>,
     ) {
-        let a = a.into();
-        let wide = self.planned_wide(
-            a.op_spmm_dense(),
-            a.format(),
-            || a.profile(),
-            b.cols(),
-            None,
-        );
-        let r = a.row_read();
-        if wide {
-            par_spmm_dense_rows(self.pool(), r, b, c);
-        } else {
-            spmm_dense_rows(r, b, c);
-        }
+        trusted(self.spmm_dense_body(a.into(), b, c, Validation::Trusted));
     }
 
     /// Sparse × sparse multiply `C = A · B`, both operands CSR, through
@@ -610,11 +556,12 @@ impl Executor {
     /// Gustavson actually performs, which for sparse × sparse can dwarf
     /// (or undercut) either operand's nnz. Whichever path runs, the
     /// output is bit-identical — and triplet-exact to the
-    /// `Csr::spmm_inner` inner-product oracle.
+    /// `Csr::spmm_inner` inner-product oracle. The [`MemoryBudget`] is
+    /// not consulted here; [`Executor::try_spgemm`] enforces it.
     ///
     /// # Panics
     ///
-    /// Panics if `a.cols() != b.rows()`.
+    /// Panics with the [`SmashError`] message if `a.cols() != b.rows()`.
     ///
     /// # Example
     ///
@@ -627,18 +574,7 @@ impl Executor {
     /// assert_eq!(c, Executor::serial().spgemm(&a, &a)); // bit-identical
     /// ```
     pub fn spgemm<T: Scalar>(&self, a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
-        let work = crate::spgemm::stored_work(a, b);
-        if self.planned_wide(
-            Op::Spgemm,
-            Format::Csr,
-            || MatrixProfile::of_csr(a),
-            1,
-            Some(work),
-        ) {
-            crate::spgemm::par_spgemm(self.pool(), a, b)
-        } else {
-            crate::spgemm::spgemm(a, b)
-        }
+        trusted(self.spgemm_body(a, b, Validation::Trusted)).0
     }
 
     /// Sparse × sparse multiply emitted straight into the SMASH encoding
@@ -656,18 +592,11 @@ impl Executor {
         b: &Csr<T>,
         config: SmashConfig,
     ) -> SmashMatrix<T> {
-        let work = crate::spgemm::stored_work(a, b);
-        if self.planned_wide(
-            Op::Spgemm,
-            Format::Csr,
-            || MatrixProfile::of_csr(a),
-            1,
-            Some(work),
-        ) {
-            crate::spgemm::par_spgemm_smash(self.pool(), a, b, config)
-        } else {
-            crate::spgemm::spgemm_smash(a, b, config)
-        }
+        let mut report = self.start_report(self.plan_spgemm(a, b));
+        trusted(self.run("spgemm_smash", &mut report, |pool| match pool {
+            Some(p) => crate::spgemm::par_spgemm_smash(p, a, b, config.clone()),
+            None => crate::spgemm::spgemm_smash(a, b, config.clone()),
+        }))
     }
 
     /// Inner-product sparse matrix-matrix multiply `C = A * B` with `B` in
@@ -681,7 +610,6 @@ impl Executor {
     ///
     /// Panics if `a.cols() != b.rows()`.
     pub fn spmm<T: Scalar>(&self, a: &Csr<T>, b: &Csc<T>) -> Coo<T> {
-        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
         self.spgemm(a, &b.to_csr()).to_coo()
     }
 
@@ -689,9 +617,9 @@ impl Executor {
     /// 1-level), serial or row-parallel per the executor's mode. The
     /// parallel variant runs the serial per-row merge body over disjoint
     /// row ranges, so every mode returns the identical triplet list.
-    ///
-    /// (Earlier revisions ignored the mode here and always ran serially —
-    /// a silent downgrade for `Parallel`/`Auto` callers.)
+    /// `Auto` plans it as a SMASH-format SpGEMM weighing both operands'
+    /// stored values; no calibration row covers it, so the threshold tier
+    /// decides.
     ///
     /// # Panics
     ///
@@ -699,71 +627,268 @@ impl Executor {
     /// matching block sizes, or dimensions disagree.
     pub fn spmm_smash<T: Scalar>(&self, a: &SmashMatrix<T>, b: &SmashMatrix<T>) -> Coo<T> {
         assert_eq!(a.config().layout(), Layout::RowMajor, "A must be row-major");
-        if self.parallelize(a.rows(), a.nza().len() + b.nza().len()) {
-            crate::spgemm::par_spmm_smash(self.pool(), a, b)
-        } else {
-            native::spmm_smash(a, b)
-        }
+        let req = self
+            .request(Op::Spgemm, Format::Smash)
+            .with_work((a.nza().len() + b.nza().len()) as u64);
+        let mut report = self.start_report(self.plan(req, || MatrixProfile::of_smash(a)));
+        trusted(self.run("spmm_smash", &mut report, |pool| match pool {
+            Some(p) => crate::spgemm::par_spmm_smash(p, a, b),
+            None => native::spmm_smash(a, b),
+        }))
     }
 
     /// Compresses a CSR matrix into the SMASH encoding, in parallel when
     /// the executor's mode and the matrix size call for it. The produced
     /// matrix is `==` to `SmashMatrix::encode(a, config)` either way.
     pub fn encode<T: Scalar>(&self, a: &Csr<T>, config: SmashConfig) -> SmashMatrix<T> {
-        if self.planned_wide(
-            Op::Encode,
-            Format::Csr,
-            || MatrixProfile::of_csr(a),
-            1,
-            None,
-        ) {
-            par_csr_to_smash(self.pool(), a, config)
-        } else {
-            SmashMatrix::encode(a, config)
-        }
+        trusted(self.encode_body(a, config, Validation::Trusted)).0
     }
 
     /// Merges a dynamic matrix's overlay into its base tier
-    /// ([`DynamicMatrix::compact`]), re-encoding a SMASH base through the
-    /// executor's serial/parallel encoder dispatch. The compacted base is
-    /// `==` to building it from scratch from the merged matrix, whichever
-    /// path runs.
+    /// ([`DynamicMatrix::compact`]), re-encoding a SMASH base through
+    /// [`Executor::encode`]. The compacted base is `==` to building it
+    /// from scratch from the merged matrix, whichever path runs.
     pub fn compact<T: Scalar>(&self, m: &mut DynamicMatrix<T>) {
-        m.compact_with(|merged, config| {
-            if self.planned_wide(
-                Op::Encode,
-                Format::Csr,
-                || MatrixProfile::of_csr(merged),
-                1,
-                None,
-            ) {
-                par_csr_to_smash(self.pool(), merged, config)
-            } else {
-                SmashMatrix::encode(merged, config)
-            }
-        });
+        m.compact_with(|merged, cfg| self.encode(merged, cfg));
+    }
+
+    /// Fallible [`Executor::spmv`]: validates the operands up front
+    /// (dimensions, cached structural [`validate`](Csr::validate), the
+    /// [`NonFinitePolicy`]) and reports errors as values. A parallel
+    /// kernel panic is caught, reported, and retried serially,
+    /// bit-identical to a clean serial run.
+    ///
+    /// # Errors
+    ///
+    /// [`SmashError::DimensionMismatch`], [`SmashError::InvalidStructure`]
+    /// / [`SmashError::Encoding`] / [`SmashError::Unsupported`] from
+    /// operand validation, [`SmashError::NonFinite`] under the `Reject`
+    /// policy, [`SmashError::Panicked`] if the serial retry panics too.
+    pub fn try_spmv<'a, T: Scalar>(
+        &self,
+        a: impl Into<SpmvOperand<'a, T>>,
+        x: &[T],
+        y: &mut [T],
+    ) -> Result<ExecReport, SmashError> {
+        self.spmv_body(a.into(), x, y, Validation::Checked)
+    }
+
+    /// Fallible [`Executor::spmm_dense`]: the batched sparse × dense
+    /// product with validated operands and the same degradation ladder as
+    /// [`Executor::try_spmv`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::try_spmv`], with `B` covered by the non-finite scan
+    /// as well.
+    pub fn try_spmm_dense<'a, T: Scalar>(
+        &self,
+        a: impl Into<SpmvOperand<'a, T>>,
+        b: &Dense<T>,
+        c: &mut Dense<T>,
+    ) -> Result<ExecReport, SmashError> {
+        self.spmm_dense_body(a.into(), b, c, Validation::Checked)
+    }
+
+    /// Fallible [`Executor::spgemm`], the resource-governed one: operands
+    /// are validated up front, and when a [`MemoryBudget`] is set the
+    /// product's transient engine memory is estimated from the symbolic
+    /// bounds **before any allocation** — an over-budget product either
+    /// fails with [`SmashError::ResourceExhausted`] or (for a
+    /// [`MemoryBudget::degrade_over`] budget) runs as a serial
+    /// row-chunked streaming execution with bounded peak scratch,
+    /// bit-identical to the unchunked engine. Parallel kernel panics
+    /// degrade to a serial retry as in [`Executor::try_spmv`].
+    ///
+    /// # Errors
+    ///
+    /// The validation errors of [`Executor::try_spmv`], plus
+    /// [`SmashError::ResourceExhausted`] for an over-budget product
+    /// without degradation (or one whose single widest row cannot fit
+    /// even chunked).
+    pub fn try_spgemm<T: Scalar>(
+        &self,
+        a: &Csr<T>,
+        b: &Csr<T>,
+    ) -> Result<(Csr<T>, ExecReport), SmashError> {
+        self.spgemm_body(a, b, Validation::Checked)
+    }
+
+    /// Fallible [`Executor::encode`]: validates the CSR operand (cached
+    /// structural check plus the [`NonFinitePolicy`] scan); a panicking
+    /// parallel encoder is caught, reported, and retried serially — the
+    /// result is `==` either way.
+    ///
+    /// # Errors
+    ///
+    /// [`SmashError::InvalidStructure`] / [`SmashError::NonFinite`] from
+    /// validation, [`SmashError::Panicked`] if the serial retry panics.
+    pub fn try_encode<T: Scalar>(
+        &self,
+        a: &Csr<T>,
+        config: SmashConfig,
+    ) -> Result<(SmashMatrix<T>, ExecReport), SmashError> {
+        self.encode_body(a, config, Validation::Checked)
     }
 
     // ------------------------------------------------------------------
-    // The fallible tier: validated operands, typed errors, graceful
-    // degradation. The documented front door for untrusted input — the
-    // panicking methods above stay the zero-overhead contract for
-    // trusted callers.
+    // One dispatch body per op, shared by both tiers.
     // ------------------------------------------------------------------
 
-    /// Whether this plan dispatches onto the pool under the current mode.
-    fn wide_for(&self, plan: &Plan) -> bool {
-        match self.mode {
-            ExecMode::Serial => false,
-            ExecMode::Parallel => self.pool.is_some(),
-            ExecMode::Auto => self.pool.is_some() && plan.choice.parallel(),
+    fn spmv_body<T: Scalar>(
+        &self,
+        a: SpmvOperand<'_, T>,
+        x: &[T],
+        y: &mut [T],
+        v: Validation,
+    ) -> Result<ExecReport, SmashError> {
+        const OP: &str = "spmv";
+        check_dims(OP, (a.cols(), 1), (x.len(), 1))?;
+        check_dims(OP, (a.rows(), 1), (y.len(), 1))?;
+        if v == Validation::Checked {
+            a.check(OP)?;
+            self.check_operand_finite(OP, &a)?;
+            self.check_finite(OP, "x", x)?;
         }
+        let req = self.request(a.op_spmv(), a.format());
+        let mut report = self.start_report(self.plan(req, || a.profile()));
+        let r = a.row_read();
+        self.run(OP, &mut report, |pool| match pool {
+            Some(p) => par_spmv_rows(p, r, x, y),
+            None => spmv_rows(r, x, y),
+        })?;
+        Ok(report)
+    }
+
+    fn spmm_dense_body<T: Scalar>(
+        &self,
+        a: SpmvOperand<'_, T>,
+        b: &Dense<T>,
+        c: &mut Dense<T>,
+        v: Validation,
+    ) -> Result<ExecReport, SmashError> {
+        const OP: &str = "spmm_dense";
+        check_dims(OP, (a.cols(), b.cols()), (b.rows(), b.cols()))?;
+        check_dims(OP, (a.rows(), b.cols()), (c.rows(), c.cols()))?;
+        if v == Validation::Checked {
+            a.check(OP)?;
+            self.check_operand_finite(OP, &a)?;
+            self.check_finite(OP, "B", b.as_slice())?;
+        }
+        let req = self
+            .request(a.op_spmm_dense(), a.format())
+            .with_rhs(b.cols());
+        let mut report = self.start_report(self.plan(req, || a.profile()));
+        let r = a.row_read();
+        self.run(OP, &mut report, |pool| match pool {
+            Some(p) => par_spmm_dense_rows(p, r, b, c),
+            None => spmm_dense_rows(r, b, c),
+        })?;
+        Ok(report)
+    }
+
+    fn spgemm_body<T: Scalar>(
+        &self,
+        a: &Csr<T>,
+        b: &Csr<T>,
+        v: Validation,
+    ) -> Result<(Csr<T>, ExecReport), SmashError> {
+        const OP: &str = "spgemm";
+        check_dims(OP, (a.cols(), b.cols()), (b.rows(), b.cols()))?;
+        let mut budget = None;
+        if v == Validation::Checked {
+            SpmvOperand::Csr(a).check(OP)?;
+            SpmvOperand::Csr(b).check(OP)?;
+            self.check_finite(OP, "A", a.values())?;
+            self.check_finite(OP, "B", b.values())?;
+            budget = self.budget;
+        }
+        // Only a budget needs the per-row bounds; the plan needs the total.
+        let (bounds, work) = match budget {
+            Some(_) => {
+                let (bounds, work) = crate::spgemm::symbolic_bounds(a, b);
+                (Some(bounds), work)
+            }
+            None => (None, crate::spgemm::stored_work(a, b)),
+        };
+        let req = self.request(Op::Spgemm, Format::Csr).with_work(work);
+        let mut report = self.start_report(self.plan(req, || MatrixProfile::of_csr(a)));
+        if let (Some(budget), Some(bounds)) = (budget, bounds) {
+            let needed = crate::spgemm::estimate_engine_bytes::<T>(&bounds, b.cols());
+            if needed > budget.bytes() || Self::budget_fault_injected() {
+                if !budget.degrades() {
+                    return Err(SmashError::ResourceExhausted {
+                        needed,
+                        budget: budget.bytes(),
+                    });
+                }
+                let (c, run) = crate::spgemm::spgemm_chunked(a, b, &bounds, budget.bytes())?;
+                report.note(Degradation::ChunkedSpgemm {
+                    chunks: run.chunks,
+                    peak_scratch_bytes: run.peak_scratch_bytes,
+                    budget_bytes: run.budget_bytes,
+                });
+                return Ok((c, report));
+            }
+        }
+        let c = self.run(OP, &mut report, |pool| match pool {
+            Some(p) => crate::spgemm::par_spgemm(p, a, b),
+            None => crate::spgemm::spgemm(a, b),
+        })?;
+        Ok((c, report))
+    }
+
+    fn encode_body<T: Scalar>(
+        &self,
+        a: &Csr<T>,
+        config: SmashConfig,
+        v: Validation,
+    ) -> Result<(SmashMatrix<T>, ExecReport), SmashError> {
+        const OP: &str = "encode";
+        if v == Validation::Checked {
+            SpmvOperand::Csr(a).check(OP)?;
+            self.check_finite(OP, "A", a.values())?;
+        }
+        let mut report = self.start_report(self.plan_encode(a));
+        let sm = self.run(OP, &mut report, |pool| match pool {
+            Some(p) => par_csr_to_smash(p, a, config.clone()),
+            None => SmashMatrix::encode(a, config.clone()),
+        })?;
+        Ok((sm, report))
+    }
+
+    /// The degradation ladder every op runs: `kernel` gets the pool when
+    /// the plan goes wide, and a panic there is reported and retried
+    /// serially. The serial drivers overwrite their whole output, so the
+    /// retry is bit-identical to a clean serial run.
+    fn run<R>(
+        &self,
+        op: &'static str,
+        report: &mut ExecReport,
+        mut kernel: impl FnMut(Option<&ThreadPool>) -> R,
+    ) -> Result<R, SmashError> {
+        if report.plan.choice.parallel() {
+            let pool = self.pool.as_ref().expect("a parallel plan implies a pool");
+            match catch_unwind(AssertUnwindSafe(|| kernel(Some(pool)))) {
+                Ok(out) => return Ok(out),
+                Err(payload) => report.note(Degradation::WorkerPanic {
+                    detail: panic_detail(payload.as_ref()),
+                }),
+            }
+        }
+        catch_unwind(AssertUnwindSafe(|| kernel(None))).map_err(|payload| SmashError::Panicked {
+            op,
+            detail: panic_detail(payload.as_ref()),
+        })
     }
 
     /// Starts a report on `plan`, recording up front the construction
     /// rung of the ladder (a pool that failed to spawn) if it applies.
     fn start_report(&self, plan: Plan) -> ExecReport {
-        let mut report = ExecReport::new(plan);
+        let mut report = ExecReport {
+            plan,
+            degradations: Vec::new(),
+        };
         if let Some(detail) = &self.pool_error {
             report.note(Degradation::PoolUnavailable {
                 detail: detail.clone(),
@@ -812,253 +937,34 @@ impl Executor {
             false
         }
     }
+}
 
-    /// Fallible [`Executor::spmv`]: validates the operands up front
-    /// (dimensions, cached structural [`validate`](Csr::validate), the
-    /// [`NonFinitePolicy`]) and descends the degradation ladder instead
-    /// of panicking — a parallel kernel panic is caught, reported, and
-    /// retried serially (the output is zeroed first, so the retry is
-    /// bit-identical to a clean serial run).
-    ///
-    /// # Errors
-    ///
-    /// [`SmashError::DimensionMismatch`], [`SmashError::InvalidStructure`]
-    /// / [`SmashError::Encoding`] / [`SmashError::Unsupported`] from
-    /// operand validation, [`SmashError::NonFinite`] under the `Reject`
-    /// policy, [`SmashError::Panicked`] if the serial retry panics too.
-    pub fn try_spmv<'a, T: Scalar>(
-        &self,
-        a: impl Into<SpmvOperand<'a, T>>,
-        x: &[T],
-        y: &mut [T],
-    ) -> Result<ExecReport, SmashError> {
-        const OP: &str = "spmv";
-        let a = a.into();
-        if x.len() != a.cols() {
-            return Err(SmashError::DimensionMismatch {
-                op: OP,
-                expected: (a.cols(), 1),
-                got: (x.len(), 1),
-            });
-        }
-        if y.len() != a.rows() {
-            return Err(SmashError::DimensionMismatch {
-                op: OP,
-                expected: (a.rows(), 1),
-                got: (y.len(), 1),
-            });
-        }
-        a.check(OP)?;
-        self.check_operand_finite(OP, &a)?;
-        self.check_finite(OP, "x", x)?;
-        let plan = self.make_plan(a.op_spmv(), a.format(), &a.profile(), 1, None);
-        let mut report = self.start_report(plan);
-        let r = a.row_read();
-        if self.wide_for(&report.plan) {
-            let wide = catch_unwind(AssertUnwindSafe(|| par_spmv_rows(self.pool(), r, x, y)));
-            match wide {
-                Ok(()) => return Ok(report),
-                Err(payload) => {
-                    report.note(Degradation::WorkerPanic {
-                        detail: panic_detail(payload.as_ref()),
-                    });
-                    // A panicked parallel run may have written part of the
-                    // output; reset so the serial retry starts clean.
-                    y.fill(T::ZERO);
-                }
-            }
-        }
-        let serial = catch_unwind(AssertUnwindSafe(|| spmv_rows(r, x, y)));
-        match serial {
-            Ok(()) => Ok(report),
-            Err(payload) => Err(SmashError::Panicked {
-                op: OP,
-                detail: panic_detail(payload.as_ref()),
-            }),
-        }
-    }
+/// How much operand checking a dispatch body runs before its kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Validation {
+    /// The `try_*` tier: dimensions, structural `validate`, the
+    /// [`NonFinitePolicy`] scan and the [`MemoryBudget`].
+    Checked,
+    /// The panicking tier: dimensions only.
+    Trusted,
+}
 
-    /// Fallible [`Executor::spmm_dense`]: the batched sparse × dense
-    /// product with validated operands and the same degradation ladder as
-    /// [`Executor::try_spmv`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::try_spmv`], with `B` covered by the non-finite scan
-    /// as well.
-    pub fn try_spmm_dense<'a, T: Scalar>(
-        &self,
-        a: impl Into<SpmvOperand<'a, T>>,
-        b: &Dense<T>,
-        c: &mut Dense<T>,
-    ) -> Result<ExecReport, SmashError> {
-        const OP: &str = "spmm_dense";
-        let a = a.into();
-        if b.rows() != a.cols() {
-            return Err(SmashError::DimensionMismatch {
-                op: OP,
-                expected: (a.cols(), b.cols()),
-                got: (b.rows(), b.cols()),
-            });
-        }
-        if c.rows() != a.rows() || c.cols() != b.cols() {
-            return Err(SmashError::DimensionMismatch {
-                op: OP,
-                expected: (a.rows(), b.cols()),
-                got: (c.rows(), c.cols()),
-            });
-        }
-        a.check(OP)?;
-        self.check_operand_finite(OP, &a)?;
-        self.check_finite(OP, "B", b.as_slice())?;
-        let plan = self.make_plan(a.op_spmm_dense(), a.format(), &a.profile(), b.cols(), None);
-        let mut report = self.start_report(plan);
-        let r = a.row_read();
-        if self.wide_for(&report.plan) {
-            let wide = catch_unwind(AssertUnwindSafe(|| {
-                par_spmm_dense_rows(self.pool(), r, b, c)
-            }));
-            match wide {
-                Ok(()) => return Ok(report),
-                Err(payload) => {
-                    report.note(Degradation::WorkerPanic {
-                        detail: panic_detail(payload.as_ref()),
-                    });
-                    c.as_mut_slice().fill(T::ZERO);
-                }
-            }
-        }
-        let serial = catch_unwind(AssertUnwindSafe(|| spmm_dense_rows(r, b, c)));
-        match serial {
-            Ok(()) => Ok(report),
-            Err(payload) => Err(SmashError::Panicked {
-                op: OP,
-                detail: panic_detail(payload.as_ref()),
-            }),
-        }
-    }
+/// The panicking tier's unwrap: a [`Validation::Trusted`] body's error
+/// becomes a panic carrying its message.
+fn trusted<R>(result: Result<R, SmashError>) -> R {
+    result.unwrap_or_else(|e| panic!("{e}"))
+}
 
-    /// Fallible [`Executor::spgemm`], the resource-governed one: operands
-    /// are validated up front, and when a [`MemoryBudget`] is set the
-    /// product's transient engine memory is estimated from the symbolic
-    /// bounds **before any allocation** — an over-budget product either
-    /// fails with [`SmashError::ResourceExhausted`] or (for a
-    /// [`MemoryBudget::degrade_over`] budget) runs as a serial
-    /// row-chunked streaming execution with bounded peak scratch,
-    /// bit-identical to the unchunked engine. Parallel kernel panics
-    /// degrade to a serial retry as in [`Executor::try_spmv`].
-    ///
-    /// # Errors
-    ///
-    /// The validation errors of [`Executor::try_spmv`], plus
-    /// [`SmashError::ResourceExhausted`] for an over-budget product
-    /// without degradation (or one whose single widest row cannot fit
-    /// even chunked).
-    pub fn try_spgemm<T: Scalar>(
-        &self,
-        a: &Csr<T>,
-        b: &Csr<T>,
-    ) -> Result<(Csr<T>, ExecReport), SmashError> {
-        const OP: &str = "spgemm";
-        if a.cols() != b.rows() {
-            return Err(SmashError::DimensionMismatch {
-                op: OP,
-                expected: (a.cols(), b.cols()),
-                got: (b.rows(), b.cols()),
-            });
-        }
-        SpmvOperand::Csr(a).check(OP)?;
-        SpmvOperand::Csr(b).check(OP)?;
-        self.check_finite(OP, "A", a.values())?;
-        self.check_finite(OP, "B", b.values())?;
-        let (bounds, work) = crate::spgemm::symbolic_bounds(a, b);
-        let plan = self.make_plan(
-            Op::Spgemm,
-            Format::Csr,
-            &MatrixProfile::of_csr(a),
-            1,
-            Some(work),
-        );
-        let mut report = self.start_report(plan);
-        if let Some(budget) = self.budget {
-            let needed = crate::spgemm::estimate_engine_bytes::<T>(&bounds, b.cols());
-            if needed > budget.bytes() || Self::budget_fault_injected() {
-                if !budget.degrades() {
-                    return Err(SmashError::ResourceExhausted {
-                        needed,
-                        budget: budget.bytes(),
-                    });
-                }
-                let (c, run) = crate::spgemm::spgemm_chunked(a, b, &bounds, budget.bytes())?;
-                report.note(Degradation::ChunkedSpgemm {
-                    chunks: run.chunks,
-                    peak_scratch_bytes: run.peak_scratch_bytes,
-                    budget_bytes: run.budget_bytes,
-                });
-                return Ok((c, report));
-            }
-        }
-        if self.wide_for(&report.plan) {
-            match catch_unwind(AssertUnwindSafe(|| {
-                crate::spgemm::par_spgemm(self.pool(), a, b)
-            })) {
-                Ok(c) => return Ok((c, report)),
-                Err(payload) => report.note(Degradation::WorkerPanic {
-                    detail: panic_detail(payload.as_ref()),
-                }),
-            }
-        }
-        match catch_unwind(AssertUnwindSafe(|| crate::spgemm::spgemm(a, b))) {
-            Ok(c) => Ok((c, report)),
-            Err(payload) => Err(SmashError::Panicked {
-                op: OP,
-                detail: panic_detail(payload.as_ref()),
-            }),
-        }
-    }
-
-    /// Fallible [`Executor::encode`]: validates the CSR operand (cached
-    /// structural check plus the [`NonFinitePolicy`] scan) and descends
-    /// the degradation ladder — a panicking parallel encoder is caught,
-    /// reported, and retried serially; the result is `==` either way.
-    ///
-    /// # Errors
-    ///
-    /// [`SmashError::InvalidStructure`] / [`SmashError::NonFinite`] from
-    /// validation, [`SmashError::Panicked`] if the serial retry panics.
-    pub fn try_encode<T: Scalar>(
-        &self,
-        a: &Csr<T>,
-        config: SmashConfig,
-    ) -> Result<(SmashMatrix<T>, ExecReport), SmashError> {
-        const OP: &str = "encode";
-        SpmvOperand::Csr(a).check(OP)?;
-        self.check_finite(OP, "A", a.values())?;
-        let plan = self.make_plan(Op::Encode, Format::Csr, &MatrixProfile::of_csr(a), 1, None);
-        let mut report = self.start_report(plan);
-        if self.wide_for(&report.plan) {
-            match catch_unwind(AssertUnwindSafe(|| {
-                par_csr_to_smash(self.pool(), a, config.clone())
-            })) {
-                Ok(sm) => return Ok((sm, report)),
-                Err(payload) => report.note(Degradation::WorkerPanic {
-                    detail: panic_detail(payload.as_ref()),
-                }),
-            }
-        }
-        match catch_unwind(AssertUnwindSafe(|| SmashMatrix::encode(a, config))) {
-            Ok(sm) => Ok((sm, report)),
-            Err(payload) => Err(SmashError::Panicked {
-                op: OP,
-                detail: panic_detail(payload.as_ref()),
-            }),
-        }
-    }
-
-    fn pool(&self) -> &ThreadPool {
-        self.pool
-            .as_ref()
-            .expect("parallel dispatch implies a pool")
+/// A [`SmashError::DimensionMismatch`] unless the shapes agree.
+fn check_dims(
+    op: &'static str,
+    expected: (usize, usize),
+    got: (usize, usize),
+) -> Result<(), SmashError> {
+    if expected == got {
+        Ok(())
+    } else {
+        Err(SmashError::DimensionMismatch { op, expected, got })
     }
 }
 
@@ -1074,6 +980,12 @@ mod tests {
     use super::*;
     use crate::common::test_vector;
     use smash_matrix::{generators, Bcsr};
+
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+        panic_detail(payload.as_ref())
+    }
 
     fn modes() -> Vec<(&'static str, Executor)> {
         vec![
@@ -1092,43 +1004,44 @@ mod tests {
         let bcsr = Bcsr::from_csr(&a, 2, 2).unwrap();
         let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4]).unwrap());
         let x = test_vector::<f64>(a.cols());
-        let mut want = vec![0.0; a.rows()];
-
-        for (fmt, serial_y) in [
-            ("csr", {
-                native::spmv_csr(&a, &x, &mut want);
-                want.clone()
-            }),
-            ("bcsr", {
-                native::spmv_bcsr(&bcsr, &x, &mut want);
-                want.clone()
-            }),
-            ("smash", {
-                native::spmv_smash(&sm, &x, &mut want);
-                want.clone()
-            }),
-        ] {
+        let operands: [(&str, SpmvOperand<'_, f64>); 3] = [
+            ("csr", (&a).into()),
+            ("bcsr", (&bcsr).into()),
+            ("smash", (&sm).into()),
+        ];
+        for (fmt, op) in operands {
+            let mut want = vec![0.0; a.rows()];
+            spmv_rows(op.row_read(), &x, &mut want);
             for (mode, exec) in modes() {
                 let mut y = vec![f64::NAN; a.rows()];
-                match fmt {
-                    "csr" => exec.spmv(&a, &x, &mut y),
-                    "bcsr" => exec.spmv(&bcsr, &x, &mut y),
-                    _ => exec.spmv(&sm, &x, &mut y),
-                }
-                assert_eq!(y, serial_y, "{fmt} via {mode}");
+                exec.spmv(op, &x, &mut y);
+                assert_eq!(y, want, "{fmt} via {mode}");
             }
         }
     }
 
     #[test]
     fn auto_stays_serial_below_the_thresholds() {
-        let exec = Executor::auto();
+        // The empty planner is the threshold tier alone.
+        let exec = Executor::auto_with(Planner::empty());
+        let wide = |a: &Csr<f64>| exec.plan_spmv(a).choice.parallel();
         // Tiny matrix: never worth dispatching.
-        assert!(!exec.parallelize(8, 64));
+        assert!(!wide(&generators::uniform(8, 8, 64, 1)));
         // Heavy but short: row ranges would be degenerate.
-        assert!(!exec.parallelize(2, 1_000_000));
+        assert!(!wide(&generators::uniform(
+            2,
+            40_000,
+            2 * AUTO_PARALLEL_NNZ,
+            2
+        )));
         if exec.threads() > 1 {
-            assert!(exec.parallelize(4 * exec.threads(), AUTO_PARALLEL_NNZ));
+            let rows = AUTO_MIN_ROWS_PER_THREAD * exec.threads();
+            assert!(wide(&generators::uniform(
+                rows,
+                40_000,
+                2 * AUTO_PARALLEL_NNZ,
+                3
+            )));
         }
     }
 
@@ -1185,30 +1098,19 @@ mod tests {
         let bcsr = Bcsr::from_csr(&a, 2, 2).unwrap();
         let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4]).unwrap());
         let b = test_batch(256, 8);
-        let mut want = Dense::zeros(256, 8);
-        let mut got = Dense::zeros(256, 8);
-        for (fmt, serial_c) in [
-            ("csr", {
-                native::spmm_dense_csr(&a, &b, &mut want);
-                want.clone()
-            }),
-            ("bcsr", {
-                native::spmm_dense_bcsr(&bcsr, &b, &mut want);
-                want.clone()
-            }),
-            ("smash", {
-                native::spmm_dense_smash(&sm, &b, &mut want);
-                want.clone()
-            }),
-        ] {
+        let operands: [(&str, SpmvOperand<'_, f64>); 3] = [
+            ("csr", (&a).into()),
+            ("bcsr", (&bcsr).into()),
+            ("smash", (&sm).into()),
+        ];
+        for (fmt, op) in operands {
+            let mut want = Dense::zeros(256, 8);
+            spmm_dense_rows(op.row_read(), &b, &mut want);
             for (mode, exec) in modes() {
+                let mut got = Dense::zeros(256, 8);
                 got.as_mut_slice().fill(f64::NAN);
-                match fmt {
-                    "csr" => exec.spmm_dense(&a, &b, &mut got),
-                    "bcsr" => exec.spmm_dense(&bcsr, &b, &mut got),
-                    _ => exec.spmm_dense(&sm, &b, &mut got),
-                }
-                assert_eq!(got, serial_c, "{fmt} via {mode}");
+                exec.spmm_dense(op, &b, &mut got);
+                assert_eq!(got, want, "{fmt} via {mode}");
             }
         }
     }
@@ -1229,35 +1131,99 @@ mod tests {
 
     #[test]
     fn auto_weighs_batched_work_by_rhs_count() {
-        let exec = Executor::auto();
+        let exec = Executor::auto_with(Planner::empty());
         if exec.threads() <= 1 {
             return; // single-core host: Auto never parallelizes
         }
-        let rows = 4 * exec.threads();
+        let rows = AUTO_MIN_ROWS_PER_THREAD * exec.threads();
+        let a = generators::uniform(rows, 4_096, AUTO_PARALLEL_NNZ / 8, 4);
         // One vector of work below the threshold...
-        assert!(!exec.parallelize(rows, AUTO_PARALLEL_NNZ / 8));
-        // ...crosses it once 8 right-hand sides are batched (the executor
+        assert!(!exec.plan_spmm_dense(&a, 1).choice.parallel());
+        // ...crosses it once 8 right-hand sides are batched (the plan
         // multiplies stored work by the batch width).
-        assert!(exec.parallelize(rows, (AUTO_PARALLEL_NNZ / 8) * 8));
+        assert!(exec.plan_spmm_dense(&a, 8).choice.parallel());
     }
 
     #[test]
     fn try_spmv_matches_panicking_tier_on_clean_input() {
+        // Every mode x format x op. The panicking tier is the checked
+        // body run trusted, so the tiers agree bit for bit and a
+        // dimension mismatch panics with the typed error's message; the
+        // fixed modes report a pinned, unprofiled plan.
+        use smash_core::DynamicMatrix;
         let a = generators::clustered(256, 256, 20_000, 5, 3);
-        let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4]).unwrap());
+        let bcsr = Bcsr::from_csr(&a, 2, 2).unwrap();
+        let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
+        let sm = SmashMatrix::encode(&a, cfg.clone());
+        let mut dm = DynamicMatrix::from_smash(sm.clone());
+        dm.set(3, 7, 2.5);
+        dm.delete(17, 3);
+        let operands: [(&str, SpmvOperand<'_, f64>); 4] = [
+            ("csr", (&a).into()),
+            ("bcsr", (&bcsr).into()),
+            ("smash", (&sm).into()),
+            ("dynamic", (&dm).into()),
+        ];
         let x = test_vector::<f64>(256);
-        let mut want = vec![0.0; 256];
-        Executor::serial().spmv(&a, &x, &mut want);
-        for (mode, exec) in modes() {
-            let mut y = vec![f64::NAN; 256];
-            let report = exec.try_spmv(&a, &x, &mut y).unwrap();
-            assert_eq!(y, want, "csr via {mode}");
-            assert!(!report.degraded(), "clean run must not degrade");
-            let mut y = vec![f64::NAN; 256];
-            exec.try_spmv(&sm, &x, &mut y).unwrap();
-            let mut want_sm = vec![0.0; 256];
-            Executor::serial().spmv(&sm, &x, &mut want_sm);
-            assert_eq!(y, want_sm, "smash via {mode}");
+        let b = test_batch(256, 8);
+        let other = generators::uniform(7, 7, 10, 2);
+        let execs = [
+            ("serial", Executor::serial(), Some(1)),
+            ("threads1", Executor::with_threads(1), Some(1)),
+            ("threads2", Executor::with_threads(2), Some(2)),
+            ("threads8", Executor::with_threads(8), Some(8)),
+            ("auto", Executor::auto(), None),
+            ("auto_resilient", Executor::auto_resilient(), None),
+        ];
+        for (mode, exec, pinned) in &execs {
+            let check_report = |what: &str, report: ExecReport| {
+                assert!(!report.degraded(), "{what} via {mode}");
+                if let Some(threads) = pinned {
+                    let plan = report.plan;
+                    assert_eq!(plan.choice.threads, *threads, "{what} via {mode}");
+                    assert!(!plan.calibrated, "{what} via {mode}");
+                    assert!(plan.alternatives.is_empty(), "{what} via {mode}");
+                }
+            };
+            for (fmt, op) in operands {
+                let what = format!("{fmt} spmv");
+                let mut want = vec![0.0; 256];
+                spmv_rows(op.row_read(), &x, &mut want);
+                let (mut y, mut y_try) = (vec![f64::NAN; 256], vec![f64::NAN; 256]);
+                exec.spmv(op, &x, &mut y);
+                check_report(&what, exec.try_spmv(op, &x, &mut y_try).unwrap());
+                assert_eq!(y, y_try, "{what} via {mode}");
+                assert_eq!(y, want, "{what} via {mode}");
+                let err = exec.try_spmv(op, &x[1..], &mut y).unwrap_err();
+                let msg = panic_message(|| exec.spmv(op, &x[1..], &mut y));
+                assert_eq!(msg, err.to_string(), "{what} via {mode}");
+
+                let what = format!("{fmt} spmm_dense");
+                let mut want = Dense::zeros(256, 8);
+                spmm_dense_rows(op.row_read(), &b, &mut want);
+                let (mut c, mut c_try) = (Dense::zeros(256, 8), Dense::zeros(256, 8));
+                exec.spmm_dense(op, &b, &mut c);
+                check_report(&what, exec.try_spmm_dense(op, &b, &mut c_try).unwrap());
+                assert_eq!(c, c_try, "{what} via {mode}");
+                assert_eq!(c, want, "{what} via {mode}");
+                let mut narrow = Dense::zeros(256, 7);
+                let err = exec.try_spmm_dense(op, &b, &mut narrow).unwrap_err();
+                let msg = panic_message(|| exec.spmm_dense(op, &b, &mut narrow));
+                assert_eq!(msg, err.to_string(), "{what} via {mode}");
+            }
+            // SpGEMM and encode take CSR operands.
+            let (c_try, report) = exec.try_spgemm(&a, &a).unwrap();
+            check_report("spgemm", report);
+            assert_eq!(exec.spgemm(&a, &a), c_try, "spgemm via {mode}");
+            let err = exec.try_spgemm(&a, &other).unwrap_err();
+            let msg = panic_message(|| {
+                exec.spgemm(&a, &other);
+            });
+            assert_eq!(msg, err.to_string(), "spgemm via {mode}");
+            let (sm_try, report) = exec.try_encode(&a, cfg.clone()).unwrap();
+            check_report("encode", report);
+            assert_eq!(exec.encode(&a, cfg.clone()), sm_try, "encode via {mode}");
+            assert_eq!(sm_try, sm, "encode via {mode}");
         }
     }
 
@@ -1320,7 +1286,7 @@ mod tests {
         let a = generators::uniform(48, 40, 900, 5);
         let b = test_batch(40, 6);
         let mut want = Dense::zeros(48, 6);
-        native::spmm_dense_csr(&a, &b, &mut want);
+        spmm_dense_rows(&a, &b, &mut want);
         for (mode, exec) in modes() {
             let mut c = Dense::zeros(48, 6);
             exec.try_spmm_dense(&a, &b, &mut c).unwrap();

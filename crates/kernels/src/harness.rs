@@ -4,8 +4,7 @@
 //! engine.
 
 use crate::common::{test_vector, Mechanism};
-use crate::executor::Executor;
-use crate::{native, spmdm, spmm, spmv};
+use crate::{spmdm, spmm, spmv};
 use smash_bmu::Bmu;
 use smash_core::{SmashConfig, SmashMatrix};
 use smash_matrix::{Bcsr, Coo, Csr, Dense, Scalar};
@@ -13,38 +12,6 @@ use smash_sim::{CountEngine, Engine, SimEngine, SimStats, SystemConfig};
 
 /// Block shape of the TACO-BCSR baseline (see DESIGN.md).
 pub const BCSR_BLOCK: usize = 2;
-
-/// Runs the *native* (wall-clock, uninstrumented) SpMV of `mech` through
-/// the [`Executor`]: the harness builds the mechanism's operand encoding
-/// (CSR, 2x2 BCSR, or the SMASH compressed form per `cfg`) and the
-/// executor picks the serial or parallel kernel. `IdealCsr` has no native
-/// counterpart (free position discovery is a simulation idealization), so
-/// it maps to the most-tuned software CSR, `spmv_csr_opt`.
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.cols()` or `y.len() != a.rows()`.
-pub fn native_spmv<T: Scalar>(
-    exec: &Executor,
-    mech: Mechanism,
-    a: &Csr<T>,
-    cfg: &SmashConfig,
-    x: &[T],
-    y: &mut [T],
-) {
-    match mech {
-        Mechanism::TacoCsr => exec.spmv(a, x, y),
-        Mechanism::IdealCsr => native::spmv_csr_opt(a, x, y),
-        Mechanism::TacoBcsr => {
-            let b = Bcsr::from_csr(a, BCSR_BLOCK, BCSR_BLOCK).expect("non-zero block");
-            exec.spmv(&b, x, y);
-        }
-        Mechanism::SwSmash | Mechanism::Smash => {
-            let sm = exec.encode(a, cfg.clone());
-            exec.spmv(&sm, x, y);
-        }
-    }
-}
 
 /// Runs the instrumented SpMV of `mech` on the given engine and returns the
 /// product. `cfg` selects the bitmap hierarchy for the SMASH mechanisms.
@@ -108,42 +75,10 @@ pub fn run_spmm<E: Engine, T: Scalar>(
     }
 }
 
-/// Runs the *native* (wall-clock, uninstrumented) batched sparse × dense
-/// SpMM of `mech` through the [`Executor`]: the harness builds the
-/// mechanism's operand encoding and the executor picks the serial or
-/// parallel column-tiled kernel. `IdealCsr` maps to the plain CSR kernel
-/// (free position discovery is a simulation idealization with no native
-/// counterpart).
-///
-/// # Panics
-///
-/// Panics if `b.rows() != a.cols()`, `c.rows() != a.rows()`, or
-/// `c.cols() != b.cols()`.
-pub fn native_spmm_dense<T: Scalar>(
-    exec: &Executor,
-    mech: Mechanism,
-    a: &Csr<T>,
-    cfg: &SmashConfig,
-    b: &Dense<T>,
-    c: &mut Dense<T>,
-) {
-    match mech {
-        Mechanism::TacoCsr | Mechanism::IdealCsr => exec.spmm_dense(a, b, c),
-        Mechanism::TacoBcsr => {
-            let blocked = Bcsr::from_csr(a, BCSR_BLOCK, BCSR_BLOCK).expect("non-zero block");
-            exec.spmm_dense(&blocked, b, c);
-        }
-        Mechanism::SwSmash | Mechanism::Smash => {
-            let sm = exec.encode(a, cfg.clone());
-            exec.spmm_dense(&sm, b, c);
-        }
-    }
-}
-
 /// Runs the instrumented batched sparse × dense SpMM of `mech` on the
 /// given engine and returns the product. `cfg` selects the bitmap
 /// hierarchy for the SMASH mechanisms. The result is bit-identical to the
-/// native `spmm_dense_*` kernel of the same mechanism.
+/// native `spmm_dense_rows` driver over the mechanism's operand.
 pub fn run_spmm_dense<E: Engine, T: Scalar>(
     e: &mut E,
     mech: Mechanism,
@@ -217,7 +152,7 @@ pub fn count_spmm<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smash_matrix::generators;
+    use smash_matrix::{generators, spmm_dense_rows};
 
     #[test]
     fn all_spmv_mechanisms_agree_through_harness() {
@@ -254,23 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn native_spmv_matches_reference_for_all_mechanisms() {
-        let a = generators::clustered(64, 64, 800, 4, 11);
-        let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
-        let x = test_vector::<f64>(64);
-        let want = a.spmv(&x);
-        for exec in [Executor::serial(), Executor::auto()] {
-            for mech in Mechanism::ALL {
-                let mut y = vec![f64::NAN; 64];
-                native_spmv(&exec, mech, &a, &cfg, &x, &mut y);
-                for (g, w) in y.iter().zip(&want) {
-                    assert!((g - w).abs() < 1e-9, "{mech}: {g} vs {w}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn all_spmm_dense_mechanisms_agree_through_harness() {
         let a = generators::uniform(48, 48, 300, 3);
         let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
@@ -279,12 +197,17 @@ mod tests {
             b.set(i / 9, i % 9, v);
         }
         let want = a.to_dense().matmul(&b).unwrap();
-        let exec = Executor::serial();
+        let bcsr = Bcsr::from_csr(&a, BCSR_BLOCK, BCSR_BLOCK).unwrap();
+        let sm = SmashMatrix::encode(&a, cfg.clone());
         for mech in Mechanism::ALL {
             let mut e = CountEngine::new();
             let c = run_spmm_dense(&mut e, mech, &a, &b, &cfg);
             let mut cn = Dense::zeros(48, 9);
-            native_spmm_dense(&exec, mech, &a, &cfg, &b, &mut cn);
+            match mech {
+                Mechanism::TacoCsr | Mechanism::IdealCsr => spmm_dense_rows(&a, &b, &mut cn),
+                Mechanism::TacoBcsr => spmm_dense_rows(&bcsr, &b, &mut cn),
+                Mechanism::SwSmash | Mechanism::Smash => spmm_dense_rows(&sm, &b, &mut cn),
+            }
             // Instrumented and native paths share their loop bodies:
             // exact equality.
             assert_eq!(c, cn, "{mech}");

@@ -12,10 +12,6 @@
 //!   the host (the paper's real-system Fig. 9 experiment and the Criterion
 //!   benches).
 //!
-//! The [`parallel`] module adds multi-threaded variants of the native hot
-//! paths (via `smash-parallel`) that stay bit-identical to the serial
-//! kernels at every thread count.
-//!
 //! The [`spgemm`] module is the native sparse × sparse engine: row-wise
 //! Gustavson multiplication with symbolic sizing, per-row dense/hash
 //! accumulators and direct CSR or SMASH emission — triplet-exact to the
@@ -25,8 +21,11 @@
 //! operand encodings (CSR, 2x2 BCSR, SMASH bitmaps + NZA) internally.
 //!
 //! The [`executor`] module is the native-side counterpart: one
-//! [`Executor`] entry point over *format × precision × serial/parallel*,
-//! so callers stop hand-picking among the per-format kernel functions.
+//! [`Executor`] entry point per operation over *format × precision ×
+//! serial/parallel*, running each format's row view through one
+//! serial/parallel driver pair (`smash_matrix::spmv_rows`,
+//! `smash_parallel::par_spmv_rows`) that stays bit-identical at every
+//! thread count.
 //! Its `Auto` mode delegates to the [`planner`] module — a measured
 //! cost model scoring *(format × kernel × threads × tile)* candidates
 //! against a checked-in calibration table, with the old shape/nnz
@@ -63,7 +62,6 @@ pub mod executor;
 pub mod harness;
 pub mod native;
 pub mod operand;
-pub mod parallel;
 pub mod planner;
 pub mod spadd;
 pub mod spgemm;

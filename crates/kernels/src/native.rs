@@ -1,22 +1,29 @@
 //! Native (wall-clock) kernels for the real-system experiment (paper §7.1,
 //! Fig. 9) and the Criterion benches.
 //!
-//! These run on the host CPU with no instrumentation. Four mechanisms
-//! mirror the paper's software-only comparison:
+//! SpMV and batched sparse × dense SpMM have no per-format functions:
+//! every format implements `smash_matrix::RowRead`, and one driver pair
+//! runs its loop body — `smash_matrix::spmv_rows` / `spmm_dense_rows`
+//! serially, `smash_parallel::par_spmv_rows` / `par_spmm_dense_rows` on a
+//! pool, with [`Executor`](crate::Executor) choosing per call. The
+//! paper's software mechanisms map onto operands:
 //!
-//! * [`spmv_csr`] / [`spmm_csr`] — straightforward CSR (TACO-CSR stand-in),
-//! * [`spmv_csr_opt`] / [`spmm_csr_opt`] — branch-light CSR (MKL-CSR
-//!   stand-in: same format, more software tuning),
-//! * [`spmv_bcsr`] — blocked (TACO-BCSR stand-in),
-//! * [`spmv_smash`] / [`spmm_smash`] — Software-only SMASH: word-level
-//!   bitmap scanning with `trailing_zeros`, block-wise multiply.
+//! * TACO-CSR and MKL-CSR — a [`Csr`] operand. Both run the lane-striped
+//!   [`Csr::row_dot`] row body, so their SpMV is one body;
+//! * TACO-BCSR — a [`Bcsr`] operand (block-row bodies);
+//! * Software-only SMASH — a [`SmashMatrix`] operand: word-level bitmap
+//!   scanning with `trailing_zeros`, block-wise multiply.
+//!
+//! What remains here are the sparse × sparse kernels, whose bodies do
+//! differ per mechanism: [`spmm_csr`], the branch-light [`spmm_csr_opt`]
+//! (MKL-CSR stand-in), [`spmm_bcsr`], [`spmm_smash`], and [`spadd`].
 //!
 //! Every kernel is generic over [`Scalar`], so the same loop bodies serve
 //! `f64` and `f32` (and any future precision). The hot reductions all run
 //! through the lane-striped `smash_matrix::simd` dispatch layer (AVX2 /
 //! SSE4.2 / scalar, chosen at runtime), whose fixed accumulation order is
 //! identical at every precision *and* ISA tier — which is what lets the
-//! parallel variants in `smash-parallel` stay bit-identical for all of
+//! parallel drivers in `smash-parallel` stay bit-identical for all of
 //! them. See `docs/SIMD.md`.
 //!
 //! # Cancellation policy (sparse × sparse)
@@ -34,102 +41,7 @@
 
 use crate::operand::{check_smash_spmm_operands, spmm_smash_row, SmashMergeOperand};
 use smash_core::SmashMatrix;
-use smash_matrix::{spmm_dense_rows, spmv_rows, Bcsr, Coo, Csc, Csr, CsrBuilder, Dense, Scalar};
-
-/// Plain CSR SpMV (paper Code Listing 1). The per-row body is
-/// [`Csr::row_dot`], shared with `smash_parallel::par_spmv_csr`.
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.cols()`.
-pub fn spmv_csr<T: Scalar>(a: &Csr<T>, x: &[T], y: &mut [T]) {
-    spmv_rows(a, x, y);
-}
-
-/// Optimized CSR SpMV — the "more software tuning over the same format"
-/// slot (MKL-CSR stand-in). Since the SIMD dispatch layer landed, the
-/// tuned body *is* [`Csr::row_dot`]: the historical 4-way hand-unrolled
-/// variant was folded into the single lane-striped definition in
-/// `smash_matrix::simd`, so this mechanism is now distinguished from
-/// [`spmv_csr`] only in the planner's cost model (the two share one body
-/// and are bit-identical). It is kept as a separate entry point so
-/// dispatch tables, calibration rows, and the experiment grids keep their
-/// mechanism axis.
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.cols()`.
-pub fn spmv_csr_opt<T: Scalar>(a: &Csr<T>, x: &[T], y: &mut [T]) {
-    spmv_rows(a, x, y);
-}
-
-/// BCSR SpMV (blocked baseline), allocation-free. The per-block-row body
-/// is [`Bcsr::block_row_spmv`], shared with
-/// `smash_parallel::par_spmv_bcsr`, which keeps serial and parallel
-/// bit-identical under every `smash_matrix::simd` ISA tier.
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.cols()` or `y.len() != a.rows()`.
-pub fn spmv_bcsr<T: Scalar>(a: &Bcsr<T>, x: &[T], y: &mut [T]) {
-    spmv_rows(a, x, y);
-}
-
-/// Software-only SMASH SpMV: scans the stored bitmap hierarchy with
-/// word-level `trailing_zeros` (the CLZ/AND loop of §4.4) and multiplies
-/// whole NZA blocks against contiguous `x` elements.
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.cols()` or the matrix is not row-major.
-pub fn spmv_smash<T: Scalar>(a: &SmashMatrix<T>, x: &[T], y: &mut [T]) {
-    spmv_rows(a, x, y);
-}
-
-/// Batched CSR sparse × dense multiply (`C = A * B`, `B` a dense batch of
-/// right-hand-side columns): the SpMM shape that amortizes the sparse
-/// operand over many concurrent queries. The per-row body is
-/// [`Csr::row_spmm_dense`], shared with
-/// `smash_parallel::par_spmm_dense_csr` — columns of `B` are processed in
-/// register-blocked tiles of width 8/4/1, so the matrix is streamed once
-/// per tile instead of once per right-hand side, and column `j` of `C` is
-/// bit-identical to [`spmv_csr`] against column `j` of `B`.
-///
-/// # Panics
-///
-/// Panics if `b.rows() != a.cols()`, `c.rows() != a.rows()`, or
-/// `c.cols() != b.cols()`.
-pub fn spmm_dense_csr<T: Scalar>(a: &Csr<T>, b: &Dense<T>, c: &mut Dense<T>) {
-    spmm_dense_rows(a, b, c);
-}
-
-/// Batched BCSR sparse × dense multiply. The per-block-row body is
-/// [`Bcsr::block_row_spmm_dense`], shared with
-/// `smash_parallel::par_spmm_dense_bcsr`; column `j` of `C` is
-/// bit-identical to [`spmv_bcsr`] against column `j` of `B`.
-///
-/// # Panics
-///
-/// Panics if `b.rows() != a.cols()`, `c.rows() != a.rows()`, or
-/// `c.cols() != b.cols()`.
-pub fn spmm_dense_bcsr<T: Scalar>(a: &Bcsr<T>, b: &Dense<T>, c: &mut Dense<T>) {
-    spmm_dense_rows(a, b, c);
-}
-
-/// Batched software-SMASH sparse × dense multiply over the compressed
-/// form: the same bitmap scan as [`spmv_smash`] (word-level
-/// `trailing_zeros` on one level, depth-first cursor otherwise), with the
-/// per-block body `block_axpy_dense` shared with
-/// `smash_parallel::par_spmm_dense_smash`. Column `j` of `C` is
-/// bit-identical to [`spmv_smash`] against column `j` of `B`.
-///
-/// # Panics
-///
-/// Panics if `b.rows() != a.cols()`, `c.rows() != a.rows()`,
-/// `c.cols() != b.cols()`, or the matrix is not row-major.
-pub fn spmm_dense_smash<T: Scalar>(a: &SmashMatrix<T>, b: &Dense<T>, c: &mut Dense<T>) {
-    spmm_dense_rows(a, b, c);
-}
+use smash_matrix::{Bcsr, Coo, Csc, Csr, CsrBuilder, Scalar};
 
 /// Plain CSR×CSC inner-product SpMM (paper Code Listing 2).
 ///
@@ -348,7 +260,7 @@ mod tests {
     use super::*;
     use crate::common::test_vector;
     use smash_core::SmashConfig;
-    use smash_matrix::generators;
+    use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Dense};
 
     #[test]
     fn all_native_spmv_agree() {
@@ -357,18 +269,15 @@ mod tests {
         let want = a.spmv(&x);
         let mut y = vec![0.0; 80];
 
-        spmv_csr(&a, &x, &mut y);
-        assert_close(&y, &want);
-
-        spmv_csr_opt(&a, &x, &mut y);
+        spmv_rows(&a, &x, &mut y);
         assert_close(&y, &want);
 
         let bcsr = Bcsr::from_csr(&a, 2, 2).unwrap();
-        spmv_bcsr(&bcsr, &x, &mut y);
+        spmv_rows(&bcsr, &x, &mut y);
         assert_close(&y, &want);
 
         let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4, 16]).unwrap());
-        spmv_smash(&sm, &x, &mut y);
+        spmv_rows(&sm, &x, &mut y);
         assert_close(&y, &want);
     }
 
@@ -386,15 +295,13 @@ mod tests {
                 assert!(g.approx_eq(f32::from_f64(*w), f32::TOLERANCE), "{g} vs {w}");
             }
         };
-        spmv_csr(&a, &x, &mut y);
-        check(&y);
-        spmv_csr_opt(&a, &x, &mut y);
+        spmv_rows(&a, &x, &mut y);
         check(&y);
         let bcsr = Bcsr::from_csr(&a, 2, 2).unwrap();
-        spmv_bcsr(&bcsr, &x, &mut y);
+        spmv_rows(&bcsr, &x, &mut y);
         check(&y);
         let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4, 16]).unwrap());
-        spmv_smash(&sm, &x, &mut y);
+        spmv_rows(&sm, &x, &mut y);
         check(&y);
     }
 
@@ -521,28 +428,28 @@ mod tests {
             let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4, 16]).unwrap());
             let sm_flat = SmashMatrix::encode(&a, SmashConfig::row_major(&[4]).unwrap());
 
-            spmm_dense_csr(&a, &b, &mut c);
+            spmm_dense_rows(&a, &b, &mut c);
             for j in 0..n {
                 let x = b.col(j);
                 let mut y = vec![0.0; 80];
-                spmv_csr(&a, &x, &mut y);
+                spmv_rows(&a, &x, &mut y);
                 assert_eq!(c.col(j), y, "csr column {j} of {n}");
             }
 
-            spmm_dense_bcsr(&bcsr, &b, &mut c);
+            spmm_dense_rows(&bcsr, &b, &mut c);
             for j in 0..n {
                 let x = b.col(j);
                 let mut y = vec![0.0; 80];
-                spmv_bcsr(&bcsr, &x, &mut y);
+                spmv_rows(&bcsr, &x, &mut y);
                 assert_eq!(c.col(j), y, "bcsr column {j} of {n}");
             }
 
             for m in [&sm, &sm_flat] {
-                spmm_dense_smash(m, &b, &mut c);
+                spmm_dense_rows(m, &b, &mut c);
                 for j in 0..n {
                     let x = b.col(j);
                     let mut y = vec![0.0; 80];
-                    spmv_smash(m, &x, &mut y);
+                    spmv_rows(m, &x, &mut y);
                     assert_eq!(c.col(j), y, "smash column {j} of {n}");
                 }
             }
@@ -555,7 +462,7 @@ mod tests {
         let b = test_batch(50, 9);
         let want = a.to_dense().matmul(&b).unwrap();
         let mut c = Dense::zeros(40, 9);
-        spmm_dense_csr(&a, &b, &mut c);
+        spmm_dense_rows(&a, &b, &mut c);
         for i in 0..40 {
             for j in 0..9 {
                 assert!(
@@ -573,9 +480,9 @@ mod tests {
         let a = generators::banded(32, 32, 3, 120, 5);
         let b = test_batch(32, 8);
         let mut c1 = Dense::zeros(32, 8);
-        spmm_dense_csr(&a, &b, &mut c1);
+        spmm_dense_rows(&a, &b, &mut c1);
         let mut c2 = Dense::from_vec(32, 8, vec![f64::NAN; 32 * 8]).unwrap();
-        spmm_dense_csr(&a, &b, &mut c2);
+        spmm_dense_rows(&a, &b, &mut c2);
         assert_eq!(c1, c2);
     }
 }

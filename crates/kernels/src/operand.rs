@@ -84,13 +84,6 @@ impl<'a, T: Scalar> SpmvOperand<'a, T> {
         self.row_read().cols()
     }
 
-    /// Stored work items: true non-zeros for CSR, stored (padded) values
-    /// for the blocked formats, base + overlay entries for dynamic — the
-    /// quantity dispatch cost competes with.
-    pub fn work(&self) -> usize {
-        self.row_read().stored_work()
-    }
-
     /// The planner [`Format`] of this operand.
     pub fn format(&self) -> Format {
         match self {

@@ -246,24 +246,24 @@ impl MatrixProfile {
     }
 
     /// Profiles a SMASH operand: row statistics come from the line
-    /// directory (stored NZA values per line) in `O(lines)`, block fill
-    /// from the encoding itself — both already materialized at encode
-    /// time, so this never expands a bitmap.
+    /// directory (stored NZA values per line) in `O(lines)`; the true
+    /// non-zero count takes one `O(stored)` pass over the NZA, and block
+    /// fill is derived from that count. No bitmap is expanded.
     pub fn of_smash<T: Scalar>(a: &smash_core::SmashMatrix<T>) -> Self {
         let block = a.config().block_size();
         let starts = a.line_block_starts();
         let per_line = starts
             .windows(2)
             .map(move |w| (w[1] - w[0]) as usize * block);
-        let mut p = Self::from_row_lengths(
-            a.line_count().max(1),
-            a.cols(),
-            a.nnz(),
-            a.nza().len(),
-            per_line,
-        )
-        .with_shape(a.rows(), a.cols());
-        p.block_fill = Some(a.locality_of_sparsity());
+        let (nnz, stored) = (a.nnz(), a.nza().len());
+        let mut p = Self::from_row_lengths(a.line_count().max(1), a.cols(), nnz, stored, per_line)
+            .with_shape(a.rows(), a.cols());
+        // `SmashMatrix::locality_of_sparsity`, without a second NZA scan.
+        p.block_fill = Some(if stored == 0 {
+            0.0
+        } else {
+            1.0 - (1.0 - nnz as f64 / stored as f64)
+        });
         p
     }
 
@@ -534,11 +534,30 @@ pub struct Plan {
     /// Every scored candidate, best first (empty in the fallback tier).
     pub alternatives: Vec<(Choice, f64)>,
     /// `true` when a calibration row decided; `false` when the legacy
-    /// threshold tier did.
+    /// threshold tier or a fixed executor mode did.
     pub calibrated: bool,
     /// Multi-line explanation: the profile, the matched zoo matrix (or
     /// why the fallback fired), and the winner vs. runner-up scores.
     pub rationale: String,
+}
+
+impl Plan {
+    /// A plan that runs `req` on all of its `threads` without consulting
+    /// any cost model: what the fixed `Serial`/`Parallel` executor modes
+    /// act on. It predicts nothing and scores no alternatives.
+    pub(crate) fn fixed(req: &PlanRequest, rationale: &str) -> Plan {
+        Plan {
+            choice: Choice {
+                format: req.format.unwrap_or(Format::Csr),
+                threads: req.threads.max(1),
+                tile: lead_tile(req),
+            },
+            score: f64::NAN,
+            alternatives: Vec::new(),
+            calibrated: false,
+            rationale: rationale.to_string(),
+        }
+    }
 }
 
 /// One parsed calibration measurement: candidate × zoo matrix →
@@ -906,6 +925,38 @@ mod tests {
     use super::*;
     use smash_core::{SmashConfig, SmashMatrix};
     use smash_matrix::generators;
+
+    #[test]
+    fn smash_profile_counts_the_nza_once_with_the_same_bits() {
+        for (a, ratios) in [
+            (generators::clustered(96, 80, 900, 4, 3), &[2u32, 4][..]),
+            (generators::power_law(64, 64, 700, 1.3, 5), &[4][..]),
+            (generators::uniform(8, 8, 0, 1), &[2][..]),
+        ] {
+            let sm = SmashMatrix::encode(&a, SmashConfig::row_major(ratios).unwrap());
+            let block = sm.config().block_size();
+            let per_line = sm
+                .line_block_starts()
+                .windows(2)
+                .map(|w| (w[1] - w[0]) as usize * block);
+            let mut want = MatrixProfile::from_row_lengths(
+                sm.line_count().max(1),
+                sm.cols(),
+                sm.nnz(),
+                sm.nza().len(),
+                per_line,
+            )
+            .with_shape(sm.rows(), sm.cols());
+            want.block_fill = Some(sm.locality_of_sparsity());
+            let got = MatrixProfile::of_smash(&sm);
+            assert_eq!(got, want, "{ratios:?}");
+            assert_eq!(
+                got.block_fill.map(f64::to_bits),
+                want.block_fill.map(f64::to_bits),
+                "{ratios:?}"
+            );
+        }
+    }
 
     const TABLE: &str = "\
 # test table

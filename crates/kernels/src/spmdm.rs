@@ -2,11 +2,11 @@
 //! (`C = A * B`, `B` a dense batch of right-hand-side columns) for every
 //! mechanism of the paper's evaluation.
 //!
-//! These are the instrumented twins of the native `spmm_dense_*` kernels:
-//! each one *computes* the result through exactly the shared per-row /
-//! per-block bodies the natives use ([`Csr::row_spmm_dense`],
+//! These are the instrumented twins of the native `spmm_dense_rows`
+//! driver: each one *computes* the result through exactly the shared
+//! per-row / per-block bodies the driver runs ([`Csr::row_spmm_dense`],
 //! [`Bcsr::block_row_spmm_dense`], [`block_axpy_dense`]) — so the numeric
-//! output is bit-identical to the native kernels — and *describes* the
+//! output is bit-identical to the native driver — and *describes* the
 //! column-tiled instruction stream to an [`Engine`]. Value traffic is
 //! charged [`lanes_of::<T>()`](lanes_of)-wide: each width-`w` column tile
 //! of the right-hand side costs `ceil(w / lanes)` vector loads and
@@ -437,9 +437,8 @@ fn flush_row_stores<E: Engine, T: Scalar>(
 mod tests {
     use super::*;
     use crate::common::test_vector;
-    use crate::native;
     use smash_core::SmashConfig;
-    use smash_matrix::generators;
+    use smash_matrix::{generators, spmm_dense_rows};
     use smash_sim::{CountEngine, UopClass};
 
     fn test_batch(rows: usize, cols: usize) -> Dense<f64> {
@@ -470,20 +469,20 @@ mod tests {
         let b = test_batch(56, 11);
         let mut want = Dense::zeros(48, 11);
 
-        native::spmm_dense_csr(&a, &b, &mut want);
+        spmm_dense_rows(&a, &b, &mut want);
         let mut e = CountEngine::new();
         assert_eq!(spmm_dense_csr(&mut e, &a, &b), want);
         let mut e = CountEngine::new();
         assert_eq!(spmm_dense_ideal(&mut e, &a, &b), want);
 
         let bcsr = Bcsr::from_csr(&a, 2, 2).unwrap();
-        native::spmm_dense_bcsr(&bcsr, &b, &mut want);
+        spmm_dense_rows(&bcsr, &b, &mut want);
         let mut e = CountEngine::new();
         assert_eq!(spmm_dense_bcsr(&mut e, &bcsr, &b), want);
 
         for ratios in [&[2u32][..], &[2, 4, 16]] {
             let sm = SmashMatrix::encode(&a, SmashConfig::row_major(ratios).unwrap());
-            native::spmm_dense_smash(&sm, &b, &mut want);
+            spmm_dense_rows(&sm, &b, &mut want);
             let mut e = CountEngine::new();
             assert_eq!(spmm_dense_sw_smash(&mut e, &sm, &b), want, "{ratios:?}");
             let mut e = CountEngine::new();

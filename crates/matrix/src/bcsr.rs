@@ -461,8 +461,8 @@ impl<T: Scalar> Bcsr<T> {
     /// zero-initialized (or hold a partial sum) by the caller.
     ///
     /// This is *the* per-block-row body of the blocked SpMV, shared by the
-    /// serial `smash_kernels::native::spmv_bcsr` and the parallel
-    /// `smash_parallel::par_spmv_bcsr`: per stored block, each clipped row
+    /// serial driver [`crate::spmv_rows`] and the parallel
+    /// `smash_parallel::par_spmv_rows`: per stored block, each clipped row
     /// takes one lane-striped [`crate::simd`] contiguous dot against the
     /// matching slice of `x` and adds it into `out`. That is exactly the
     /// per-column order of [`block_row_spmm_dense`](Bcsr::block_row_spmm_dense),
@@ -505,8 +505,8 @@ impl<T: Scalar> Bcsr<T> {
     /// to the matrix height. `out` must be zero-initialized by the caller.
     ///
     /// This is *the* per-block-row body of the batched BCSR SpMM, shared by
-    /// the serial `smash_kernels::native::spmm_dense_bcsr` and the parallel
-    /// `smash_parallel::par_spmm_dense_bcsr`. The columns of `b` are
+    /// the serial driver [`crate::spmm_dense_rows`] and the parallel
+    /// `smash_parallel::par_spmm_dense_rows`. The columns of `b` are
     /// processed in register-blocked tiles of width 8/4/1; within a tile,
     /// every column follows the lane-striped per-column order of
     /// [`block_row_spmv`](Bcsr::block_row_spmv) (per stored block, a striped

@@ -409,8 +409,8 @@ impl<T: Scalar> Csr<T> {
     /// a pairwise fold) by whichever ISA body [`crate::simd::active`]
     /// dispatches — AVX2, SSE4.2, or the scalar emulation of the same
     /// order. This is *the* per-row body of the plain CSR SpMV: both the
-    /// serial `smash_kernels::native::spmv_csr` and the parallel
-    /// `smash_parallel::par_spmv_csr` call it, and because every ISA body
+    /// serial driver [`crate::spmv_rows`] and the parallel
+    /// `smash_parallel::par_spmv_rows` call it, and because every ISA body
     /// realizes the same accumulation order the results stay bit-identical
     /// across ISAs *and* thread counts.
     ///
@@ -428,8 +428,8 @@ impl<T: Scalar> Csr<T> {
     /// (`out[j] = Σ_k A[i][k] * b[k][j]`).
     ///
     /// This is *the* per-row body of the batched CSR SpMM: the serial
-    /// `smash_kernels::native::spmm_dense_csr` and the parallel
-    /// `smash_parallel::par_spmm_dense_csr` both call it, which keeps the
+    /// driver [`crate::spmm_dense_rows`] and the parallel
+    /// `smash_parallel::par_spmm_dense_rows` both call it, which keeps the
     /// two bit-identical at every thread count. The columns of `b` are
     /// processed in register-blocked tiles of width 8, then 4, then one —
     /// the row's indices and values are streamed once per *tile* instead

@@ -1,8 +1,10 @@
-//! Parallel variants of the native hot paths.
+//! Parallel drivers and kernels of the native hot paths.
 //!
-//! Every kernel here is **bit-identical** to its serial counterpart in
-//! `smash_kernels::native` (or `SmashMatrix::encode` for the compressor)
-//! at every thread count. Two properties make that hold:
+//! Every function here is **bit-identical** to its serial counterpart
+//! (`smash_matrix::spmv_rows` / `spmm_dense_rows` for the drivers,
+//! `Csr::spmm_inner` for the inner-product SpMM, `SmashMatrix::encode`
+//! for the compressor) at every thread count. Two properties make that
+//! hold:
 //!
 //! 1. the matrix is split into *contiguous* line ranges (see
 //!    [`partition_by_weight`](crate::partition_by_weight)), balanced by
@@ -18,11 +20,10 @@
 use crate::partition::{partition_by_weight, partition_rows};
 use crate::pool::ThreadPool;
 use smash_core::{for_each_line_block, Layout, SmashConfig, SmashMatrix};
-use smash_matrix::{Bcsr, Coo, Csc, Csr, Dense, RowRead, Scalar};
+use smash_matrix::{Coo, Csc, Csr, Dense, RowRead, Scalar};
 
 /// Parallel `y = A·x` over any [`RowRead`] operand — *the* parallel SpMV
-/// driver of the kernel stack, and the single definition behind every
-/// format-specific `par_spmv_*` wrapper below.
+/// driver of the kernel stack, for every format.
 ///
 /// The operand's granules (rows, or block rows for BCSR) are split into
 /// contiguous ranges balanced by [`RowRead::granule_weight`]; each worker
@@ -63,10 +64,10 @@ pub fn par_spmv_rows<T: Scalar, R: RowRead<T> + ?Sized>(
     });
 }
 
-/// Parallel `C = A·B` (B dense) over any [`RowRead`] operand — the single
-/// parallel driver behind every format-specific `par_spmm_dense_*`
-/// wrapper, bit-identical to `smash_matrix::spmm_dense_rows` at every
-/// thread count. Workers write disjoint row slabs of `C`.
+/// Parallel `C = A·B` (B dense) over any [`RowRead`] operand — *the*
+/// parallel dense-SpMM driver, bit-identical to
+/// `smash_matrix::spmm_dense_rows` at every thread count. Workers write
+/// disjoint row slabs of `C`.
 ///
 /// # Panics
 ///
@@ -95,122 +96,6 @@ pub fn par_spmm_dense_rows<T: Scalar, R: RowRead<T> + ?Sized>(
         }
         rest.fill(T::ZERO);
     });
-}
-
-/// Parallel plain CSR SpMV; bit-identical to
-/// [`spmv_csr`](../../smash_kernels/native/fn.spmv_csr.html) at any
-/// thread count.
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.cols()` or `y.len() != a.rows()`.
-pub fn par_spmv_csr<T: Scalar>(pool: &ThreadPool, a: &Csr<T>, x: &[T], y: &mut [T]) {
-    // One row per granule, weighted by row nnz: the generic driver
-    // reproduces the historical `partition_rows(a.row_ptr(), …)` split
-    // and runs the same per-row `Csr::row_dot` body.
-    par_spmv_rows(pool, a, x, y);
-}
-
-/// Parallel BCSR SpMV over block-row ranges; bit-identical to
-/// [`spmv_bcsr`](../../smash_kernels/native/fn.spmv_bcsr.html) at any
-/// thread count.
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.cols()` or `y.len() != a.rows()`.
-pub fn par_spmv_bcsr<T: Scalar>(pool: &ThreadPool, a: &Bcsr<T>, x: &[T], y: &mut [T]) {
-    // One block row per granule, weighted by its stored block count; each
-    // range runs the shared `Bcsr::block_row_spmv` body (the last block
-    // row may be clipped to the matrix height).
-    par_spmv_rows(pool, a, x, y);
-}
-
-/// Parallel software-SMASH SpMV over the compressed form: the matrix's
-/// [`LineDirectory`](smash_core::LineDirectory) seeks each worker's row
-/// range in O(1) (starting NZA ordinal + stored-bitmap cursor), and each
-/// row is scanned with a word-level
-/// [`LineCursor`](smash_core::LineCursor) — the logical Bitmap-0 is
-/// never expanded, so peak auxiliary memory is O(1) per worker instead
-/// of O(dense size). Bit-identical to
-/// [`spmv_smash`](../../smash_kernels/native/fn.spmv_smash.html) at any
-/// thread count.
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.cols()`, `y.len() != a.rows()`, or the matrix
-/// is not row-major.
-pub fn par_spmv_smash<T: Scalar>(pool: &ThreadPool, a: &SmashMatrix<T>, x: &[T], y: &mut [T]) {
-    // One row line per granule, weighted by the per-line block counts the
-    // directory already knows — no expansion, no rank scans. Each range
-    // runs the shared `LineCursor` + `block_dot` body.
-    par_spmv_rows(pool, a, x, y);
-}
-
-/// Parallel batched CSR sparse × dense multiply (`C = A * B`, `B` a dense
-/// batch of right-hand sides) over nnz-balanced contiguous row ranges;
-/// bit-identical to
-/// [`spmm_dense_csr`](../../smash_kernels/native/fn.spmm_dense_csr.html)
-/// at any thread count — each worker writes a disjoint row slab of `C`
-/// and every row runs the shared [`Csr::row_spmm_dense`] body.
-///
-/// # Panics
-///
-/// Panics if `b.rows() != a.cols()`, `c.rows() != a.rows()`, or
-/// `c.cols() != b.cols()`.
-pub fn par_spmm_dense_csr<T: Scalar>(
-    pool: &ThreadPool,
-    a: &Csr<T>,
-    b: &Dense<T>,
-    c: &mut Dense<T>,
-) {
-    // The generic driver over row granules: every row runs the shared
-    // `Csr::row_spmm_dense` tiled body into its disjoint slab of `C`.
-    par_spmm_dense_rows(pool, a, b, c);
-}
-
-/// Parallel batched BCSR sparse × dense multiply over block-row ranges;
-/// bit-identical to
-/// [`spmm_dense_bcsr`](../../smash_kernels/native/fn.spmm_dense_bcsr.html)
-/// at any thread count — every block row runs the shared
-/// [`Bcsr::block_row_spmm_dense`] body.
-///
-/// # Panics
-///
-/// Panics if `b.rows() != a.cols()`, `c.rows() != a.rows()`, or
-/// `c.cols() != b.cols()`.
-pub fn par_spmm_dense_bcsr<T: Scalar>(
-    pool: &ThreadPool,
-    a: &Bcsr<T>,
-    b: &Dense<T>,
-    c: &mut Dense<T>,
-) {
-    // The generic driver over block-row granules: every block row runs
-    // the shared `Bcsr::block_row_spmm_dense` body.
-    par_spmm_dense_rows(pool, a, b, c);
-}
-
-/// Parallel batched SMASH sparse × dense multiply over the compressed
-/// form: workers seek their nnz-balanced row ranges through the matrix's
-/// [`LineDirectory`](smash_core::LineDirectory) and scan each row with a
-/// word-level [`LineCursor`](smash_core::LineCursor) — the logical
-/// Bitmap-0 is never expanded. Bit-identical to
-/// [`spmm_dense_smash`](../../smash_kernels/native/fn.spmm_dense_smash.html)
-/// at any thread count — every block runs the shared `block_axpy_dense`
-/// body in the serial block order.
-///
-/// # Panics
-///
-/// Panics if `b.rows() != a.cols()`, `c.rows() != a.rows()`,
-/// `c.cols() != b.cols()`, or the matrix is not row-major.
-pub fn par_spmm_dense_smash<T: Scalar>(
-    pool: &ThreadPool,
-    a: &SmashMatrix<T>,
-    b: &Dense<T>,
-    c: &mut Dense<T>,
-) {
-    // The generic driver over row-line granules: every row runs the
-    // shared `LineCursor` + `block_axpy_dense` body.
-    par_spmm_dense_rows(pool, a, b, c);
 }
 
 /// Inner-product SpMM over one row range, driving the same
@@ -330,7 +215,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smash_matrix::generators;
+    use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr};
 
     fn test_vector(n: usize) -> Vec<f64> {
         (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect()
@@ -345,11 +230,10 @@ mod tests {
         let a = generators::power_law(96, 80, 700, 1.3, 11);
         let x = test_vector(80);
         let mut want = vec![0.0; 96];
-        // Serial reference: the same per-row loop on one thread.
-        par_spmv_csr(&ThreadPool::new(1), &a, &x, &mut want);
+        spmv_rows(&a, &x, &mut want);
         for pool in pools() {
             let mut y = vec![1.0; 96];
-            par_spmv_csr(&pool, &a, &x, &mut y);
+            par_spmv_rows(&pool, &a, &x, &mut y);
             assert_eq!(y, want, "threads = {}", pool.threads());
         }
     }
@@ -360,10 +244,10 @@ mod tests {
         let bcsr = Bcsr::from_csr(&a, 2, 2).unwrap();
         let x = test_vector(66);
         let mut want = vec![0.0; 70];
-        par_spmv_bcsr(&ThreadPool::new(1), &bcsr, &x, &mut want);
+        spmv_rows(&bcsr, &x, &mut want);
         for pool in pools() {
             let mut y = vec![9.0; 70];
-            par_spmv_bcsr(&pool, &bcsr, &x, &mut y);
+            par_spmv_rows(&pool, &bcsr, &x, &mut y);
             assert_eq!(y, want, "threads = {}", pool.threads());
         }
     }
@@ -374,10 +258,10 @@ mod tests {
         let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4, 16]).unwrap());
         let x = test_vector(90);
         let mut want = vec![0.0; 90];
-        par_spmv_smash(&ThreadPool::new(1), &sm, &x, &mut want);
+        spmv_rows(&sm, &x, &mut want);
         for pool in pools() {
             let mut y = vec![-3.0; 90];
-            par_spmv_smash(&pool, &sm, &x, &mut y);
+            par_spmv_rows(&pool, &sm, &x, &mut y);
             assert_eq!(y, want, "threads = {}", pool.threads());
         }
     }
@@ -437,24 +321,24 @@ mod tests {
             let mut want = Dense::zeros(96, n);
             let mut got = Dense::zeros(96, n);
 
-            par_spmm_dense_csr(&ThreadPool::new(1), &a, &b, &mut want);
+            spmm_dense_rows(&a, &b, &mut want);
             for pool in pools() {
                 got.as_mut_slice().fill(f64::NAN);
-                par_spmm_dense_csr(&pool, &a, &b, &mut got);
+                par_spmm_dense_rows(&pool, &a, &b, &mut got);
                 assert_eq!(got, want, "csr, n = {n}, threads = {}", pool.threads());
             }
 
-            par_spmm_dense_bcsr(&ThreadPool::new(1), &bcsr, &b, &mut want);
+            spmm_dense_rows(&bcsr, &b, &mut want);
             for pool in pools() {
                 got.as_mut_slice().fill(f64::NAN);
-                par_spmm_dense_bcsr(&pool, &bcsr, &b, &mut got);
+                par_spmm_dense_rows(&pool, &bcsr, &b, &mut got);
                 assert_eq!(got, want, "bcsr, n = {n}, threads = {}", pool.threads());
             }
 
-            par_spmm_dense_smash(&ThreadPool::new(1), &sm, &b, &mut want);
+            spmm_dense_rows(&sm, &b, &mut want);
             for pool in pools() {
                 got.as_mut_slice().fill(f64::NAN);
-                par_spmm_dense_smash(&pool, &sm, &b, &mut got);
+                par_spmm_dense_rows(&pool, &sm, &b, &mut got);
                 assert_eq!(got, want, "smash, n = {n}, threads = {}", pool.threads());
             }
         }
@@ -466,10 +350,10 @@ mod tests {
         let b = test_batch(66, 8);
         let pool = ThreadPool::new(4);
         let mut c = Dense::zeros(70, 8);
-        par_spmm_dense_csr(&pool, &a, &b, &mut c);
+        par_spmm_dense_rows(&pool, &a, &b, &mut c);
         for j in 0..8 {
             let mut y = vec![0.0; 70];
-            par_spmv_csr(&pool, &a, &b.col(j), &mut y);
+            par_spmv_rows(&pool, &a, &b.col(j), &mut y);
             assert_eq!(c.col(j), y, "column {j}");
         }
     }
@@ -479,7 +363,7 @@ mod tests {
         let a = Csr::<f64>::from_coo(&Coo::new(16, 16));
         let pool = ThreadPool::new(4);
         let mut y = vec![5.0; 16];
-        par_spmv_csr(&pool, &a, &test_vector(16), &mut y);
+        par_spmv_rows(&pool, &a, &test_vector(16), &mut y);
         assert!(y.iter().all(|&v| v == 0.0));
         let sm = par_csr_to_smash(&pool, &a, SmashConfig::row_major(&[2, 4]).unwrap());
         assert_eq!(

@@ -1,5 +1,5 @@
 //! Multi-core execution layer for the SMASH reproduction: a small scoped
-//! thread pool plus parallel variants of the native hot paths.
+//! thread pool plus the parallel drivers of the native hot paths.
 //!
 //! The paper's premise is that removing the indexing bottleneck lets
 //! sparse kernels run at memory speed — which on a real host also means
@@ -10,8 +10,9 @@
 //!   environment override ([`default_threads`]);
 //! * [`partition_by_weight`] / [`partition_rows`] — deterministic,
 //!   nnz-balanced contiguous range partitioning;
-//! * [`par_spmv_csr`], [`par_spmv_bcsr`], [`par_spmv_smash`],
-//!   [`par_spmm_csr`], [`par_csr_to_smash`] — parallel kernels that are
+//! * [`par_spmv_rows`], [`par_spmm_dense_rows`] — the parallel SpMV and
+//!   dense-SpMM drivers over any `RowRead` operand (CSR, BCSR, SMASH,
+//!   dynamic) — plus [`par_spmm_csr`] and [`par_csr_to_smash`]: all
 //!   **bit-identical** to their serial counterparts at every thread
 //!   count, because workers own disjoint contiguous output ranges and
 //!   each line is computed by the serial loop body in serial order.
@@ -19,18 +20,17 @@
 //! # Example
 //!
 //! ```
-//! use smash_parallel::{par_spmv_csr, ThreadPool};
-//! use smash_matrix::generators;
+//! use smash_parallel::{par_spmv_rows, ThreadPool};
+//! use smash_matrix::{generators, spmv_rows};
 //!
 //! let a = generators::uniform(128, 128, 900, 42);
 //! let x = vec![1.0; 128];
 //! let pool = ThreadPool::new(4);
 //! let mut y_par = vec![0.0; 128];
-//! par_spmv_csr(&pool, &a, &x, &mut y_par);
+//! par_spmv_rows(&pool, &a, &x, &mut y_par);
 //!
-//! let serial = ThreadPool::new(1);
 //! let mut y_ser = vec![0.0; 128];
-//! par_spmv_csr(&serial, &a, &x, &mut y_ser);
+//! spmv_rows(&a, &x, &mut y_ser);
 //! assert_eq!(y_par, y_ser); // bit-identical, not just close
 //! ```
 
@@ -43,10 +43,7 @@ mod kernels;
 mod partition;
 mod pool;
 
-pub use kernels::{
-    par_csr_to_smash, par_spmm_csr, par_spmm_dense_bcsr, par_spmm_dense_csr, par_spmm_dense_rows,
-    par_spmm_dense_smash, par_spmv_bcsr, par_spmv_csr, par_spmv_rows, par_spmv_smash,
-};
+pub use kernels::{par_csr_to_smash, par_spmm_csr, par_spmm_dense_rows, par_spmv_rows};
 pub use partition::{partition_by_weight, partition_rows};
 pub use pool::{
     default_threads, threads_from_env, Scope, ThreadPool, ThreadsEnvError, THREADS_ENV,

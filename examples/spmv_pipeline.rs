@@ -1,14 +1,16 @@
 //! SpMV through the full co-design: run one Table 3 matrix through every
 //! evaluated mechanism on the simulated Table 2 machine, show the SMASH
-//! ISA sequence the hardware path executes, and cross-check each
-//! mechanism's *native* result through the unified executor.
+//! ISA sequence the hardware path executes, and cross-check the *native*
+//! result over each mechanism's operand format through the unified
+//! executor.
 //!
 //! Run with: `cargo run --release --example spmv_pipeline`
 
 use smash::bmu::Instruction;
 use smash::encoding::SmashConfig;
-use smash::kernels::{harness, test_vector, Mechanism};
-use smash::matrix::suite::paper_suite;
+use smash::kernels::harness::{self, BCSR_BLOCK};
+use smash::kernels::{test_vector, Mechanism, SpmvOperand};
+use smash::matrix::{suite::paper_suite, Bcsr};
 use smash::sim::SystemConfig;
 use smash::Executor;
 
@@ -97,10 +99,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Cross-check: the native (wall-clock) side of every mechanism runs
-    // through the executor — one entry point, dispatch decided per call
-    // by the measured cost-model planner (docs/DISPATCH.md) — and agrees
-    // with the dense reference.
+    // Cross-check: the native (wall-clock) side runs every mechanism's
+    // operand format — CSR (TACO-CSR, MKL-CSR), 2x2 BCSR, SMASH — through
+    // the executor — one entry point, dispatch decided per call by the
+    // measured cost-model planner (docs/DISPATCH.md) — and agrees with
+    // the dense reference.
     let exec = Executor::auto();
     println!("\nexecutor dispatch plan for this matrix:");
     let plan = exec.plan_spmv(&a);
@@ -108,19 +111,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let x = test_vector::<f64>(a.cols());
     let want = a.spmv(&x);
     let mut y = vec![0.0f64; a.rows()];
-    for mech in Mechanism::ALL {
-        harness::native_spmv(&exec, mech, &a, &cfg, &x, &mut y);
+    let bcsr = Bcsr::from_csr(&a, BCSR_BLOCK, BCSR_BLOCK)?;
+    let sm = exec.encode(&a, cfg.clone());
+    let operands: [(&str, SpmvOperand<'_, f64>); 3] = [
+        ("csr", (&a).into()),
+        ("bcsr", (&bcsr).into()),
+        ("smash", (&sm).into()),
+    ];
+    for (format, op) in operands {
+        exec.spmv(op, &x, &mut y);
         let max_err = y
             .iter()
             .zip(&want)
             .map(|(g, w)| (g - w).abs() / (1.0 + w.abs()))
             .fold(0.0f64, f64::max);
-        assert!(max_err < 1e-9, "{mech}: {max_err}");
+        assert!(max_err < 1e-9, "{format}: {max_err}");
     }
     println!(
-        "\nnative executor cross-check: all {} mechanisms agree with the \
+        "\nnative executor cross-check: all {} operand formats agree with the \
          dense reference ({} threads available)",
-        Mechanism::ALL.len(),
+        operands.len(),
         exec.threads()
     );
     Ok(())

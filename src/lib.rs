@@ -15,14 +15,15 @@
 //! * [`bmu`] — the Bitmap Management Unit hardware model and the five-
 //!   instruction SMASH ISA (the paper's hardware contribution),
 //! * [`kernels`] — SpMV/SpMM/SpAdd kernels for every mechanism the paper
-//!   evaluates — including the batched sparse × dense SpMM
-//!   (`spmm_dense_*`, column-tiled so one pass serves many right-hand
-//!   sides) — all generic over [`matrix::Scalar`] (`f64` and `f32`),
-//!   plus the [`Executor`]: one `spmv`/`spmm`/`spmm_dense` entry point
-//!   over *format × precision × serial/parallel*,
-//! * [`parallel`] — a scoped thread pool plus multi-threaded variants of
-//!   the native kernels, bit-identical to the serial ones at every thread
-//!   count (`SMASH_THREADS` overrides the worker count),
+//!   evaluates, all generic over [`matrix::Scalar`] (`f64` and `f32`),
+//!   plus the [`Executor`]: one entry point per operation (`spmv`,
+//!   `spmm_dense` — column-tiled so one pass serves many right-hand
+//!   sides — `spgemm`, `encode`) over *format × precision ×
+//!   serial/parallel*,
+//! * [`parallel`] — a scoped thread pool plus the parallel drivers
+//!   (`par_spmv_rows`, `par_spmm_dense_rows`) and compressor,
+//!   bit-identical to the serial ones at every thread count
+//!   (`SMASH_THREADS` overrides the worker count),
 //! * [`graph`] — PageRank (including batched personalized PageRank: one
 //!   `Dense` of personalization vectors per pass) and Betweenness
 //!   Centrality built on the kernels, generic over precision through

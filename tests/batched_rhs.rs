@@ -7,9 +7,8 @@
 
 use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
-use smash::kernels::native;
-use smash::matrix::{generators, Bcsr, Coo, Csr, Dense, Scalar};
-use smash::parallel::{par_spmm_dense_bcsr, par_spmm_dense_csr, par_spmm_dense_smash, ThreadPool};
+use smash::matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Coo, Csr, Dense, Scalar};
+use smash::parallel::{par_spmm_dense_rows, ThreadPool};
 use smash::Executor;
 
 /// The thread counts every bit-identity assertion runs under.
@@ -51,39 +50,39 @@ fn assert_spmdm_equals_spmv_batch(a: &Csr<f64>) {
         let mut c = Dense::zeros(a.rows(), n);
         let mut y = vec![0.0; a.rows()];
 
-        native::spmm_dense_csr(a, &b, &mut c);
+        spmm_dense_rows(a, &b, &mut c);
         for j in 0..n {
-            native::spmv_csr(a, &b.col(j), &mut y);
+            spmv_rows(a, &b.col(j), &mut y);
             assert_eq!(c.col(j), y, "csr column {j} of {n}");
         }
         let want = c.clone();
         for t in THREADS {
             c.as_mut_slice().fill(f64::NAN);
-            par_spmm_dense_csr(&ThreadPool::new(t), a, &b, &mut c);
+            par_spmm_dense_rows(&ThreadPool::new(t), a, &b, &mut c);
             assert_eq!(c, want, "par csr, {t} threads, {n} rhs");
         }
 
-        native::spmm_dense_bcsr(&bcsr, &b, &mut c);
+        spmm_dense_rows(&bcsr, &b, &mut c);
         for j in 0..n {
-            native::spmv_bcsr(&bcsr, &b.col(j), &mut y);
+            spmv_rows(&bcsr, &b.col(j), &mut y);
             assert_eq!(c.col(j), y, "bcsr column {j} of {n}");
         }
         let want = c.clone();
         for t in THREADS {
             c.as_mut_slice().fill(f64::NAN);
-            par_spmm_dense_bcsr(&ThreadPool::new(t), &bcsr, &b, &mut c);
+            par_spmm_dense_rows(&ThreadPool::new(t), &bcsr, &b, &mut c);
             assert_eq!(c, want, "par bcsr, {t} threads, {n} rhs");
         }
 
-        native::spmm_dense_smash(&sm, &b, &mut c);
+        spmm_dense_rows(&sm, &b, &mut c);
         for j in 0..n {
-            native::spmv_smash(&sm, &b.col(j), &mut y);
+            spmv_rows(&sm, &b.col(j), &mut y);
             assert_eq!(c.col(j), y, "smash column {j} of {n}");
         }
         let want = c.clone();
         for t in THREADS {
             c.as_mut_slice().fill(f64::NAN);
-            par_spmm_dense_smash(&ThreadPool::new(t), &sm, &b, &mut c);
+            par_spmm_dense_rows(&ThreadPool::new(t), &sm, &b, &mut c);
             assert_eq!(c, want, "par smash, {t} threads, {n} rhs");
         }
     }
@@ -96,16 +95,16 @@ fn assert_f32_tracks_f64_oracle(a64: &Csr<f64>) -> Result<(), TestCaseError> {
     let b64 = batch::<f64>(a64.cols(), 8);
     let b32 = batch::<f32>(a64.cols(), 8);
     let mut want = Dense::zeros(a64.rows(), 8);
-    native::spmm_dense_csr(a64, &b64, &mut want);
+    spmm_dense_rows(a64, &b64, &mut want);
     let mut got = Dense::zeros(a64.rows(), 8);
-    native::spmm_dense_csr(&a32, &b32, &mut got);
+    spmm_dense_rows(&a32, &b32, &mut got);
     for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
         prop_assert!(g.approx_eq(f32::from_f64(*w), f32::TOLERANCE), "{g} vs {w}");
     }
     // And the f32 parallel paths stay bit-identical to f32 serial.
     for t in THREADS {
         let mut par = Dense::zeros(a64.rows(), 8);
-        par_spmm_dense_csr(&ThreadPool::new(t), &a32, &b32, &mut par);
+        par_spmm_dense_rows(&ThreadPool::new(t), &a32, &b32, &mut par);
         prop_assert_eq!(&par, &got, "f32 par csr, {} threads", t);
     }
     Ok(())

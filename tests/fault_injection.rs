@@ -29,8 +29,10 @@ fn worker_panic_degrades_to_the_bit_identical_serial_result() {
     let mut want = vec![0.0f64; 96];
     Executor::serial().spmv(&a, &x, &mut want);
 
-    let exec = Executor::with_threads(4);
+    // Plans are process-global: build the pool under the session's lock
+    // so a neighbour's armed PoolSpawn trigger cannot fire here.
     let session = arm(FaultPlan::new().fail_at(Site::WorkerJob, 1));
+    let exec = Executor::with_threads(4);
     let mut y = vec![f64::NAN; 96];
     let report = exec.try_spmv(&a, &x, &mut y).expect("ladder must recover");
     assert_eq!(y, want, "degraded run must be bit-identical to serial");
@@ -185,8 +187,8 @@ proptest! {
         let mut want = vec![0.0f64; 96];
         Executor::serial().spmv(&a, &x, &mut want);
 
-        let exec = Executor::with_threads(8);
         let session = arm(FaultPlan::new().fail_at(Site::WorkerJob, occurrence));
+        let exec = Executor::with_threads(8);
         let mut y = vec![f64::NAN; 96];
         exec.try_spmv(&a, &x, &mut y).expect("ladder");
         prop_assert_eq!(&y, &want);
@@ -194,6 +196,9 @@ proptest! {
         // Whether or not the plan fired (high occurrences may exceed the
         // job count), a second clean call on the same pool must agree too.
         drop(session);
+        // An empty plan holds the lock, so no neighbour's trigger fires
+        // inside this clean call.
+        let _quiet = arm(FaultPlan::new());
         let mut y2 = vec![f64::NAN; 96];
         let report = exec.try_spmv(&a, &x, &mut y2).expect("clean follow-up");
         prop_assert_eq!(&y2, &want);

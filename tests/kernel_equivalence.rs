@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::kernels::{harness, native, test_vector, Executor, Mechanism};
-use smash::matrix::{generators, Bcsr, Coo, Csr, Scalar};
+use smash::matrix::{generators, spmv_rows, Bcsr, Coo, Csr, Scalar};
 use smash::sim::CountEngine;
 
 fn families() -> Vec<(&'static str, Csr<f64>)> {
@@ -73,16 +73,12 @@ fn native_kernels_match_instrumented_kernels() {
         let x = test_vector(a.cols());
         let want = a.spmv(&x);
         let mut y = vec![0.0; a.rows()];
-        native::spmv_csr(&a, &x, &mut y);
+        spmv_rows(&a, &x, &mut y);
         for (g, w) in y.iter().zip(&want) {
             assert!(close(*g, *w), "{name} native csr");
         }
-        native::spmv_csr_opt(&a, &x, &mut y);
-        for (g, w) in y.iter().zip(&want) {
-            assert!(close(*g, *w), "{name} native csr_opt");
-        }
         let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4, 16]).expect("valid"));
-        native::spmv_smash(&sm, &x, &mut y);
+        spmv_rows(&sm, &x, &mut y);
         for (g, w) in y.iter().zip(&want) {
             assert!(close(*g, *w), "{name} native smash");
         }
@@ -125,15 +121,13 @@ fn assert_f32_matches_f64_oracle(a64: &Csr<f64>) {
     };
 
     let mut y = vec![0.0f32; a.rows()];
-    native::spmv_csr(&a, &x, &mut y);
+    spmv_rows(&a, &x, &mut y);
     check(&y, "native csr");
-    native::spmv_csr_opt(&a, &x, &mut y);
-    check(&y, "native csr_opt");
     let bcsr = Bcsr::from_csr(&a, 2, 2).expect("valid blocking");
-    native::spmv_bcsr(&bcsr, &x, &mut y);
+    spmv_rows(&bcsr, &x, &mut y);
     check(&y, "native bcsr");
     let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4]).expect("valid"));
-    native::spmv_smash(&sm, &x, &mut y);
+    spmv_rows(&sm, &x, &mut y);
     check(&y, "native smash");
 
     // The instrumented mechanisms, monomorphized to f32.
@@ -192,17 +186,17 @@ fn executor_auto_is_bit_identical_to_explicit_kernels() {
         let mut want = vec![T::ZERO; a.rows()];
 
         exec.spmv(a, &x, &mut got);
-        native::spmv_csr(a, &x, &mut want);
+        spmv_rows(a, &x, &mut want);
         assert!(got == want, "csr auto != serial");
 
         let bcsr = Bcsr::from_csr(a, 2, 2).expect("valid blocking");
         exec.spmv(&bcsr, &x, &mut got);
-        native::spmv_bcsr(&bcsr, &x, &mut want);
+        spmv_rows(&bcsr, &x, &mut want);
         assert!(got == want, "bcsr auto != serial");
 
         let sm = SmashMatrix::encode(a, SmashConfig::row_major(&[2, 4]).expect("valid"));
         exec.spmv(&sm, &x, &mut got);
-        native::spmv_smash(&sm, &x, &mut want);
+        spmv_rows(&sm, &x, &mut want);
         assert!(got == want, "smash auto != serial");
 
         let b = a.transpose().to_csc();

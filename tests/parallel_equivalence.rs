@@ -9,10 +9,8 @@
 use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::kernels::native;
-use smash::matrix::{generators, Bcsr, Coo, Csr};
-use smash::parallel::{
-    par_csr_to_smash, par_spmm_csr, par_spmv_bcsr, par_spmv_csr, par_spmv_smash, ThreadPool,
-};
+use smash::matrix::{generators, spmv_rows, Bcsr, Coo, Csr};
+use smash::parallel::{par_csr_to_smash, par_spmm_csr, par_spmv_rows, ThreadPool};
 
 /// The thread counts every equivalence assertion runs under.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
@@ -38,11 +36,11 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
 
     // Serial references, computed once.
     let mut want_csr = vec![0.0f64; a.rows()];
-    native::spmv_csr(a, &x, &mut want_csr);
+    spmv_rows(a, &x, &mut want_csr);
     let mut want_bcsr = vec![0.0f64; a.rows()];
-    native::spmv_bcsr(&bcsr, &x, &mut want_bcsr);
+    spmv_rows(&bcsr, &x, &mut want_bcsr);
     let mut want_smash = vec![0.0f64; a.rows()];
-    native::spmv_smash(&sm, &x, &mut want_smash);
+    spmv_rows(&sm, &x, &mut want_smash);
     let want_spmm = native::spmm_csr(a, &bc);
 
     let pools = THREADS
@@ -53,14 +51,14 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
             "SMASH_THREADS/default".to_string(),
         )));
     for (pool, label) in pools {
-        par_spmv_csr(&pool, a, &x, &mut got);
-        assert_eq!(got, want_csr, "spmv_csr, threads = {label}");
+        par_spmv_rows(&pool, a, &x, &mut got);
+        assert_eq!(got, want_csr, "csr spmv, threads = {label}");
 
-        par_spmv_bcsr(&pool, &bcsr, &x, &mut got);
-        assert_eq!(got, want_bcsr, "spmv_bcsr, threads = {label}");
+        par_spmv_rows(&pool, &bcsr, &x, &mut got);
+        assert_eq!(got, want_bcsr, "bcsr spmv, threads = {label}");
 
-        par_spmv_smash(&pool, &sm, &x, &mut got);
-        assert_eq!(got, want_smash, "spmv_smash, threads = {label}");
+        par_spmv_rows(&pool, &sm, &x, &mut got);
+        assert_eq!(got, want_smash, "smash spmv, threads = {label}");
 
         let got_spmm = par_spmm_csr(&pool, a, &bc);
         assert_eq!(
@@ -108,22 +106,22 @@ fn assert_f32_parallel_bit_identical(a64: &Csr<f64>) {
 
     // Serial references in f32, computed once.
     let mut want_csr = vec![0.0f32; a.rows()];
-    native::spmv_csr(&a, &x, &mut want_csr);
+    spmv_rows(&a, &x, &mut want_csr);
     let mut want_bcsr = vec![0.0f32; a.rows()];
-    native::spmv_bcsr(&bcsr, &x, &mut want_bcsr);
+    spmv_rows(&bcsr, &x, &mut want_bcsr);
     let mut want_smash = vec![0.0f32; a.rows()];
-    native::spmv_smash(&sm, &x, &mut want_smash);
+    spmv_rows(&sm, &x, &mut want_smash);
     let want_spmm = native::spmm_csr(&a, &bc);
 
     let mut got = vec![f32::NAN; a.rows()];
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::new(threads);
-        par_spmv_csr(&pool, &a, &x, &mut got);
-        assert_eq!(got, want_csr, "f32 spmv_csr, threads = {threads}");
-        par_spmv_bcsr(&pool, &bcsr, &x, &mut got);
-        assert_eq!(got, want_bcsr, "f32 spmv_bcsr, threads = {threads}");
-        par_spmv_smash(&pool, &sm, &x, &mut got);
-        assert_eq!(got, want_smash, "f32 spmv_smash, threads = {threads}");
+        par_spmv_rows(&pool, &a, &x, &mut got);
+        assert_eq!(got, want_csr, "f32 csr spmv, threads = {threads}");
+        par_spmv_rows(&pool, &bcsr, &x, &mut got);
+        assert_eq!(got, want_bcsr, "f32 bcsr spmv, threads = {threads}");
+        par_spmv_rows(&pool, &sm, &x, &mut got);
+        assert_eq!(got, want_smash, "f32 smash spmv, threads = {threads}");
         assert_eq!(
             par_spmm_csr(&pool, &a, &bc).entries(),
             want_spmm.entries(),

@@ -15,9 +15,9 @@ use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::kernels::executor::{AUTO_MIN_ROWS_PER_THREAD, AUTO_PARALLEL_NNZ};
 use smash::kernels::planner::{Choice, Format, Op, PlanRequest, Planner};
-use smash::kernels::{native, Executor, MatrixProfile};
-use smash::matrix::{generators, Bcsr, Csr, Dense};
-use smash::parallel::ThreadPool;
+use smash::kernels::{Executor, MatrixProfile};
+use smash::matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Csr, Dense};
+use smash::parallel::{par_spmm_dense_rows, par_spmv_rows, ThreadPool};
 use smash_bench::zoo;
 
 fn smash_cfg() -> SmashConfig {
@@ -27,22 +27,22 @@ fn smash_cfg() -> SmashConfig {
 /// Runs the explicit SpMV kernel a [`Choice`] names, serial or pooled.
 fn run_choice_spmv(choice: &Choice, a: &Csr<f64>, x: &[f64], y: &mut [f64]) {
     match (choice.format, choice.threads) {
-        (Format::Csr, 1) => native::spmv_csr(a, x, y),
-        (Format::Csr, t) => smash::parallel::par_spmv_csr(&ThreadPool::new(t), a, x, y),
+        (Format::Csr, 1) => spmv_rows(a, x, y),
+        (Format::Csr, t) => par_spmv_rows(&ThreadPool::new(t), a, x, y),
         (Format::Bcsr, t) => {
             let b = Bcsr::from_csr(a, 2, 2).expect("2x2 blocking");
             if t == 1 {
-                native::spmv_bcsr(&b, x, y)
+                spmv_rows(&b, x, y)
             } else {
-                smash::parallel::par_spmv_bcsr(&ThreadPool::new(t), &b, x, y)
+                par_spmv_rows(&ThreadPool::new(t), &b, x, y)
             }
         }
         (Format::Smash, t) => {
             let sm = SmashMatrix::encode(a, smash_cfg());
             if t == 1 {
-                native::spmv_smash(&sm, x, y)
+                spmv_rows(&sm, x, y)
             } else {
-                smash::parallel::par_spmv_smash(&ThreadPool::new(t), &sm, x, y)
+                par_spmv_rows(&ThreadPool::new(t), &sm, x, y)
             }
         }
         (Format::Dynamic, _) => unreachable!("CSR-pinned plans never choose dynamic"),
@@ -106,7 +106,7 @@ proptest! {
 
         let x: Vec<f64> = (0..a.cols()).map(|j| 1.0 / (1.0 + j as f64)).collect();
         let mut serial = vec![0.0f64; a.rows()];
-        native::spmv_csr(&a, &x, &mut serial);
+        spmv_rows(&a, &x, &mut serial);
         let mut planned = vec![f64::NAN; a.rows()];
         run_choice_spmv(&plan.choice, &a, &x, &mut planned);
         prop_assert_eq!(&planned, &serial);
@@ -127,8 +127,8 @@ proptest! {
 
         let mut explicit = Dense::zeros(a.rows(), rhs);
         match plan.choice.threads {
-            1 => native::spmm_dense_csr(&a, &b, &mut explicit),
-            t => smash::parallel::par_spmm_dense_csr(&ThreadPool::new(t), &a, &b, &mut explicit),
+            1 => spmm_dense_rows(&a, &b, &mut explicit),
+            t => par_spmm_dense_rows(&ThreadPool::new(t), &a, &b, &mut explicit),
         }
         prop_assert_eq!(&auto_c, &explicit, "{}", plan.rationale);
         // The lead tile follows the 8/4/1 schedule.

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use smash::encoding::{Bitmap, RankIndex, SmashConfig, SmashMatrix};
 use smash::kernels::native;
-use smash::matrix::{generators, Coo, Csr};
-use smash::parallel::{par_spmv_smash, ThreadPool};
+use smash::matrix::{generators, spmv_rows, Coo, Csr};
+use smash::parallel::{par_spmv_rows, ThreadPool};
 
 /// The thread counts the kernel equivalence assertions run under.
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -113,15 +113,15 @@ proptest! {
         let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&ratios).unwrap());
         let x = vector(a.cols());
         let mut want = vec![0.0f64; a.rows()];
-        native::spmv_smash(&sm, &x, &mut want);
+        spmv_rows(&sm, &x, &mut want);
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
             let mut got = vec![f64::NAN; a.rows()];
-            par_spmv_smash(&pool, &sm, &x, &mut got);
+            par_spmv_rows(&pool, &sm, &x, &mut got);
             prop_assert_eq!(&got, &want, "threads = {}", threads);
         }
         let mut csr = vec![0.0f64; a.rows()];
-        native::spmv_csr(&a, &x, &mut csr);
+        spmv_rows(&a, &x, &mut csr);
         for (g, w) in want.iter().zip(&csr) {
             prop_assert!((g - w).abs() < 1e-9 * (1.0 + w.abs()), "{} vs {}", g, w);
         }

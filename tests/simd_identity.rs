@@ -15,13 +15,9 @@
 
 use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
-use smash::kernels::native;
 use smash::matrix::simd::{self, Isa};
-use smash::matrix::{generators, Bcsr, Coo, Csr, Dense, Scalar};
-use smash::parallel::{
-    par_spmm_dense_bcsr, par_spmm_dense_csr, par_spmm_dense_smash, par_spmv_bcsr, par_spmv_csr,
-    par_spmv_smash, ThreadPool,
-};
+use smash::matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Coo, Csr, Dense, Scalar};
+use smash::parallel::{par_spmm_dense_rows, par_spmv_rows, ThreadPool};
 use std::sync::{Mutex, OnceLock};
 
 /// Serializes every use of the process-global ISA override.
@@ -70,36 +66,34 @@ fn snapshot<T: Scalar>(a: &Csr<T>, n: usize) -> Vec<Vec<T>> {
     let mut out = Vec::new();
 
     let mut y = vec![T::ZERO; a.rows()];
-    native::spmv_csr(a, &x, &mut y);
+    spmv_rows(a, &x, &mut y);
     out.push(y.clone());
-    native::spmv_csr_opt(a, &x, &mut y);
+    spmv_rows(&bcsr, &x, &mut y);
     out.push(y.clone());
-    native::spmv_bcsr(&bcsr, &x, &mut y);
-    out.push(y.clone());
-    native::spmv_smash(&sm, &x, &mut y);
+    spmv_rows(&sm, &x, &mut y);
     out.push(y.clone());
 
     let mut c = Dense::zeros(a.rows(), n);
-    native::spmm_dense_csr(a, &b, &mut c);
+    spmm_dense_rows(a, &b, &mut c);
     out.push(c.as_slice().to_vec());
-    native::spmm_dense_bcsr(&bcsr, &b, &mut c);
+    spmm_dense_rows(&bcsr, &b, &mut c);
     out.push(c.as_slice().to_vec());
-    native::spmm_dense_smash(&sm, &b, &mut c);
+    spmm_dense_rows(&sm, &b, &mut c);
     out.push(c.as_slice().to_vec());
 
     for t in THREADS {
         let pool = ThreadPool::new(t);
-        par_spmv_csr(&pool, a, &x, &mut y);
+        par_spmv_rows(&pool, a, &x, &mut y);
         out.push(y.clone());
-        par_spmv_bcsr(&pool, &bcsr, &x, &mut y);
+        par_spmv_rows(&pool, &bcsr, &x, &mut y);
         out.push(y.clone());
-        par_spmv_smash(&pool, &sm, &x, &mut y);
+        par_spmv_rows(&pool, &sm, &x, &mut y);
         out.push(y.clone());
-        par_spmm_dense_csr(&pool, a, &b, &mut c);
+        par_spmm_dense_rows(&pool, a, &b, &mut c);
         out.push(c.as_slice().to_vec());
-        par_spmm_dense_bcsr(&pool, &bcsr, &b, &mut c);
+        par_spmm_dense_rows(&pool, &bcsr, &b, &mut c);
         out.push(c.as_slice().to_vec());
-        par_spmm_dense_smash(&pool, &sm, &b, &mut c);
+        par_spmm_dense_rows(&pool, &sm, &b, &mut c);
         out.push(c.as_slice().to_vec());
     }
     out
