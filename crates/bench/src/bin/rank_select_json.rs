@@ -8,14 +8,22 @@
 //!
 //! * indexed `RankIndex::rank` beats the O(n) `Bitmap::rank` word scan;
 //! * SMASH SpMM auxiliary memory (directory + per-line offsets) is
-//!   sublinear in the logical Bitmap-0 size.
+//!   sublinear in the logical Bitmap-0 size;
+//! * a full `line_cursor` walk of a `[2,4]` blocky matrix costs less than
+//!   [`MAX_CURSOR_WALK_OVER_SCAN`] popcount passes over the same stored
+//!   bitmap words — a host-independent ratio for the streaming cursor.
 
 use smash_core::{Bitmap, RankIndex, SmashConfig, SmashMatrix};
 use smash_kernels::native::spmm_smash;
 use smash_kernels::test_vector;
-use smash_matrix::generators;
+use smash_matrix::{generators, locality};
 use smash_parallel::{par_spmv_rows, ThreadPool};
 use std::time::Instant;
+
+/// Gate on `cursor_walk_over_scan`: twice the ratio the streaming cursor
+/// measures (about 7–8 on a 2-core AVX-512 Xeon; the per-group `select`
+/// cursor it replaced measured about 26 there).
+const MAX_CURSOR_WALK_OVER_SCAN: f64 = 16.0;
 
 /// Median-of-5 wall-clock nanoseconds for `f`, amortized over `reps`
 /// inner repetitions.
@@ -86,6 +94,32 @@ fn main() {
             .sum()
     });
 
+    // --- Cursor walk vs one popcount pass over the stored bitmaps. -------
+    // The blocky benchmark matrix: 16384², 2^20 non-zeros in fully filled
+    // 8-wide runs, encoded [2,4]. Both sides touch the same stored words,
+    // so their ratio cancels the host's speed.
+    let blocky = SmashMatrix::encode(
+        &locality::with_locality(16_384, 16_384, 1 << 20, 8, 1.0, 1),
+        SmashConfig::row_major(&[2, 4]).expect("valid config"),
+    );
+    let cursor_walk_ns = time_ns(3, || {
+        let mut acc = 0usize;
+        for line in 0..blocky.line_count() {
+            for (ordinal, logical) in blocky.line_cursor(line) {
+                acc = acc.wrapping_add(ordinal ^ logical);
+            }
+        }
+        acc
+    });
+    let h = blocky.hierarchy();
+    let bitmap_scan_ns = time_ns(20, || {
+        (0..h.num_levels())
+            .flat_map(|l| h.stored_level(l).words())
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    });
+    let cursor_walk_over_scan = cursor_walk_ns / bitmap_scan_ns;
+
     // --- SpMM throughput + peak auxiliary memory. ------------------------
     // Aux memory of the indexed path: both directories plus the flattened
     // per-line offset arrays (O(nnz-blocks + bits / 512)); the seed path
@@ -133,6 +167,9 @@ fn main() {
          \"indexed_select_ns\": {indexed_select_ns:.1},\n  \"scan_select_ns\": {scan_select_ns:.1},\n  \
          \"row_seek_directory_ns\": {seek_directory_ns:.1},\n  \
          \"row_seek_expand_ns\": {seek_expand_ns:.1},\n  \
+         \"cursor_walk_ns\": {cursor_walk_ns:.0},\n  \
+         \"bitmap_scan_ns\": {bitmap_scan_ns:.0},\n  \
+         \"cursor_walk_over_scan\": {cursor_walk_over_scan:.2},\n  \
          \"spmm_nnz_per_s\": {spmm_nnz_per_s:.0},\n  \
          \"par_spmv_smash_nnz_per_s\": {spmv_nnz_per_s:.0},\n  \
          \"spmm_logical_bitmap_bits\": {logical_bits},\n  \
@@ -168,5 +205,10 @@ fn main() {
     assert!(
         seek_directory_ns < seek_expand_ns,
         "directory row seek must beat full expansion"
+    );
+    assert!(
+        cursor_walk_over_scan < MAX_CURSOR_WALK_OVER_SCAN,
+        "cursor walk costs {cursor_walk_over_scan:.1} stored-bitmap popcount passes \
+         (gate {MAX_CURSOR_WALK_OVER_SCAN})"
     );
 }

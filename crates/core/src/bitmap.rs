@@ -242,6 +242,7 @@ impl Bitmap {
 
     /// Index of the first set bit at or after `from`, scanning by word and
     /// using count-trailing-zeros — the software scanner of paper §4.4.
+    #[inline]
     pub fn next_one(&self, from: usize) -> Option<usize> {
         if from >= self.len {
             return None;
@@ -249,17 +250,12 @@ impl Bitmap {
         let mut w = from / 64;
         // Mask off bits below `from` within the first word.
         let mut word = self.words[w] & (u64::MAX << (from % 64));
-        loop {
-            if word != 0 {
-                let idx = w * 64 + word.trailing_zeros() as usize;
-                return if idx < self.len { Some(idx) } else { None };
-            }
-            w += 1;
-            if w >= self.words.len() {
-                return None;
-            }
+        if word == 0 {
+            w = first_nonzero_word(&self.words, w + 1)?;
             word = self.words[w];
         }
+        let idx = w * 64 + word.trailing_zeros() as usize;
+        (idx < self.len).then_some(idx)
     }
 
     /// Iterates over indices of set bits in increasing order.
@@ -286,6 +282,24 @@ impl Bitmap {
     pub fn storage_bytes(&self) -> usize {
         self.len.div_ceil(8)
     }
+}
+
+/// Index of the first non-zero word at or after `w`. Tests eight words
+/// per step, so a run of zero words in a sparse upper bitmap level costs
+/// one branch per eight words, not one per word.
+fn first_nonzero_word(words: &[u64], mut w: usize) -> Option<usize> {
+    while let Some(chunk) = words.get(w..w + 8) {
+        let mask = chunk
+            .iter()
+            .enumerate()
+            .fold(0u32, |m, (i, &x)| m | (u32::from(x != 0) << i));
+        if mask != 0 {
+            return Some(w + mask.trailing_zeros() as usize);
+        }
+        w += 8;
+    }
+    let w = w.min(words.len());
+    words[w..].iter().position(|&x| x != 0).map(|i| w + i)
 }
 
 /// Iterator over set-bit indices, produced by [`Bitmap::iter_ones`].

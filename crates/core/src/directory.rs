@@ -5,17 +5,24 @@
 //! *entire* logical Bitmap-0 (`BitmapHierarchy::expand_full`) — O(dense
 //! size) auxiliary memory and scan time per call. [`LineDirectory`]
 //! replaces that: built once per matrix, it maps each block-line to its
-//! starting NZA ordinal and its cursor into the *stored* (compacted)
-//! level-0 bitmap, backed by per-level [`RankIndex`]es. Any line of the
-//! compressed matrix is then reachable in O(1) without touching preceding
-//! rows, and [`LineCursor`] walks one line's non-zero blocks with
-//! word-level count-trailing-zeros over the stored words — no per-bit
-//! `get()`, no expansion.
+//! starting NZA ordinal and to one position per level in the *stored*
+//! (compacted) bitmaps, backed by per-level [`RankIndex`]es. Any line of
+//! the compressed matrix is then reachable in O(1) without touching
+//! preceding rows.
 //!
-//! Auxiliary memory is O(lines + stored-bits / 512) instead of O(logical
-//! bits): sublinear in the dense matrix size.
+//! [`LineCursor`] walks one line's non-zero blocks the way the BMU scans
+//! the hierarchy (paper §4.3–4.4): it pops set bits out of the stored
+//! level-0 words with count-trailing-zeros, and each time the scan enters
+//! a new stored group it advances the level above by one set bit, in step
+//! with level 0. A row walk costs amortized O(1) per stored group and
+//! issues no `select`; rank/select serve only the random seeks
+//! ([`LineDirectory::block_rank`], [`LineDirectory::block_select`]) and
+//! the one-off per-line seeds computed at build time.
+//!
+//! Auxiliary memory is O(lines · levels + stored-bits / 512) instead of
+//! O(logical bits): sublinear in the dense matrix size.
 
-use crate::{Bitmap, BitmapHierarchy, RankIndex};
+use crate::{Bitmap, BitmapHierarchy, RankIndex, MAX_LEVELS};
 
 /// Per-matrix directory for O(1) row seeks into the compressed form.
 ///
@@ -46,44 +53,72 @@ pub struct LineDirectory {
     level_ranks: Vec<RankIndex>,
     /// Starting NZA block ordinal of each line (length `lines + 1`).
     starts: Vec<u32>,
-    /// Starting position of each line in the *stored* level-0 bitmap
-    /// (length `lines + 1`).
+    /// Per-line, per-level stored starts, `levels` entries per line
+    /// (length `(lines + 1) * levels`): entry `line * levels + l` is the
+    /// position in the *stored* level-`l` bitmap of the ancestor of the
+    /// line's first level-0 bit, or its insertion point when that
+    /// ancestor's group was compacted away. The last line's entries hold
+    /// the stored lengths.
     stored_starts: Vec<u64>,
+    /// Same layout as `stored_starts`: the stored start of the group that
+    /// position falls in (for the top level, which has no groups, the
+    /// position itself). Kept so a cursor seeds without dividing.
+    group_starts: Vec<u64>,
     /// Level-0 bits per line.
     bpl: usize,
 }
 
 impl LineDirectory {
-    /// Builds the directory: per-level rank indexes plus one O(levels)
-    /// seek per line. Total cost O(stored bits / 64 + lines · levels).
+    /// Builds the directory: per-level rank indexes plus one O(levels²)
+    /// seek per line. Total cost O(stored bits / 64 + lines · levels²).
     ///
     /// # Panics
     ///
     /// Panics if `lines * bpl` disagrees with the hierarchy's logical
-    /// level-0 length.
+    /// level-0 length, or the hierarchy has more than [`MAX_LEVELS`]
+    /// levels.
     pub fn build(h: &BitmapHierarchy, lines: usize, bpl: usize) -> LineDirectory {
         assert_eq!(
             lines * bpl,
             h.logical_bits(0),
             "directory shape disagrees with the hierarchy"
         );
-        let level_ranks: Vec<RankIndex> = (0..h.num_levels())
+        let levels = h.num_levels();
+        assert!(levels <= MAX_LEVELS, "at most {MAX_LEVELS} levels");
+        let level_ranks: Vec<RankIndex> = (0..levels)
             .map(|l| RankIndex::build(h.stored_level(l)))
             .collect();
         let mut dir = LineDirectory {
             level_ranks,
             starts: Vec::with_capacity(lines + 1),
-            stored_starts: Vec::with_capacity(lines + 1),
+            stored_starts: Vec::with_capacity((lines + 1) * levels),
+            group_starts: Vec::with_capacity((lines + 1) * levels),
             bpl,
         };
         let stored0 = h.stored_level(0);
         for line in 0..lines {
-            let (pos, _) = dir.locate(h, 0, line * bpl);
-            dir.stored_starts.push(pos as u64);
+            // Logical index of the line's first bit, then of its ancestor
+            // at each level up.
+            let mut j = line * bpl;
+            for l in 0..levels {
+                if l > 0 {
+                    j /= h.ratios()[l] as usize;
+                }
+                let (pos, present) = dir.locate(h, l, j);
+                let offset = match h.ratios().get(l + 1) {
+                    Some(&g) if present => j % g as usize,
+                    _ => 0,
+                };
+                dir.stored_starts.push(pos as u64);
+                dir.group_starts.push((pos - offset) as u64);
+            }
+            let pos0 = dir.stored_starts[line * levels] as usize;
             dir.starts
-                .push(dir.level_ranks[0].rank(stored0, pos) as u32);
+                .push(dir.level_ranks[0].rank(stored0, pos0) as u32);
         }
-        dir.stored_starts.push(stored0.len() as u64);
+        let ends = (0..levels).map(|l| h.stored_level(l).len() as u64);
+        dir.stored_starts.extend(ends.clone());
+        dir.group_starts.extend(ends);
         dir.starts.push(dir.level_ranks[0].ones() as u32);
         dir
     }
@@ -125,7 +160,8 @@ impl LineDirectory {
         (self.starts[line + 1] - self.starts[line]) as usize
     }
 
-    /// Word-level cursor over line `l`'s non-zero blocks.
+    /// Streaming cursor over line `l`'s non-zero blocks, seeded from the
+    /// line's per-level stored starts.
     ///
     /// `h` must be the hierarchy the directory was built from.
     ///
@@ -133,28 +169,57 @@ impl LineDirectory {
     ///
     /// Panics if `line >= line_count()` or the hierarchy's level count
     /// disagrees with the directory.
-    pub fn cursor<'a>(&'a self, h: &'a BitmapHierarchy, line: usize) -> LineCursor<'a> {
+    #[inline]
+    pub fn cursor<'a>(&self, h: &'a BitmapHierarchy, line: usize) -> LineCursor<'a> {
         assert!(line < self.line_count(), "line {line} out of range");
+        let levels = self.level_ranks.len();
         assert_eq!(
             h.num_levels(),
-            self.level_ranks.len(),
+            levels,
             "directory built from a different hierarchy"
         );
-        LineCursor {
-            stored0: h.stored_level(0),
-            dir: self,
+        let at = line * levels;
+        let start = self.stored_starts[at] as usize;
+        let end = self.stored_starts[at + levels] as usize;
+        let words0 = h.stored_level(0).words();
+        let (wi, word) = if start < end {
+            (start / 64, words0[start / 64] & (u64::MAX << (start % 64)))
+        } else {
+            // Nothing to scan: the first word advance already passes `end`.
+            (end / 64, 0)
+        };
+        let mut up = Ancestors {
             h,
-            group: if h.num_levels() == 1 {
-                // Single level: stored == logical, no group mapping.
-                None
-            } else {
-                Some(h.ratios()[1] as usize)
-            },
-            cur: self.stored_starts[line] as usize,
-            end: self.stored_starts[line + 1] as usize,
+            top: levels - 1,
+            next: [0; MAX_LEVELS],
+            group_end: [0; MAX_LEVELS],
+            delta: [0; MAX_LEVELS],
+        };
+        for l in 2..levels {
+            up.next[l] = self.stored_starts[at + l] as usize;
+        }
+        for l in 1..up.top {
+            up.group_end[l] = self.group_starts[at + l] as usize;
+        }
+        LineCursor {
+            words0,
+            word,
+            wi,
+            end,
             ordinal: self.starts[line] as usize,
-            cached_group: usize::MAX,
-            cached_base: 0,
+            // Each level's walk starts at the start of its seed group, so
+            // the first bit found steps the level above onto that group's
+            // parent. A single-level hierarchy has no groups.
+            group_end: if levels == 1 {
+                usize::MAX
+            } else {
+                self.group_starts[at] as usize
+            },
+            delta: 0,
+            group: h.ratios().get(1).map_or(0, |&g| g as usize),
+            parents: h.stored_level(up.top.min(1)),
+            next_parent: self.stored_starts[at + up.top.min(1)] as usize,
+            up,
         }
     }
 
@@ -189,14 +254,14 @@ impl LineDirectory {
     }
 
     /// Directory footprint in bytes — the peak auxiliary memory an
-    /// indexed kernel needs, O(lines + stored-bits / 512).
+    /// indexed kernel needs, O(lines · levels + stored-bits / 512).
     pub fn aux_bytes(&self) -> usize {
         self.level_ranks
             .iter()
             .map(RankIndex::aux_bytes)
             .sum::<usize>()
             + self.starts.len() * std::mem::size_of::<u32>()
-            + self.stored_starts.len() * std::mem::size_of::<u64>()
+            + (self.stored_starts.len() + self.group_starts.len()) * std::mem::size_of::<u64>()
     }
 
     /// Maps logical bit `j` of `level` to its position in the stored
@@ -240,54 +305,142 @@ impl LineDirectory {
 /// Iterator over one line's non-zero blocks, yielding
 /// `(nza_ordinal, logical_level0_index)` in block order.
 ///
-/// The cursor scans the *stored* level-0 words with count-trailing-zeros
-/// (no per-bit `get()`, no expansion) and recovers each block's logical
-/// position through one upward select chain per stored group — amortized
-/// O(1) per block. Produced by [`LineDirectory::cursor`] /
+/// The cursor is the software counterpart of the BMU's buffered top-down
+/// scan (paper §4.3–4.4). It keeps one position per level, seeded from
+/// the line's per-level stored starts in the [`LineDirectory`]. Level 0
+/// holds the current stored word and pops its set bits with
+/// count-trailing-zeros; a block's logical index is its stored position
+/// plus the current group's offset. When the scan crosses into the next
+/// stored group, level 1 advances to its next set bit — stored groups
+/// appear in the same order as their parents' set bits — and the same
+/// rule recurses upward. A line walk therefore costs amortized O(1) per
+/// stored group, with no rank and no select. Produced by
+/// [`LineDirectory::cursor`] /
 /// [`SmashMatrix::line_cursor`](crate::SmashMatrix::line_cursor).
 #[derive(Debug, Clone)]
 pub struct LineCursor<'a> {
-    stored0: &'a Bitmap,
-    dir: &'a LineDirectory,
-    h: &'a BitmapHierarchy,
-    /// Stored level-0 group size (`ratios[1]`), or `None` for
-    /// single-level hierarchies where stored == logical.
-    group: Option<usize>,
-    cur: usize,
+    /// Stored level-0 words.
+    words0: &'a [u64],
+    /// Unvisited set bits of level-0 word `wi`.
+    word: u64,
+    wi: usize,
+    /// Stored level-0 end of the line (exclusive).
     end: usize,
     ordinal: usize,
-    cached_group: usize,
-    cached_base: usize,
+    /// Stored end of the current level-0 group (`usize::MAX` for a
+    /// single-level hierarchy).
+    group_end: usize,
+    /// Logical minus stored index inside the current level-0 group.
+    delta: usize,
+    /// Level-0 group size (`ratios[1]`).
+    group: usize,
+    /// Stored level 1, whose set bits are the level-0 groups' parents.
+    parents: &'a Bitmap,
+    /// Where the search for the next level-1 set bit starts.
+    next_parent: usize,
+    /// Levels 2 and up.
+    up: Ancestors<'a>,
+}
+
+/// Walk state of the levels above 1, touched once per level-1 group.
+///
+/// The cursor updates a copy and stores it back, so no reference into
+/// the cursor escapes its per-block path and that path's state can stay
+/// in registers.
+#[derive(Debug, Clone, Copy)]
+struct Ancestors<'a> {
+    h: &'a BitmapHierarchy,
+    /// Index of the top level, stored in full (logical == stored).
+    top: usize,
+    /// Per level from 2: where the search for its next set bit starts.
+    next: [usize; MAX_LEVELS],
+    /// Per level from 1 to below the top: stored end of the current group.
+    group_end: [usize; MAX_LEVELS],
+    /// Per level from 1 to below the top: logical minus stored index
+    /// inside the current group.
+    delta: [usize; MAX_LEVELS],
+}
+
+impl Ancestors<'_> {
+    /// Logical index of stored bit `p` of level `l >= 1`, first stepping
+    /// level `l + 1` to its next set bit until `p`'s group is the current
+    /// one.
+    fn logical(&mut self, l: usize, p: usize) -> usize {
+        if l == self.top {
+            return p;
+        }
+        let g = self.h.ratios()[l + 1] as usize;
+        while p >= self.group_end[l] {
+            let q = self
+                .h
+                .stored_level(l + 1)
+                .next_one(self.next[l + 1])
+                .expect("stored group always has a set parent bit");
+            self.next[l + 1] = q + 1;
+            let parent = self.logical(l + 1, q);
+            // The next group starts where the current one ends.
+            self.delta[l] = parent * g - self.group_end[l];
+            self.group_end[l] += g;
+        }
+        p + self.delta[l]
+    }
+}
+
+impl LineCursor<'_> {
+    /// Makes the level-0 group holding stored bit `s` the current one:
+    /// steps level 1 to its next set bit per group passed (at most two:
+    /// only the seed group can lack set bits inside the line).
+    #[inline]
+    fn enter_group(&mut self, s: usize) {
+        while s >= self.group_end {
+            let p = self
+                .parents
+                .next_one(self.next_parent)
+                .expect("stored group always has a set parent bit");
+            self.next_parent = p + 1;
+            let parent = if self.up.top == 1 {
+                p
+            } else {
+                let mut up = self.up;
+                let parent = up.logical(1, p);
+                self.up = up;
+                parent
+            };
+            self.delta = parent * self.group - self.group_end;
+            self.group_end += self.group;
+        }
+    }
 }
 
 impl Iterator for LineCursor<'_> {
     type Item = (usize, usize);
 
+    #[inline]
     fn next(&mut self) -> Option<(usize, usize)> {
-        let s = self.stored0.next_one(self.cur).filter(|&s| s < self.end)?;
-        self.cur = s + 1;
-        let logical = match self.group {
-            None => s,
-            Some(g) => {
-                let k = s / g;
-                if k != self.cached_group {
-                    self.cached_group = k;
-                    let parent_pos = self.dir.level_ranks[1]
-                        .select(self.h.stored_level(1), k)
-                        .expect("stored group always has a set parent bit");
-                    self.cached_base = self.dir.stored_to_logical(self.h, 1, parent_pos) * g;
-                }
-                self.cached_base + s % g
+        while self.word == 0 {
+            self.wi += 1;
+            if self.wi * 64 >= self.end {
+                return None;
             }
-        };
+            self.word = self.words0[self.wi];
+        }
+        let s = self.wi * 64 + self.word.trailing_zeros() as usize;
+        if s >= self.end {
+            self.word = 0;
+            return None;
+        }
+        self.word &= self.word - 1;
+        if s >= self.group_end {
+            self.enter_group(s);
+        }
         let ordinal = self.ordinal;
         self.ordinal += 1;
-        Some((ordinal, logical))
+        Some((ordinal, s + self.delta))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        // Between 0 (tail bits may be clear) and the stored span.
-        (0, Some(self.end.saturating_sub(self.cur)))
+        // Between 0 (tail bits may be clear) and the unscanned span.
+        (0, Some(self.end.saturating_sub(self.wi * 64)))
     }
 }
 
@@ -357,6 +510,34 @@ mod tests {
         let bits: Vec<usize> = (0..60).filter(|i| i % 5 != 2).collect();
         let h = BitmapHierarchy::from_level0(&bm(&bits, 60), &[2, 4, 4]).unwrap();
         check_against_expansion(&h, 20, 3);
+    }
+
+    #[test]
+    fn cursor_handles_sparse_deep_hierarchies() {
+        // Lines narrower and wider than an upper-level group under 3- and
+        // 4-level hierarchies. Sparse fills leave a line's seed group at
+        // some level with no set bit inside the line, so the walk must
+        // step past it, and leave gaps above it, so stepping once too few
+        // times would give a wrong logical index.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for ratios in [&[2u32, 2, 2][..], &[2, 3, 2], &[2, 2, 2, 2], &[3, 4, 2, 2]] {
+            for bpl in 1..20 {
+                for density in [2u64, 9, 31] {
+                    let lines = 97 / bpl + 3;
+                    let len = lines * bpl;
+                    let bits: Vec<usize> = (0..len)
+                        .filter(|_| {
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            state.is_multiple_of(density)
+                        })
+                        .collect();
+                    let h = BitmapHierarchy::from_level0(&bm(&bits, len), ratios).unwrap();
+                    check_against_expansion(&h, lines, bpl);
+                }
+            }
+        }
     }
 
     #[test]

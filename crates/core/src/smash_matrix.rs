@@ -506,6 +506,7 @@ impl<T: Scalar> SmashMatrix<T> {
     /// # Panics
     ///
     /// Panics if `line >= line_count()`.
+    #[inline]
     pub fn line_cursor(&self, line: usize) -> LineCursor<'_> {
         self.directory.cursor(&self.hierarchy, line)
     }
@@ -721,8 +722,9 @@ impl<T: Scalar> RowRead<T> for SmashMatrix<T> {
         let b0 = self.config.block_size();
         let bpl = self.blocks_per_line();
         let nza = self.nza().values();
+        let line_base = i * bpl;
         for (ordinal, logical) in self.line_cursor(i) {
-            let col0 = (logical % bpl) * b0;
+            let col0 = (logical - line_base) * b0;
             let n = b0.min(self.cols - col0);
             let block = &nza[ordinal * b0..ordinal * b0 + n];
             for (k, v) in block.iter().enumerate() {
@@ -742,15 +744,19 @@ impl<T: Scalar> RowRead<T> for SmashMatrix<T> {
         let bpl = self.blocks_per_line();
         let cols = self.cols;
         let nza = self.nza().values();
-        y.fill(T::ZERO);
-        for row in g.clone() {
+        for (row, out) in g.zip(y.iter_mut()) {
+            // The cursor yields logical indices; the block's index within
+            // the line is the offset from the line's first bit.
+            let line_base = row * bpl;
+            let mut acc = T::ZERO;
             for (ordinal, logical) in self.line_cursor(row) {
-                let col = (logical % bpl) * b0;
+                let col = (logical - line_base) * b0;
                 let block = &nza[ordinal * b0..(ordinal + 1) * b0];
                 let n = b0.min(cols - col);
                 // The shared per-block body of every SMASH SpMV.
-                y[row - g.start] += block_dot(block, x, col, n);
+                acc += block_dot(block, x, col, n);
             }
+            *out = acc;
         }
     }
 
@@ -764,8 +770,9 @@ impl<T: Scalar> RowRead<T> for SmashMatrix<T> {
         c.fill(T::ZERO);
         for row in g.clone() {
             let out = &mut c[(row - g.start) * n..(row - g.start + 1) * n];
+            let line_base = row * bpl;
             for (ordinal, logical) in self.line_cursor(row) {
-                let col = (logical % bpl) * b0;
+                let col = (logical - line_base) * b0;
                 let block = &nza[ordinal * b0..(ordinal + 1) * b0];
                 let nb = b0.min(cols - col);
                 // The shared per-block body of every batched SMASH SpMM.

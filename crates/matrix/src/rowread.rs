@@ -246,7 +246,10 @@ pub fn spmv_rows<T: Scalar, R: RowRead<T> + ?Sized>(a: &R, x: &[T], y: &mut [T])
 }
 
 /// Serial `C = A·B` (B dense) over any [`RowRead`] operand — *the* serial
-/// dense-SpMM body of the kernel stack.
+/// dense-SpMM body of the kernel stack. A single right-hand side takes the
+/// SpMV body ([`spmv_rows`]): column `j` of the batched result is
+/// bit-identical to an SpMV against column `j`, so the shortcut changes no
+/// bits.
 ///
 /// # Panics
 ///
@@ -255,6 +258,9 @@ pub fn spmm_dense_rows<T: Scalar, R: RowRead<T> + ?Sized>(a: &R, b: &Dense<T>, c
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     assert_eq!(c.rows(), a.rows(), "C rows must equal A rows");
     assert_eq!(c.cols(), b.cols(), "C cols must equal B cols");
+    if b.cols() == 1 {
+        return spmv_rows(a, b.as_slice(), c.as_mut_slice());
+    }
     let g = a.granules();
     let covered = a.granule_row(g);
     let n = b.cols();

@@ -302,6 +302,53 @@ fn dot_seq_striped<T: Lane, const L: usize>(a: &[T], b: &[T]) -> T {
     fold(s)
 }
 
+/// Striped contiguous dot of exactly `N` terms (zip semantics beyond),
+/// with `N` a compile-time constant so the stripe loop and the fold fully
+/// unroll. It performs the same additions as [`dot_seq_striped`] in the
+/// same order, minus the fold steps that add a stripe no term reached.
+/// Those steps add `+0.0`, which leaves every value it can meet unchanged:
+/// each reached stripe starts as `+0.0 + product`, which is never `-0.0`,
+/// and a sum of two values that are not `-0.0` is not `-0.0` either. So
+/// the result is bit-identical to the looped body, `-0.0` products, `±inf`
+/// and NaN included.
+#[inline(always)]
+fn dot_short_n<T: Lane, const L: usize, const N: usize>(a: &[T], b: &[T]) -> T {
+    let (a, b) = (&a[..N], &b[..N]);
+    let mut s = [T::default(); L];
+    for k in 0..N {
+        s[k % L] += a[k] * b[k];
+    }
+    // Stripes `0..live` hold terms; the rest are still `+0.0`.
+    let mut live = N.min(L);
+    let mut width = L;
+    while width > 1 {
+        let half = width / 2;
+        for l in 0..half.min(live.saturating_sub(half)) {
+            s[l] += s[l + half];
+        }
+        live = live.min(half);
+        width = half;
+    }
+    s[0]
+}
+
+/// The striped contiguous dot for short inputs: dispatches on the length
+/// to a fully unrolled [`dot_short_n`] body. Lengths from 16 up (no
+/// caller sends them: `simd_dot_contiguous` routes only dots shorter than
+/// `2 * LANES ≤ 16` here) fall back to the looped body.
+#[inline]
+fn dot_short<T: Lane, const L: usize>(a: &[T], b: &[T]) -> T {
+    macro_rules! by_len {
+        ($($n:literal)*) => {
+            match a.len().min(b.len()) {
+                $($n => dot_short_n::<T, L, $n>(a, b),)*
+                _ => dot_seq_striped::<T, L>(a, b),
+            }
+        };
+    }
+    by_len!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
+}
+
 /// Lane-wise pairwise fold of the tile stripe matrix down into `acc[0]`.
 fn fold_tile<T: Lane, const L: usize>(acc: &mut [[T; 8]; L], w: usize) {
     let mut width = L;
@@ -393,11 +440,19 @@ macro_rules! impl_simd_elem {
                 dot_indexed_striped::<$t, $lanes>(cols, vals, x)
             }
 
+            #[inline]
             fn simd_dot_contiguous(a: &[Self], b: &[Self]) -> Self {
-                // Same short-dot cutoff as `simd_dot_indexed`; SMASH block
-                // dots are often only a few elements long.
-                #[cfg(target_arch = "x86_64")]
-                if a.len() >= 2 * $lanes {
+                // Same short-dot cutoff as `simd_dot_indexed`, but short
+                // dots take the length-dispatched unrolled body: SMASH and
+                // BCSR block dots are often only a few elements long, and
+                // the looped body's stripe indexing costs more than the
+                // arithmetic there. Every tier routes them the same way.
+                // The vector bodies sit behind a call that is kept out of
+                // line, so a caller's block loop holds its accumulators in
+                // registers across the short path.
+                #[inline(never)]
+                fn long(a: &[$t], b: &[$t]) -> $t {
+                    #[cfg(target_arch = "x86_64")]
                     match active() {
                         // SAFETY: tier feature-checked by `active()`.
                         Isa::Avx2 => return unsafe { x86::$dot_seq_avx2(a, b) },
@@ -405,8 +460,12 @@ macro_rules! impl_simd_elem {
                         Isa::Sse42 => return unsafe { x86::$dot_seq_sse42(a, b) },
                         Isa::Scalar => {}
                     }
+                    dot_seq_striped::<$t, $lanes>(a, b)
                 }
-                dot_seq_striped::<$t, $lanes>(a, b)
+                if a.len().min(b.len()) < 2 * $lanes {
+                    return dot_short::<$t, $lanes>(a, b);
+                }
+                long(a, b)
             }
 
             fn simd_row_tile(
@@ -1412,6 +1471,36 @@ mod tests {
         let want = fold(s);
         assert_eq!(dot_indexed_striped::<f32, 8>(&cols, &vals, &x), want);
         assert_eq!(dot_seq_striped::<f32, 8>(&vals, &x), want);
+    }
+
+    #[test]
+    fn unrolled_short_dot_matches_looped_body() {
+        // Every length the short body serves, with `-0.0` products mixed
+        // in: the looped body's `+0.0` stripe starts turn them into
+        // `+0.0`, and the unrolled body must too.
+        for len in 0..16 {
+            let a: Vec<f64> = (0..len)
+                .map(|k| [-0.0, 1.25, 0.0, -3.5][k % 4] * (k + 1) as f64)
+                .collect();
+            let b: Vec<f64> = (0..len).map(|k| 1.0 / (1.5 + k as f64)).collect();
+            let (a32, b32): (Vec<f32>, Vec<f32>) = a
+                .iter()
+                .zip(&b)
+                .map(|(&x, &y)| (x as f32, y as f32))
+                .unzip();
+            for n in 0..=len {
+                let (got, want) = (
+                    dot_short::<f64, 4>(&a[..n], &b),
+                    dot_seq_striped::<f64, 4>(&a[..n], &b),
+                );
+                assert_eq!(got.to_bits(), want.to_bits(), "f64 len {n}");
+                let (got, want) = (
+                    dot_short::<f32, 8>(&a32[..n], &b32),
+                    dot_seq_striped::<f32, 8>(&a32[..n], &b32),
+                );
+                assert_eq!(got.to_bits(), want.to_bits(), "f32 len {n}");
+            }
+        }
     }
 
     #[test]

@@ -67,7 +67,8 @@ pub fn par_spmv_rows<T: Scalar, R: RowRead<T> + ?Sized>(
 /// Parallel `C = A·B` (B dense) over any [`RowRead`] operand — *the*
 /// parallel dense-SpMM driver, bit-identical to
 /// `smash_matrix::spmm_dense_rows` at every thread count. Workers write
-/// disjoint row slabs of `C`.
+/// disjoint row slabs of `C`. A single right-hand side takes the SpMV
+/// driver ([`par_spmv_rows`]), as the serial driver does.
 ///
 /// # Panics
 ///
@@ -82,6 +83,9 @@ pub fn par_spmm_dense_rows<T: Scalar, R: RowRead<T> + ?Sized>(
     assert_eq!(b.rows(), a.cols(), "inner dimensions must agree");
     assert_eq!(c.rows(), a.rows(), "output rows must equal a.rows()");
     assert_eq!(c.cols(), b.cols(), "output cols must equal b.cols()");
+    if b.cols() == 1 {
+        return par_spmv_rows(pool, a, b.as_slice(), c.as_mut_slice());
+    }
     let n = b.cols();
     let ranges = partition_by_weight(a.granules(), pool.threads(), |g| a.granule_weight(g));
     pool.scoped(|s| {

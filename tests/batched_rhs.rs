@@ -1,15 +1,18 @@
 //! The batched sparse × dense SpMM ("SpMDM") subsystem must be exactly a
 //! batch of SpMVs: column `j` of every `spmm_dense_*` kernel is pinned to
-//! the per-column SpMV oracle with exact `==`, parallel output is
-//! bit-identical to serial at threads {1, 2, 8}, the `f32` pipeline tracks
-//! the `f64` oracle within `f32::TOLERANCE`, and the executor's `Auto`
-//! dispatch is pinned bit-for-bit to the explicit modes.
+//! the per-column SpMV oracle with exact `==`, a one-column batch equals
+//! the SpMV drivers on CSR, BCSR, SMASH and overlaid operands, parallel
+//! output is bit-identical to serial at threads {1, 2, 8}, the `f32`
+//! pipeline tracks the `f64` oracle within `f32::TOLERANCE`, and the
+//! executor's `Auto` dispatch is pinned bit-for-bit to the explicit modes.
 
 use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
-use smash::matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Coo, Csr, Dense, Scalar};
-use smash::parallel::{par_spmm_dense_rows, ThreadPool};
-use smash::Executor;
+use smash::matrix::{
+    generators, spmm_dense_rows, spmv_rows, Bcsr, Coo, Csr, Dense, RowRead, Scalar,
+};
+use smash::parallel::{par_spmm_dense_rows, par_spmv_rows, ThreadPool};
+use smash::{DynamicMatrix, Executor};
 
 /// The thread counts every bit-identity assertion runs under.
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -88,6 +91,50 @@ fn assert_spmdm_equals_spmv_batch(a: &Csr<f64>) {
     }
 }
 
+/// A one-column batch takes the SpMV body: serial and parallel
+/// `spmm_dense` with one right-hand side must equal `spmv_rows` /
+/// `par_spmv_rows` on that column (exact `==`) at every [`THREADS`] count.
+fn assert_one_rhs_is_spmv<R: RowRead<f64>>(a: &R, what: &str) {
+    let b = batch::<f64>(a.cols(), 1);
+    let mut want = vec![0.0; a.rows()];
+    spmv_rows(a, b.as_slice(), &mut want);
+    let mut c = Dense::zeros(a.rows(), 1);
+    spmm_dense_rows(a, &b, &mut c);
+    assert_eq!(c.as_slice(), &want[..], "{what}, serial");
+    for t in THREADS {
+        let pool = ThreadPool::new(t);
+        let mut y = vec![f64::NAN; a.rows()];
+        par_spmv_rows(&pool, a, b.as_slice(), &mut y);
+        assert_eq!(y, want, "{what}, par spmv, {t} threads");
+        c.as_mut_slice().fill(f64::NAN);
+        par_spmm_dense_rows(&pool, a, &b, &mut c);
+        assert_eq!(c.as_slice(), &want[..], "{what}, par spmm, {t} threads");
+    }
+}
+
+/// [`assert_one_rhs_is_spmv`] over every operand kind the drivers take:
+/// CSR, BCSR, SMASH, and an overlay on either base with rows set, added
+/// to and deleted from.
+fn assert_one_rhs_is_spmv_for_every_operand(a: &Csr<f64>) {
+    let cfg = SmashConfig::row_major(&[2, 4]).expect("valid config");
+    assert_one_rhs_is_spmv(a, "csr");
+    assert_one_rhs_is_spmv(
+        &Bcsr::from_csr(a, 2, 2).expect("valid 2x2 blocking"),
+        "bcsr",
+    );
+    assert_one_rhs_is_spmv(&SmashMatrix::encode(a, cfg.clone()), "smash");
+    for mut dm in [
+        DynamicMatrix::from_csr(a.clone()),
+        DynamicMatrix::from_smash(SmashMatrix::encode(a, cfg.clone())),
+    ] {
+        let (r, c) = (a.rows(), a.cols());
+        dm.set(0, c - 1, 2.5);
+        dm.add(r / 2, c / 2, -0.75);
+        dm.delete(r - 1, 0);
+        assert_one_rhs_is_spmv(&dm, "dynamic");
+    }
+}
+
 /// The `f32` SpMDM must track the `f64` oracle within `f32::TOLERANCE` —
 /// same kernels, monomorphized at half precision.
 fn assert_f32_tracks_f64_oracle(a64: &Csr<f64>) -> Result<(), TestCaseError> {
@@ -119,6 +166,11 @@ proptest! {
     }
 
     #[test]
+    fn one_rhs_batch_is_the_spmv_body(a in arb_matrix()) {
+        assert_one_rhs_is_spmv_for_every_operand(&a);
+    }
+
+    #[test]
     fn f32_spmm_dense_tracks_f64_oracle(a in arb_matrix()) {
         assert_f32_tracks_f64_oracle(&a)?;
     }
@@ -137,6 +189,8 @@ fn adversarial_shapes_are_batches_of_spmvs() {
         coo.push(20, j, (j + 1) as f64 * 0.25);
     }
     assert_spmdm_equals_spmv_batch(&Csr::from_coo(&coo));
+    assert_one_rhs_is_spmv_for_every_operand(&Csr::from_coo(&coo));
+    assert_one_rhs_is_spmv_for_every_operand(&generators::uniform(200, 3, 150, 5));
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //! heavy nnz skew). Exact `==` on the float output is intentional: the
 //! parallel implementations never reorder a floating-point addition. The
 //! guarantee is precision-independent — the `f32` suite runs the same
-//! exact-equality checks as the `f64` one.
+//! exact-equality checks as the `f64` one. SMASH runs under hierarchies
+//! whose groups straddle line borders, so parallel ranges start inside
+//! a group.
 
 use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
@@ -14,6 +16,12 @@ use smash::parallel::{par_csr_to_smash, par_spmm_csr, par_spmv_rows, ThreadPool}
 
 /// The thread counts every equivalence assertion runs under.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+/// SMASH hierarchies every equivalence assertion encodes with: the
+/// default two levels, plus shapes whose level-0 groups (`ratios[1]`
+/// blocks) straddle line borders for most widths, one of them four
+/// levels deep — so a worker's first row often starts inside a group.
+const SMASH_RATIOS: [&[u32]; 3] = [&[2, 4], &[3, 5], &[2, 3, 2, 2]];
 
 fn vector(n: usize) -> Vec<f64> {
     (0..n)
@@ -30,8 +38,13 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
     let mut got = vec![f64::NAN; a.rows()];
 
     let bcsr = Bcsr::from_csr(a, 2, 2).expect("valid 2x2 blocking");
-    let cfg = SmashConfig::row_major(&[2, 4]).expect("valid config");
-    let sm = SmashMatrix::encode(a, cfg.clone());
+    let smash: Vec<(SmashConfig, SmashMatrix<f64>)> = SMASH_RATIOS
+        .iter()
+        .map(|r| {
+            let cfg = SmashConfig::row_major(r).expect("valid config");
+            (cfg.clone(), SmashMatrix::encode(a, cfg))
+        })
+        .collect();
     let bc = a.transpose().to_csc(); // inner dims: a.cols() == bᵀ.rows()
 
     // Serial references, computed once.
@@ -39,8 +52,14 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
     spmv_rows(a, &x, &mut want_csr);
     let mut want_bcsr = vec![0.0f64; a.rows()];
     spmv_rows(&bcsr, &x, &mut want_bcsr);
-    let mut want_smash = vec![0.0f64; a.rows()];
-    spmv_rows(&sm, &x, &mut want_smash);
+    let want_smash: Vec<Vec<f64>> = smash
+        .iter()
+        .map(|(_, sm)| {
+            let mut y = vec![0.0f64; a.rows()];
+            spmv_rows(sm, &x, &mut y);
+            y
+        })
+        .collect();
     let want_spmm = native::spmm_csr(a, &bc);
 
     let pools = THREADS
@@ -57,8 +76,13 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
         par_spmv_rows(&pool, &bcsr, &x, &mut got);
         assert_eq!(got, want_bcsr, "bcsr spmv, threads = {label}");
 
-        par_spmv_rows(&pool, &sm, &x, &mut got);
-        assert_eq!(got, want_smash, "smash spmv, threads = {label}");
+        for ((cfg, sm), want) in smash.iter().zip(&want_smash) {
+            par_spmv_rows(&pool, sm, &x, &mut got);
+            assert_eq!(&got, want, "smash {cfg:?} spmv, threads = {label}");
+
+            let got_sm = par_csr_to_smash(&pool, a, cfg.clone());
+            assert_eq!(&got_sm, sm, "csr_to_smash {cfg:?}, threads = {label}");
+        }
 
         let got_spmm = par_spmm_csr(&pool, a, &bc);
         assert_eq!(
@@ -66,9 +90,6 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
             want_spmm.entries(),
             "spmm_csr, threads = {label}"
         );
-
-        let got_sm = par_csr_to_smash(&pool, a, cfg.clone());
-        assert_eq!(got_sm, sm, "csr_to_smash, threads = {label}");
     }
 }
 
@@ -209,6 +230,22 @@ fn adversarial_nnz_skew() {
         }
     }
     assert_all_kernels_equivalent(&Csr::from_coo(&coo));
+}
+
+#[test]
+fn adversarial_groups_straddling_lines() {
+    // Widths whose block count is not a multiple of any SMASH_RATIOS
+    // group size, filled densely enough that most groups cross a line
+    // border, with every third row empty.
+    for cols in [9usize, 27, 37] {
+        let mut coo = Coo::new(61, cols);
+        for i in (0..61).filter(|i| i % 3 != 1) {
+            for j in (0..cols).filter(|j| (i + j) % 4 != 0) {
+                coo.push(i, j, 1.0 + (i * cols + j) as f64 / 64.0);
+            }
+        }
+        assert_all_kernels_equivalent(&Csr::from_coo(&coo));
+    }
 }
 
 #[test]

@@ -45,7 +45,51 @@ fn arb_matrix() -> impl Strategy<Value = Csr<f64>> {
 
 /// Arbitrary hierarchy configuration: 1-4 levels, small ratios.
 fn arb_ratios() -> impl Strategy<Value = Vec<u32>> {
-    proptest::collection::vec(2u32..9, 1..4)
+    proptest::collection::vec(2u32..9, 1..5)
+}
+
+/// A configuration plus a matrix whose lines hold a number of level-0
+/// blocks that is not a multiple of the level-0 group size (`ratios[1]`),
+/// so stored groups straddle line borders. Sparse fills leave many lines
+/// empty.
+fn arb_straddling() -> impl Strategy<Value = (Vec<u32>, Csr<f64>)> {
+    arb_ratios().prop_flat_map(|ratios| {
+        let b0 = ratios[0] as usize;
+        let g = ratios.get(1).map_or(2, |&g| g as usize);
+        (1usize..24, 0usize..4, 1usize..g, 0..b0).prop_flat_map(move |(r, k, rem, slack)| {
+            // ceil(c / b0) == k * g + rem: never a whole number of groups.
+            let c = (k * g + rem) * b0 - slack;
+            let entries =
+                proptest::collection::vec((0..r, 0..c, 1u32..1000u32), 0..(r * c).min(160));
+            (Just(ratios.clone()), entries).prop_map(move |(ratios, entries)| {
+                let mut coo = Coo::new(r, c);
+                for (i, j, v) in entries {
+                    coo.push(i, j, v as f64 / 16.0);
+                }
+                coo.compress();
+                (ratios, Csr::from_coo(&coo))
+            })
+        })
+    })
+}
+
+/// Every line's cursor output against the full-expansion oracle.
+fn assert_cursor_matches_expansion(a: &Csr<f64>, ratios: &[u32]) -> Result<(), TestCaseError> {
+    let sm = SmashMatrix::encode(a, SmashConfig::row_major(ratios).unwrap());
+    let full = sm.full_bitmap0();
+    let bpl = sm.blocks_per_line();
+    let want: Vec<(usize, usize)> = full.iter_ones().enumerate().collect();
+    let mut got = Vec::new();
+    for line in 0..sm.line_count() {
+        let before = got.len();
+        for pair in sm.line_cursor(line) {
+            prop_assert_eq!(pair.1 / bpl, line);
+            got.push(pair);
+        }
+        prop_assert_eq!(got.len() - before, sm.directory().blocks_in_line(line));
+    }
+    prop_assert_eq!(got, want);
+    Ok(())
 }
 
 proptest! {
@@ -70,23 +114,16 @@ proptest! {
     }
 
     /// The line cursor must yield exactly the (ordinal, logical) pairs
-    /// the full-expansion oracle produces, line by line.
+    /// the full-expansion oracle produces, line by line — on arbitrary
+    /// shapes and on lines whose groups straddle line borders.
     #[test]
-    fn line_cursor_matches_full_expansion(a in arb_matrix(), ratios in arb_ratios()) {
-        let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&ratios).unwrap());
-        let full = sm.full_bitmap0();
-        let bpl = sm.blocks_per_line();
-        let want: Vec<(usize, usize)> = full.iter_ones().enumerate().collect();
-        let mut got = Vec::new();
-        for line in 0..sm.line_count() {
-            let before = got.len();
-            for pair in sm.line_cursor(line) {
-                prop_assert_eq!(pair.1 / bpl, line);
-                got.push(pair);
-            }
-            prop_assert_eq!(got.len() - before, sm.directory().blocks_in_line(line));
-        }
-        prop_assert_eq!(got, want);
+    fn line_cursor_matches_full_expansion(
+        a in arb_matrix(),
+        ratios in arb_ratios(),
+        straddling in arb_straddling(),
+    ) {
+        assert_cursor_matches_expansion(&a, &ratios)?;
+        assert_cursor_matches_expansion(&straddling.1, &straddling.0)?;
     }
 
     /// Directory-backed per-line starts must equal the expansion oracle,

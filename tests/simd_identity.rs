@@ -8,7 +8,9 @@
 //! and SMASH SpMV and the batched SpMDM, driven through the process-global
 //! override (`smash::matrix::simd::set_override`, the in-process twin of
 //! `SMASH_SIMD`), including ragged row lengths and every RHS tile
-//! remainder `n % 8 ∈ {1..7}`.
+//! remainder `n % 8 ∈ {1..7}`. Every contiguous dot shorter than two
+//! vectors, which takes the unrolled short body, is pinned to the looped
+//! striped order on its own.
 //!
 //! The override is process-global, so every test serializes through one
 //! poison-tolerant mutex and restores `None` before releasing it.
@@ -181,6 +183,99 @@ fn forced_scalar_equals_default_resolution_when_host_is_scalar_only() {
         forced == default_run,
         "forcing the active tier changed bits"
     );
+}
+
+/// The looped lane-striped contiguous dot, restated from the contract:
+/// term `k` goes to stripe `k % LANES` (each stripe starts at `+0.0`),
+/// then the stripes fold by pairwise halving. The test-side twin of the
+/// library's `dot_seq_striped` emulation.
+fn looped_striped_dot<T: Scalar>(a: &[T], b: &[T]) -> T {
+    let lanes = T::LANES;
+    let mut s = vec![T::ZERO; lanes];
+    for (k, (&x, &y)) in a.iter().zip(b).enumerate() {
+        s[k % lanes] += x * y;
+    }
+    let mut width = lanes;
+    while width > 1 {
+        let half = width / 2;
+        for l in 0..half {
+            let v = s[l + half];
+            s[l] += v;
+        }
+        width = half;
+    }
+    s[0]
+}
+
+/// Pins every dot shorter than `2 * LANES` — the lengths the unrolled
+/// short body serves — to the looped emulation, bit for bit, under every
+/// supported ISA override. The inputs mix ordinary values with `-0.0`
+/// products (where a plain left fold and the striped `+0.0` start
+/// disagree), `±inf` (whose sums give NaN) and NaN. A NaN result must be
+/// NaN on both sides; its sign and payload are not compared, because Rust
+/// leaves them unspecified for arithmetic results and the optimizer may
+/// commute an addition of two NaNs.
+fn assert_short_dots_match_looped<T: Scalar>(pool: &[T], bits: fn(T) -> u64) {
+    let mut cases: Vec<(Vec<T>, Vec<T>)> = Vec::new();
+    for len in 0..2 * T::LANES {
+        // Every product `-0.0`: `-0.0 * 1` and `0 * -1`.
+        let neg_zero = T::ZERO * (T::ZERO - T::ONE);
+        cases.push((vec![neg_zero; len], vec![T::ONE; len]));
+        cases.push((vec![T::ZERO; len], vec![T::ZERO - T::ONE; len]));
+        // Pseudo-random picks from the pool, so each length meets zeros,
+        // infinities and NaN in many stripe positions.
+        let mut state = len as u64 * 0x9E37_79B9 + 1;
+        for _ in 0..64 {
+            let mut pick = || {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                pool[(state >> 33) as usize % pool.len()]
+            };
+            let a: Vec<T> = (0..len).map(|_| pick()).collect();
+            let b: Vec<T> = (0..len).map(|_| pick()).collect();
+            cases.push((a, b));
+        }
+    }
+    for isa in Isa::ALL.into_iter().filter(|i| i.is_supported()) {
+        with_isa(isa, || {
+            for (a, b) in &cases {
+                let got = T::simd_dot_contiguous(a, b);
+                let want = looped_striped_dot(a, b);
+                let nan = |v: T| v.to_f64().is_nan();
+                let same = if nan(want) {
+                    nan(got)
+                } else {
+                    bits(got) == bits(want)
+                };
+                assert!(
+                    same,
+                    "{}: len {}, {a:?} . {b:?}: {got} vs {want}",
+                    isa.name(),
+                    a.len()
+                );
+            }
+        });
+    }
+}
+
+#[test]
+fn short_contiguous_dots_match_the_looped_striped_body() {
+    let pool64 = [
+        1.5,
+        -2.25,
+        0.0,
+        -0.0,
+        3.0e-300,
+        -7.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1.0e300,
+    ];
+    assert_short_dots_match_looped::<f64>(&pool64, f64::to_bits);
+    let pool32 = pool64.map(|v| v as f32);
+    assert_short_dots_match_looped::<f32>(&pool32, |v| u64::from(v.to_bits()));
 }
 
 /// Arbitrary sparse matrix (same strategy family as tests/properties.rs).
