@@ -120,11 +120,6 @@ fn measure(z: &ZooMatrix, c: &Candidate, pool: impl Fn(usize) -> ThreadPool) -> 
             };
             (nnz as f64, ns)
         }
-        // The dynamic ops plan through the threshold tier only — the
-        // candidate grid never emits them, so there is nothing to measure.
-        Op::DynSpmv | Op::DynSpmmDense => {
-            unreachable!("dynamic ops are not calibrated (threshold tier only)")
-        }
     }
 }
 

@@ -16,15 +16,17 @@
 //! element-wise. Batching changes throughput, never results.
 
 use crate::{Graph, PageRankConfig};
-use smash_core::SmashConfig;
 use smash_kernels::Executor;
 use smash_matrix::{Dense, Scalar};
 
 /// Personalized PageRank for a single restart distribution `p`:
-/// `r' = d·M·r + (1−d)·p`, starting from `r = p`, with every SpMV routed
-/// through the executor.
+/// `r' = d·M·r + (1−d)·p`, starting from `r = p`, for `cfg.iterations`
+/// iterations with every SpMV routed through the executor.
 ///
-/// This is the one-query reference the batched variant is pinned against.
+/// With the uniform `p` of [`uniform_ranks`](crate::uniform_ranks) it *is*
+/// fixed-iteration PageRank, bit-identical across executor modes and
+/// thread counts. It is also the one-query reference the batched variant
+/// is pinned against.
 ///
 /// # Panics
 ///
@@ -38,17 +40,11 @@ pub fn personalized_pagerank<T: Scalar>(
     let n = g.vertices();
     assert_eq!(p.len(), n, "personalization length must equal vertices");
     let m = g.transition_matrix();
-    let mut r = p.to_vec();
-    let mut y = vec![T::ZERO; n];
-    let damping = T::from_f64(cfg.damping);
-    let restart = T::from_f64(1.0 - cfg.damping);
-    for _ in 0..cfg.iterations {
-        exec.spmv(&m, &r, &mut y);
-        for ((ri, yi), pi) in r.iter_mut().zip(&y).zip(p) {
-            *ri = damping * *yi + restart * *pi;
-        }
-    }
-    r
+    let p = Dense::from_vec(n, 1, p.to_vec()).expect("n x 1 matches its data");
+    let r = pagerank_sweep(cfg, &p, |r, y| {
+        exec.spmv(&m, r.as_slice(), y.as_mut_slice())
+    });
+    r.as_slice().to_vec()
 }
 
 /// Batched personalized PageRank: one `Dense` of personalization vectors
@@ -76,64 +72,23 @@ pub fn personalized_pagerank_batched<T: Scalar>(
         g.vertices(),
         "personalization rows must equal vertices"
     );
-    let mut r = personalization.clone();
-    let mut y = Dense::zeros(personalization.rows(), personalization.cols());
-    pagerank_sweep(exec, cfg, personalization, &mut r, &mut y, |exec, r, y| {
-        exec.spmm_dense(&m, r, y)
-    });
-    r
+    pagerank_sweep(cfg, personalization, |r, y| exec.spmm_dense(&m, r, y))
 }
 
-/// Batched personalized PageRank over the SMASH-compressed transition
-/// matrix: the matrix is compressed once (through [`Executor::encode`],
-/// in parallel when the mode calls for it) and every iteration runs the
-/// batched compressed-operand SpMM — the serve-many-queries shape on the
-/// paper's storage format.
-///
-/// Results match [`personalized_pagerank_batched`] to floating-point
-/// tolerance (the compressed kernel pads blocks with explicit zeros, so
-/// its per-row accumulation order differs from CSR's); across executor
-/// modes and thread counts it is bit-identical to itself.
-///
-/// # Panics
-///
-/// Panics if `personalization.rows() != g.vertices()` or `smash_cfg` is
-/// not row-major.
-pub fn personalized_pagerank_batched_smash<T: Scalar>(
-    exec: &Executor,
-    g: &Graph<T>,
-    cfg: &PageRankConfig,
-    smash_cfg: &SmashConfig,
-    personalization: &Dense<T>,
-) -> Dense<T> {
-    let m = exec.encode(&g.transition_matrix(), smash_cfg.clone());
-    assert_eq!(
-        personalization.rows(),
-        g.vertices(),
-        "personalization rows must equal vertices"
-    );
-    let mut r = personalization.clone();
-    let mut y = Dense::zeros(personalization.rows(), personalization.cols());
-    pagerank_sweep(exec, cfg, personalization, &mut r, &mut y, |exec, r, y| {
-        exec.spmm_dense(&m, r, y)
-    });
-    r
-}
-
-/// The shared power-iteration loop of the batched variants: one batched
-/// SpMM then the element-wise `r = d·y + (1−d)·p` update per iteration.
+/// The one power-iteration loop of both variants: starting from `r = p`,
+/// one product `y = M·r` then the element-wise `r = d·y + (1−d)·p` update
+/// per iteration.
 fn pagerank_sweep<T: Scalar>(
-    exec: &Executor,
     cfg: &PageRankConfig,
     p: &Dense<T>,
-    r: &mut Dense<T>,
-    y: &mut Dense<T>,
-    mut spmm: impl FnMut(&Executor, &Dense<T>, &mut Dense<T>),
-) {
+    mut product: impl FnMut(&Dense<T>, &mut Dense<T>),
+) -> Dense<T> {
+    let mut r = p.clone();
+    let mut y = Dense::zeros(p.rows(), p.cols());
     let damping = T::from_f64(cfg.damping);
     let restart = T::from_f64(1.0 - cfg.damping);
     for _ in 0..cfg.iterations {
-        spmm(exec, r, y);
+        product(&r, &mut y);
         for ((ri, yi), pi) in r
             .as_mut_slice()
             .iter_mut()
@@ -143,6 +98,7 @@ fn pagerank_sweep<T: Scalar>(
             *ri = damping * *yi + restart * *pi;
         }
     }
+    r
 }
 
 /// Builds the `vertices x seeds.len()` personalization batch whose column
@@ -214,16 +170,29 @@ mod tests {
     }
 
     #[test]
-    fn smash_variant_matches_csr_to_tolerance() {
-        let g = sample();
-        let exec = Executor::auto();
-        let seeds = [3usize, 31, 65];
-        let p = seed_batch::<f64>(g.vertices(), &seeds);
-        let smash_cfg = SmashConfig::row_major(&[2, 4]).unwrap();
-        let want = personalized_pagerank_batched(&exec, &g, &cfg(), &p);
-        let got = personalized_pagerank_batched_smash(&exec, &g, &cfg(), &smash_cfg, &p);
-        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+    fn uniform_restart_matches_reference() {
+        let g = generators::rmat(128, 512, 3);
+        let cfg = PageRankConfig {
+            iterations: 5,
+            ..Default::default()
+        };
+        let want = crate::pagerank_reference(&g, &cfg);
+        let p = crate::uniform_ranks(g.vertices());
+        let got = personalized_pagerank(&Executor::with_threads(4), &g, &cfg, &p);
+        for (a, b) in got.iter().zip(&want) {
             assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()), "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn uniform_restart_is_bit_identical_across_thread_counts() {
+        let g = generators::rmat(128, 1024, 7);
+        let cfg = PageRankConfig::default();
+        let p = crate::uniform_ranks(g.vertices());
+        let want = personalized_pagerank(&Executor::serial(), &g, &cfg, &p);
+        for threads in [1usize, 2, 3, 8] {
+            let got = personalized_pagerank(&Executor::with_threads(threads), &g, &cfg, &p);
+            assert_eq!(got, want, "threads = {threads}");
         }
     }
 

@@ -6,12 +6,13 @@
 //! Brandes' algorithm: a forward sweep of SpMVs accumulates shortest-path
 //! counts (`sigma`) level by level, then a backward sweep of SpMVs
 //! accumulates dependencies (`delta`). Both sweeps route their SpMVs
-//! through the selected mechanism.
+//! through the selected mechanism: the simulated engines of
+//! [`betweenness`], or the [`Executor`] of [`betweenness_native`].
 
 use crate::{Graph, GraphMechanism};
 use smash_bmu::Bmu;
 use smash_core::{SmashConfig, SmashMatrix};
-use smash_kernels::spmv;
+use smash_kernels::{spmv, Executor};
 use smash_matrix::Scalar;
 use smash_sim::{Engine, StreamId};
 
@@ -99,6 +100,67 @@ pub fn betweenness_reference<T: Scalar>(g: &Graph<T>, cfg: &BcConfig) -> Vec<T> 
                     }
                 }
                 delta[u as usize] += sigma[u as usize] * acc;
+            }
+            for &v in &levels[k] {
+                bc[v as usize] += delta[v as usize];
+            }
+        }
+    }
+    bc
+}
+
+/// Native betweenness centrality in the level-synchronous linear-algebra
+/// form: the forward sweep accumulates shortest-path counts with one
+/// [`Executor::spmv`] over the adjacency transpose per level, the backward
+/// sweep accumulates dependencies with one over the adjacency per level.
+///
+/// The executor only picks which driver runs, never the arithmetic, so the
+/// result is bit-identical across executor modes and thread counts. It
+/// matches [`betweenness_reference`] to floating-point tolerance.
+pub fn betweenness_native<T: Scalar>(exec: &Executor, g: &Graph<T>, cfg: &BcConfig) -> Vec<T> {
+    let n = g.vertices();
+    let at = g.adjacency_transpose();
+    let a = g.adjacency();
+    let mut t = vec![T::ZERO; n];
+    let mut bc = vec![T::ZERO; n];
+    for &s in &cfg.sources {
+        // Forward sweep: discover levels and accumulate sigma.
+        let mut dist = vec![-1i32; n];
+        let mut sigma = vec![T::ZERO; n];
+        dist[s as usize] = 0;
+        sigma[s as usize] = T::ONE;
+        let mut levels: Vec<Vec<u32>> = vec![vec![s]];
+        while levels.len() < cfg.max_levels {
+            let frontier = levels.last().expect("non-empty");
+            // f = sigma masked to the frontier.
+            let mut f = vec![T::ZERO; n];
+            for &u in frontier {
+                f[u as usize] = sigma[u as usize];
+            }
+            exec.spmv(&at, &f, &mut t);
+            let mut next = Vec::new();
+            for (v, &tv) in t.iter().enumerate() {
+                if tv > T::ZERO && dist[v] == -1 {
+                    dist[v] = levels.len() as i32;
+                    sigma[v] += tv;
+                    next.push(v as u32);
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            levels.push(next);
+        }
+        // Backward sweep: dependency accumulation, one SpMV per level.
+        let mut delta = vec![T::ZERO; n];
+        for k in (1..levels.len()).rev() {
+            let mut w = vec![T::ZERO; n];
+            for &v in &levels[k] {
+                w[v as usize] = (T::ONE + delta[v as usize]) / sigma[v as usize];
+            }
+            exec.spmv(a, &w, &mut t);
+            for &u in &levels[k - 1] {
+                delta[u as usize] += sigma[u as usize] * t[u as usize];
             }
             for &v in &levels[k] {
                 bc[v as usize] += delta[v as usize];
@@ -287,6 +349,32 @@ mod tests {
             for (a, b) in got.iter().zip(&want) {
                 assert!((a - b).abs() < 1e-9, "{mech:?}: {a} vs {b}");
             }
+        }
+    }
+
+    #[test]
+    fn native_matches_reference() {
+        let g = generators::rmat(64, 256, 7);
+        let cfg = BcConfig {
+            sources: vec![1, 2],
+            max_levels: 32,
+            ..Default::default()
+        };
+        let want = betweenness_reference(&g, &cfg);
+        let got = betweenness_native(&Executor::with_threads(4), &g, &cfg);
+        for (a, b) in got.iter().zip(&want) {
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn native_is_bit_identical_across_thread_counts() {
+        let g = generators::road_network(100, 220, 5);
+        let cfg = BcConfig::default();
+        let want = betweenness_native(&Executor::serial(), &g, &cfg);
+        for threads in [1usize, 2, 3, 8] {
+            let got = betweenness_native(&Executor::with_threads(threads), &g, &cfg);
+            assert_eq!(got, want, "threads = {threads}");
         }
     }
 

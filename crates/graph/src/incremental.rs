@@ -227,6 +227,22 @@ mod tests {
     }
 
     #[test]
+    fn smash_operand_solves_to_the_csr_fixed_point() {
+        let g = generators::rmat(128, 512, 3);
+        let m = g.transition_matrix();
+        let sm = smash_core::SmashMatrix::encode(
+            &m,
+            smash_core::SmashConfig::row_major(&[2, 4, 16]).unwrap(),
+        );
+        let r0 = uniform_ranks::<f64>(g.vertices());
+        let csr = pagerank_power(&m, &r0, 0.85, 1e-12, 500);
+        let smash = pagerank_power(&sm, &r0, 0.85, 1e-12, 500);
+        for (a, b) in smash.ranks.iter().zip(&csr.ranks) {
+            assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()), "{a} vs {b}");
+        }
+    }
+
+    #[test]
     fn overlaid_solve_is_bit_identical_to_rebuild() {
         let g = generators::rmat(64, 256, 7);
         let mut pr = IncrementalPageRank::new(&g, 0.85, 1e-12, 500);

@@ -2,6 +2,22 @@
 //! PageRank and Betweenness Centrality workloads of the paper's §6 and
 //! Fig. 18, built as iterated SpMV over the mechanisms of `smash-kernels`.
 //!
+//! Each variant has one native loop. Which format and how many threads
+//! run it is a property of the operand or the
+//! [`Executor`](smash_kernels::Executor), not of the function name:
+//!
+//! * [`personalized_pagerank`] and [`personalized_pagerank_batched`] share
+//!   one fixed-iteration loop over `Executor::spmv` / `spmm_dense`; a
+//!   uniform restart vector ([`uniform_ranks`]) makes it plain PageRank.
+//! * [`pagerank_power`] runs to convergence over any `RowRead` operand
+//!   (CSR, SMASH, dynamic); [`IncrementalPageRank`] builds on it.
+//! * [`betweenness_native`] is level-synchronous Brandes with every
+//!   level's SpMV routed through the executor.
+//! * [`pagerank()`] and [`betweenness()`] are the simulated runs behind the
+//!   paper's figures, CSR vs. SMASH through [`GraphMechanism`];
+//!   [`pagerank_reference`] and [`betweenness_reference`] are the
+//!   uninstrumented oracles.
+//!
 //! # Example
 //!
 //! ```
@@ -24,19 +40,12 @@ pub mod generators;
 mod graph;
 pub mod incremental;
 pub mod pagerank;
-pub mod parallel;
 pub mod triangles;
 
-pub use batched::{
-    personalized_pagerank, personalized_pagerank_batched, personalized_pagerank_batched_smash,
-    seed_batch,
-};
-pub use bc::{betweenness, betweenness_reference, BcConfig};
+pub use batched::{personalized_pagerank, personalized_pagerank_batched, seed_batch};
+pub use bc::{betweenness, betweenness_native, betweenness_reference, BcConfig};
 pub use generators::{generate_graphs, paper_graphs, GraphSpec};
 pub use graph::Graph;
 pub use incremental::{pagerank_power, uniform_ranks, IncrementalPageRank, PowerSolve};
 pub use pagerank::{pagerank, pagerank_reference, GraphMechanism, PageRankConfig};
-pub use parallel::{
-    betweenness_parallel, betweenness_parallel_smash, pagerank_parallel, pagerank_parallel_smash,
-};
 pub use triangles::{triangle_count, two_hop_counts, undirected_adjacency};

@@ -434,7 +434,7 @@ impl Executor {
     /// anything.
     pub fn plan_spmv<'a, T: Scalar>(&self, a: impl Into<SpmvOperand<'a, T>>) -> Plan {
         let a = a.into();
-        self.plan(self.request(a.op_spmv(), a.format()), || a.profile())
+        self.plan(self.request(Op::Spmv, a.format()), || a.profile())
     }
 
     /// The [`Plan`] that [`Executor::spmm_dense`] would act on for this
@@ -445,9 +445,7 @@ impl Executor {
         rhs_cols: usize,
     ) -> Plan {
         let a = a.into();
-        let req = self
-            .request(a.op_spmm_dense(), a.format())
-            .with_rhs(rhs_cols);
+        let req = self.request(Op::SpmmDense, a.format()).with_rhs(rhs_cols);
         self.plan(req, || a.profile())
     }
 
@@ -460,9 +458,11 @@ impl Executor {
         self.plan(req, || MatrixProfile::of_csr(a))
     }
 
-    /// The [`Plan`] that [`Executor::encode`] would act on.
+    /// The [`Plan`] that [`Executor::encode`] would act on. Encoding
+    /// produces SMASH, so it plans under that format, as its calibration
+    /// rows do.
     pub fn plan_encode<T: Scalar>(&self, a: &Csr<T>) -> Plan {
-        self.plan(self.request(Op::Encode, Format::Csr), || {
+        self.plan(self.request(Op::Encode, Format::Smash), || {
             MatrixProfile::of_csr(a)
         })
     }
@@ -750,7 +750,7 @@ impl Executor {
             self.check_operand_finite(OP, &a)?;
             self.check_finite(OP, "x", x)?;
         }
-        let req = self.request(a.op_spmv(), a.format());
+        let req = self.request(Op::Spmv, a.format());
         let mut report = self.start_report(self.plan(req, || a.profile()));
         let r = a.row_read();
         self.run(OP, &mut report, |pool| match pool {
@@ -775,9 +775,7 @@ impl Executor {
             self.check_operand_finite(OP, &a)?;
             self.check_finite(OP, "B", b.as_slice())?;
         }
-        let req = self
-            .request(a.op_spmm_dense(), a.format())
-            .with_rhs(b.cols());
+        let req = self.request(Op::SpmmDense, a.format()).with_rhs(b.cols());
         let mut report = self.start_report(self.plan(req, || a.profile()));
         let r = a.row_read();
         self.run(OP, &mut report, |pool| match pool {
@@ -1445,7 +1443,11 @@ mod tests {
         let plan = Executor::auto().plan_spmv(&dm);
         assert!(!plan.calibrated, "{}", plan.rationale);
         assert_eq!(plan.choice.format, Format::Dynamic);
-        assert!(plan.rationale.contains("dyn_spmv"), "{}", plan.rationale);
+        assert!(
+            plan.rationale.contains("spmv on dynamic"),
+            "{}",
+            plan.rationale
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! in the native kernels) lives here too, so the operand abstractions
 //! have one home.
 
-use crate::planner::{Format, MatrixProfile, Op};
+use crate::planner::{Format, MatrixProfile};
 use crate::SmashError;
 use smash_core::{Delta, DynamicBase, DynamicMatrix, Layout, SmashMatrix};
 use smash_matrix::{Bcsr, Csr, RowRead, Scalar};
@@ -91,25 +91,6 @@ impl<'a, T: Scalar> SpmvOperand<'a, T> {
             SpmvOperand::Bcsr(_) => Format::Bcsr,
             SpmvOperand::Smash(_) => Format::Smash,
             SpmvOperand::Dynamic(_) => Format::Dynamic,
-        }
-    }
-
-    /// The planner [`Op`] an `spmv` over this operand dispatches as
-    /// (dynamic operands run the merge-on-access kernels, a different
-    /// cost regime, so they plan under their own op).
-    pub fn op_spmv(&self) -> Op {
-        match self {
-            SpmvOperand::Dynamic(_) => Op::DynSpmv,
-            _ => Op::Spmv,
-        }
-    }
-
-    /// The planner [`Op`] an `spmm_dense` over this operand dispatches
-    /// as.
-    pub fn op_spmm_dense(&self) -> Op {
-        match self {
-            SpmvOperand::Dynamic(_) => Op::DynSpmmDense,
-            _ => Op::SpmmDense,
         }
     }
 

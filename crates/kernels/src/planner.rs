@@ -84,11 +84,6 @@ pub enum Op {
     Spgemm,
     /// CSR → SMASH compression (`Executor::encode`).
     Encode,
-    /// SpMV over a dynamic (base + overlay) operand — the merge-on-access
-    /// kernels, a different cost regime from the static formats.
-    DynSpmv,
-    /// Batched SpMM over a dynamic operand.
-    DynSpmmDense,
 }
 
 impl Op {
@@ -99,8 +94,6 @@ impl Op {
             Op::SpmmDense => "spmm_dense",
             Op::Spgemm => "spgemm",
             Op::Encode => "encode",
-            Op::DynSpmv => "dyn_spmv",
-            Op::DynSpmmDense => "dyn_spmm_dense",
         }
     }
 
@@ -110,8 +103,6 @@ impl Op {
             "spmm_dense" => Op::SpmmDense,
             "spgemm" => Op::Spgemm,
             "encode" => Op::Encode,
-            "dyn_spmv" => Op::DynSpmv,
-            "dyn_spmm_dense" => Op::DynSpmmDense,
             _ => return None,
         })
     }
@@ -463,8 +454,8 @@ impl PlanRequest {
     /// count for SpGEMM.
     fn predict_work(&self, profile: &MatrixProfile) -> f64 {
         match self.op {
-            Op::Spmv | Op::DynSpmv | Op::Encode => profile.nnz as f64,
-            Op::SpmmDense | Op::DynSpmmDense => profile.nnz as f64 * self.rhs_cols.max(1) as f64,
+            Op::Spmv | Op::Encode => profile.nnz as f64,
+            Op::SpmmDense => profile.nnz as f64 * self.rhs_cols.max(1) as f64,
             Op::Spgemm => self.work.unwrap_or(profile.nnz as u64) as f64,
         }
     }
@@ -474,10 +465,8 @@ impl PlanRequest {
     /// an empty calibration table reproduces the pre-planner dispatch.
     fn fallback_work(&self, profile: &MatrixProfile) -> usize {
         match self.op {
-            Op::Spmv | Op::DynSpmv => profile.stored_work,
-            Op::SpmmDense | Op::DynSpmmDense => {
-                profile.stored_work.saturating_mul(self.rhs_cols.max(1))
-            }
+            Op::Spmv => profile.stored_work,
+            Op::SpmmDense => profile.stored_work.saturating_mul(self.rhs_cols.max(1)),
             Op::Spgemm => {
                 usize::try_from(self.work.unwrap_or(profile.nnz as u64)).unwrap_or(usize::MAX)
             }
@@ -856,7 +845,10 @@ impl Planner {
                 None => "calibration table has no matrices".to_string(),
             }
         } else {
-            format!("no calibration rows for op {}", req.op)
+            match req.format {
+                Some(f) => format!("no calibration rows for {} on {f}", req.op),
+                None => format!("no calibration rows for op {}", req.op),
+            }
         };
         let rule = if wide {
             format!(
@@ -896,7 +888,7 @@ impl Planner {
 /// batch width: 8, then 4, then scalar columns.
 fn lead_tile(req: &PlanRequest) -> usize {
     match req.op {
-        Op::SpmmDense | Op::DynSpmmDense => {
+        Op::SpmmDense => {
             let n = req.rhs_cols.max(1);
             if n >= 8 {
                 8
@@ -1089,11 +1081,11 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
     #[test]
     fn dynamic_ops_fall_back_to_thresholds_without_panicking() {
         // The checked-in calibration table has no rows for the dynamic
-        // ops — every plan must land in the threshold tier with the
+        // format — every plan must land in the threshold tier with the
         // standard rationale, never a MAX_MATCH_DISTANCE mis-match or a
         // panic, and without requiring new measurements.
         let p = Planner::from_table(TABLE).unwrap();
-        for (op, rhs) in [(Op::DynSpmv, 1usize), (Op::DynSpmmDense, 8)] {
+        for (op, rhs) in [(Op::Spmv, 1usize), (Op::SpmmDense, 8)] {
             let plan = p.plan(
                 &profile(4096, 4096, 380_000),
                 &PlanRequest::pinned(op, Format::Dynamic, 4).with_rhs(rhs),
@@ -1109,7 +1101,7 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
             );
             assert!(
                 plan.rationale
-                    .contains(&format!("no calibration rows for op {op}")),
+                    .contains(&format!("no calibration rows for {op} on dynamic")),
                 "{op}: {}",
                 plan.rationale
             );
@@ -1117,14 +1109,11 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
         // A batched dynamic product still gets the RHS lead tile.
         let plan = p.plan(
             &profile(64, 64, 500),
-            &PlanRequest::pinned(Op::DynSpmmDense, Format::Dynamic, 1).with_rhs(8),
+            &PlanRequest::pinned(Op::SpmmDense, Format::Dynamic, 1).with_rhs(8),
         );
         assert_eq!(plan.choice.tile, 8);
-        // Round-trip the new names through the table grammar.
-        assert_eq!(Op::parse("dyn_spmv"), Some(Op::DynSpmv));
-        assert_eq!(Op::parse("dyn_spmm_dense"), Some(Op::DynSpmmDense));
+        // Round-trip the format name through the table grammar.
         assert_eq!(Format::parse("dynamic"), Some(Format::Dynamic));
-        assert_eq!(Op::DynSpmv.name(), "dyn_spmv");
         assert_eq!(Format::Dynamic.name(), "dynamic");
     }
 

@@ -24,10 +24,12 @@
 //!   (`par_spmv_rows`, `par_spmm_dense_rows`) and compressor,
 //!   bit-identical to the serial ones at every thread count
 //!   (`SMASH_THREADS` overrides the worker count),
-//! * [`graph`] — PageRank (including batched personalized PageRank: one
-//!   `Dense` of personalization vectors per pass) and Betweenness
-//!   Centrality built on the kernels, generic over precision through
-//!   `Graph<T>`.
+//! * [`graph`] — PageRank and Betweenness Centrality built on the
+//!   kernels, generic over precision through `Graph<T>`: one
+//!   (personalized) PageRank loop and one native BC, both routing every
+//!   product through the [`Executor`] (the batched PageRank serves one
+//!   `Dense` of personalization vectors per pass), plus convergence-based
+//!   PageRank over any row-readable operand (CSR, SMASH, dynamic).
 //!
 //! Mutating workloads keep their matrix in a [`DynamicMatrix`] — an
 //! immutable base tier (CSR or SMASH-compressed) plus a delta overlay of

@@ -13,6 +13,7 @@ use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::kernels::native;
 use smash::matrix::{generators, spmv_rows, Bcsr, Coo, Csr};
 use smash::parallel::{par_csr_to_smash, par_spmm_csr, par_spmv_rows, ThreadPool};
+use smash::Executor;
 
 /// The thread counts every equivalence assertion runs under.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
@@ -180,13 +181,29 @@ fn f32_parallel_bit_identical_on_adversarial_shapes() {
 
 #[test]
 fn f32_graph_applications_bit_identical_across_thread_counts() {
-    use smash::graph::{generators as graph_gen, pagerank_parallel, PageRankConfig};
+    use smash::graph::{
+        betweenness_native, generators as graph_gen, personalized_pagerank, uniform_ranks,
+        BcConfig, PageRankConfig,
+    };
     let g = graph_gen::rmat(128, 768, 17).cast::<f32>();
-    let cfg = PageRankConfig::default();
-    let want: Vec<f32> = pagerank_parallel(&ThreadPool::new(1), &g, &cfg);
-    for threads in [2usize, 8] {
-        let got = pagerank_parallel(&ThreadPool::new(threads), &g, &cfg);
-        assert_eq!(got, want, "f32 pagerank, threads = {threads}");
+    let pr_cfg = PageRankConfig::default();
+    let bc_cfg = BcConfig::default();
+    let p = uniform_ranks::<f32>(g.vertices());
+    let serial = Executor::serial();
+    let pr_want = personalized_pagerank(&serial, &g, &pr_cfg, &p);
+    let bc_want = betweenness_native(&serial, &g, &bc_cfg);
+    for threads in THREADS {
+        let exec = Executor::with_threads(threads);
+        assert_eq!(
+            personalized_pagerank(&exec, &g, &pr_cfg, &p),
+            pr_want,
+            "f32 pagerank, threads = {threads}"
+        );
+        assert_eq!(
+            betweenness_native(&exec, &g, &bc_cfg),
+            bc_want,
+            "f32 betweenness, threads = {threads}"
+        );
     }
 }
 
@@ -258,22 +275,25 @@ fn adversarial_tall_thin_and_short_wide() {
 #[test]
 fn graph_applications_bit_identical_across_thread_counts() {
     use smash::graph::{
-        betweenness_parallel, generators as graph_gen, pagerank_parallel, BcConfig, PageRankConfig,
+        betweenness_native, generators as graph_gen, personalized_pagerank, uniform_ranks,
+        BcConfig, PageRankConfig,
     };
     let g = graph_gen::rmat(128, 768, 17);
     let pr_cfg = PageRankConfig::default();
     let bc_cfg = BcConfig::default();
-    let pr_want = pagerank_parallel(&ThreadPool::new(1), &g, &pr_cfg);
-    let bc_want = betweenness_parallel(&ThreadPool::new(1), &g, &bc_cfg);
+    let p = uniform_ranks::<f64>(g.vertices());
+    let serial = Executor::serial();
+    let pr_want = personalized_pagerank(&serial, &g, &pr_cfg, &p);
+    let bc_want = betweenness_native(&serial, &g, &bc_cfg);
     for threads in THREADS {
-        let pool = ThreadPool::new(threads);
+        let exec = Executor::with_threads(threads);
         assert_eq!(
-            pagerank_parallel(&pool, &g, &pr_cfg),
+            personalized_pagerank(&exec, &g, &pr_cfg, &p),
             pr_want,
             "pagerank, threads = {threads}"
         );
         assert_eq!(
-            betweenness_parallel(&pool, &g, &bc_cfg),
+            betweenness_native(&exec, &g, &bc_cfg),
             bc_want,
             "betweenness, threads = {threads}"
         );

@@ -290,3 +290,22 @@ fn built_in_planner_picks_the_tables_own_fastest_row() {
     }
     assert_eq!(checked, zoo::planner_zoo().len() * 4);
 }
+
+/// `Auto` encode plans under SMASH, the format its calibration rows carry
+/// and its output has, so a zoo matrix meets its own measured rows
+/// instead of falling to the threshold tier.
+#[test]
+fn auto_encode_plans_against_its_calibration_rows() {
+    let exec = Executor::auto();
+    for z in zoo::planner_zoo() {
+        let plan = exec.plan_encode(&z.matrix);
+        assert!(plan.calibrated, "{}: {}", z.name, plan.rationale);
+        assert_eq!(plan.choice.format, Format::Smash, "{}", z.name);
+        assert!(
+            plan.rationale.contains(&format!("'{}'", z.name)),
+            "{}: {}",
+            z.name,
+            plan.rationale
+        );
+    }
+}
