@@ -34,12 +34,12 @@ fn bench(c: &mut Criterion) {
         let cfg = SmashConfig::row_major(&[2, 4]).expect("valid");
 
         group.bench_with_input(BenchmarkId::new("aa/gustavson", label), &a, |bch, a| {
-            bch.iter(|| black_box(spgemm::spgemm(a, a)))
+            bch.iter(|| black_box(spgemm::spgemm(a, a, None)))
         });
         group.bench_with_input(
             BenchmarkId::new("aa/gustavson_par4", label),
             &a,
-            |bch, a| bch.iter(|| black_box(spgemm::par_spgemm(&pool, a, a))),
+            |bch, a| bch.iter(|| black_box(spgemm::par_spgemm(&pool, a, a, None))),
         );
         group.bench_with_input(BenchmarkId::new("aa/csr_opt(mkl)", label), &a, |bch, a| {
             bch.iter(|| black_box(native::spmm_csr_opt(a, &a_csc)))
@@ -48,7 +48,7 @@ fn bench(c: &mut Criterion) {
             bch.iter(|| black_box(spgemm::spgemm_smash(a, a, cfg.clone())))
         });
         group.bench_with_input(BenchmarkId::new("aat/gustavson", label), &a, |bch, a| {
-            bch.iter(|| black_box(spgemm::spgemm(a, &at)))
+            bch.iter(|| black_box(spgemm::spgemm(a, &at, None)))
         });
         group.bench_with_input(BenchmarkId::new("aat/csr_opt(mkl)", label), &a, |bch, a| {
             bch.iter(|| black_box(native::spmm_csr_opt(a, &at_csc)))

@@ -103,10 +103,10 @@ fn measure(z: &ZooMatrix, c: &Candidate, pool: impl Fn(usize) -> ThreadPool) -> 
             };
             let work = spgemm::stored_work(a, b) as f64;
             let ns = if c.threads == 1 {
-                zoo::time_ns(3, 1, || spgemm::spgemm(a, b).nnz())
+                zoo::time_ns(3, 1, || spgemm::spgemm(a, b, None).nnz())
             } else {
                 let p = pool(c.threads);
-                zoo::time_ns(3, 1, || spgemm::par_spgemm(&p, a, b).nnz())
+                zoo::time_ns(3, 1, || spgemm::par_spgemm(&p, a, b, None).nnz())
             };
             (work.max(1.0), ns)
         }

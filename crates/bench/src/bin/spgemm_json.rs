@@ -70,9 +70,9 @@ fn main() {
 
         // Determinism re-check on real data: parallel == serial == oracle,
         // triplet-exact.
-        let serial = spgemm::spgemm(&a, &a);
+        let serial = spgemm::spgemm(&a, &a, None);
         assert_eq!(
-            spgemm::par_spgemm(&pool, &a, &a),
+            spgemm::par_spgemm(&pool, &a, &a, None),
             serial,
             "parallel Gustavson diverged from serial on {label}"
         );
@@ -82,10 +82,10 @@ fn main() {
             "Gustavson diverged from the inner-product oracle on {label}"
         );
 
-        let gustavson_ns = time_ns(3, || spgemm::spgemm(&a, &a).nnz());
-        let gustavson_par_ns = time_ns(3, || spgemm::par_spgemm(&pool, &a, &a).nnz());
+        let gustavson_ns = time_ns(3, || spgemm::spgemm(&a, &a, None).nnz());
+        let gustavson_par_ns = time_ns(3, || spgemm::par_spgemm(&pool, &a, &a, None).nnz());
         let csr_opt_ns = time_ns(3, || native::spmm_csr_opt(&a, &a_csc).nnz());
-        let aat_gustavson_ns = time_ns(3, || spgemm::spgemm(&a, &at).nnz());
+        let aat_gustavson_ns = time_ns(3, || spgemm::spgemm(&a, &at, None).nnz());
         let aat_csr_opt_ns = time_ns(3, || native::spmm_csr_opt(&a, &at_csc).nnz());
 
         let speedup = csr_opt_ns / gustavson_ns;

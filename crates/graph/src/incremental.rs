@@ -31,6 +31,10 @@ pub struct PowerSolve<T> {
     /// Iterations consumed before the L1 residual dropped below the
     /// tolerance (or the iteration cap was hit).
     pub iterations: usize,
+    /// Whether the L1 residual dropped below the tolerance. `false` means
+    /// the iteration cap stopped the solve — for instance a tolerance
+    /// finer than `T` can resolve.
+    pub converged: bool,
 }
 
 /// Power iteration `r' = d·M·r + (1−d)/n` from an arbitrary starting
@@ -63,6 +67,7 @@ pub fn pagerank_power<T: Scalar, R: RowRead<T> + ?Sized>(
     let mut r = r0.to_vec();
     let mut y = vec![T::ZERO; n];
     let mut iterations = 0;
+    let mut converged = false;
     while iterations < max_iters {
         spmv_rows(m, &r, &mut y);
         iterations += 1;
@@ -73,12 +78,14 @@ pub fn pagerank_power<T: Scalar, R: RowRead<T> + ?Sized>(
             *ri = next;
         }
         if residual < tol {
+            converged = true;
             break;
         }
     }
     PowerSolve {
         ranks: r,
         iterations,
+        converged,
     }
 }
 
@@ -224,6 +231,20 @@ mod tests {
         let fixed = pagerank_power(&m, &uniform_ranks::<f64>(g.vertices()), 0.85, 1e-12, 500);
         assert_eq!(dynamic.ranks, fixed.ranks);
         assert_eq!(dynamic.iterations, fixed.iterations);
+    }
+
+    #[test]
+    fn a_tolerance_below_f32_resolution_reports_no_convergence() {
+        let g64 = generators::rmat(512, 4096, 17);
+        let g32 = g64.cast::<f32>();
+        let mut pr32 = IncrementalPageRank::<f32>::new(&g32, 0.85, 1e-10, 300);
+        let solve = pr32.solve();
+        assert_eq!(solve.iterations, 300);
+        assert!(!solve.converged);
+        let mut pr64 = IncrementalPageRank::<f64>::new(&g64, 0.85, 1e-10, 300);
+        let solve = pr64.solve();
+        assert!(solve.converged);
+        assert!(solve.iterations < 300);
     }
 
     #[test]

@@ -574,7 +574,38 @@ impl Executor {
     /// assert_eq!(c, Executor::serial().spgemm(&a, &a)); // bit-identical
     /// ```
     pub fn spgemm<T: Scalar>(&self, a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
-        trusted(self.spgemm_body(a, b, Validation::Trusted)).0
+        trusted(self.spgemm_body(a, b, None, Validation::Trusted)).0
+    }
+
+    /// Masked sparse × sparse multiply: `A · B` restricted to the stored
+    /// pattern of `mask` (its values are ignored). Row `i` accumulates
+    /// only the columns of `mask` row `i`, so products outside the mask
+    /// never reach an accumulator slot or the output. Every stored entry
+    /// is `==` to the same entry of [`Executor::spgemm`] (see the
+    /// [`crate::spgemm`] module docs), and the plan is the unmasked one:
+    /// `spgemm` on CSR, weighed by the same stored work.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`SmashError`] message if `a.cols() != b.rows()`
+    /// or `mask` is not `a.rows() × b.cols()`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use smash_kernels::Executor;
+    /// use smash_matrix::generators;
+    ///
+    /// let a = generators::power_law(96, 96, 1_200, 1.3, 5);
+    /// let exec = Executor::auto();
+    /// let closed = exec.spgemm_masked(&a, &a, &a); // A² on A's pattern
+    /// let full = exec.spgemm(&a, &a).to_dense();
+    /// for (i, j, v) in closed.iter() {
+    ///     assert_eq!(full.get(i, j), v); // exact, not approx
+    /// }
+    /// ```
+    pub fn spgemm_masked<T: Scalar>(&self, a: &Csr<T>, b: &Csr<T>, mask: &Csr<T>) -> Csr<T> {
+        trusted(self.spgemm_body(a, b, Some(mask), Validation::Trusted)).0
     }
 
     /// Sparse × sparse multiply emitted straight into the SMASH encoding
@@ -711,7 +742,29 @@ impl Executor {
         a: &Csr<T>,
         b: &Csr<T>,
     ) -> Result<(Csr<T>, ExecReport), SmashError> {
-        self.spgemm_body(a, b, Validation::Checked)
+        self.spgemm_body(a, b, None, Validation::Checked)
+    }
+
+    /// Fallible [`Executor::spgemm_masked`], governed as
+    /// [`Executor::try_spgemm`] is. The mask gets the structural check;
+    /// its values are never read, so the non-finite scan skips them.
+    /// Under a [`MemoryBudget`] the estimate bounds row `i` by
+    /// `min(ub[i], nnz(mask[i]))` entries plus the masked row's dense
+    /// scratch, and an over-budget product degrades to the same
+    /// bit-identical row-chunked run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::try_spgemm`], plus
+    /// [`SmashError::DimensionMismatch`] when `mask` is not
+    /// `a.rows() × b.cols()`.
+    pub fn try_spgemm_masked<T: Scalar>(
+        &self,
+        a: &Csr<T>,
+        b: &Csr<T>,
+        mask: &Csr<T>,
+    ) -> Result<(Csr<T>, ExecReport), SmashError> {
+        self.spgemm_body(a, b, Some(mask), Validation::Checked)
     }
 
     /// Fallible [`Executor::encode`]: validates the CSR operand (cached
@@ -789,14 +842,21 @@ impl Executor {
         &self,
         a: &Csr<T>,
         b: &Csr<T>,
+        mask: Option<&Csr<T>>,
         v: Validation,
     ) -> Result<(Csr<T>, ExecReport), SmashError> {
         const OP: &str = "spgemm";
         check_dims(OP, (a.cols(), b.cols()), (b.rows(), b.cols()))?;
+        if let Some(m) = mask {
+            check_dims(OP, (a.rows(), b.cols()), (m.rows(), m.cols()))?;
+        }
         let mut budget = None;
         if v == Validation::Checked {
             SpmvOperand::Csr(a).check(OP)?;
             SpmvOperand::Csr(b).check(OP)?;
+            if let Some(m) = mask {
+                SpmvOperand::Csr(m).check(OP)?;
+            }
             self.check_finite(OP, "A", a.values())?;
             self.check_finite(OP, "B", b.values())?;
             budget = self.budget;
@@ -812,7 +872,7 @@ impl Executor {
         let req = self.request(Op::Spgemm, Format::Csr).with_work(work);
         let mut report = self.start_report(self.plan(req, || MatrixProfile::of_csr(a)));
         if let (Some(budget), Some(bounds)) = (budget, bounds) {
-            let needed = crate::spgemm::estimate_engine_bytes::<T>(&bounds, b.cols());
+            let needed = crate::spgemm::estimate_engine_bytes(&bounds, b.cols(), mask);
             if needed > budget.bytes() || Self::budget_fault_injected() {
                 if !budget.degrades() {
                     return Err(SmashError::ResourceExhausted {
@@ -820,7 +880,7 @@ impl Executor {
                         budget: budget.bytes(),
                     });
                 }
-                let (c, run) = crate::spgemm::spgemm_chunked(a, b, &bounds, budget.bytes())?;
+                let (c, run) = crate::spgemm::spgemm_chunked(a, b, mask, &bounds, budget.bytes())?;
                 report.note(Degradation::ChunkedSpgemm {
                     chunks: run.chunks,
                     peak_scratch_bytes: run.peak_scratch_bytes,
@@ -830,8 +890,8 @@ impl Executor {
             }
         }
         let c = self.run(OP, &mut report, |pool| match pool {
-            Some(p) => crate::spgemm::par_spgemm(p, a, b),
-            None => crate::spgemm::spgemm(a, b),
+            Some(p) => crate::spgemm::par_spgemm(p, a, b, mask),
+            None => crate::spgemm::spgemm(a, b, mask),
         })?;
         Ok((c, report))
     }

@@ -36,6 +36,22 @@
 //! write pre-sized private chunks spliced back in row order — so output
 //! is bit-identical at every thread count.
 //!
+//! # Masked products
+//!
+//! Every driver takes an optional `mask` of shape `a.rows() × b.cols()`.
+//! Row `i` of a masked product accumulates only the columns stored in
+//! `mask` row `i` (its values are ignored): the dense accumulator
+//! pre-stamps those columns, seeded with `T::ZERO`, drops every product
+//! that lands elsewhere, and drains by walking the already-sorted mask
+//! row, so there is no touched list, no hash probe and no sort. A kept
+//! column's first product computes `av.mul_add(bv, T::ZERO)`, exactly as
+//! the unmasked first touch does, and later products fold in the same
+//! ascending-`k` order — so each stored entry of a masked product is `==`
+//! to the same entry of the unmasked one, and the masked product is the
+//! unmasked product restricted to the mask's pattern. Work that lands
+//! outside the mask costs one stamp check instead of an accumulator slot,
+//! an output entry and a place in the drain.
+//!
 //! # Cancellation policy
 //!
 //! Exact zeros are dropped, like every sparse × sparse kernel in this
@@ -167,12 +183,38 @@ impl<T: Scalar> DenseAcc<T> {
     /// dropping exact zeros.
     fn drain_sorted(&mut self, cols: &mut Vec<u32>, vals: &mut Vec<T>) {
         self.touched.sort_unstable();
-        for &j in &self.touched {
+        self.drain_cols(&self.touched, cols, vals);
+    }
+
+    /// Pushes the slots of `order` (ascending columns) into `(cols, vals)`,
+    /// dropping exact zeros.
+    fn drain_cols(&self, order: &[u32], cols: &mut Vec<u32>, vals: &mut Vec<T>) {
+        for &j in order {
             let v = self.vals[j as usize];
             if !v.is_zero() {
                 cols.push(j);
                 vals.push(v);
             }
+        }
+    }
+
+    /// Opens a masked row: only `mask_cols` accept products, each
+    /// stamped with the new epoch and seeded with `T::ZERO`.
+    fn begin_masked_row(&mut self, mask_cols: &[u32]) {
+        self.begin_row();
+        for &j in mask_cols {
+            self.stamp[j as usize] = self.epoch;
+            self.vals[j as usize] = T::ZERO;
+        }
+    }
+
+    /// Folds a product into a pre-stamped column; any other column is
+    /// outside the mask and the product is dropped.
+    #[inline]
+    fn scatter_masked(&mut self, j: u32, av: T, bv: T) {
+        let slot = j as usize;
+        if self.stamp[slot] == self.epoch {
+            self.vals[slot] = av.mul_add(bv, self.vals[slot]);
         }
     }
 }
@@ -240,23 +282,18 @@ impl<T: Scalar> HashAcc<T> {
     }
 
     /// Drains the occupied slots in ascending column order into
-    /// `(cols, vals)`, dropping exact zeros.
+    /// `(cols, vals)`, dropping exact zeros. The slot list is sorted in
+    /// place by key (a row's columns are unique, so the order is total).
     fn drain_sorted(&mut self, cols: &mut Vec<u32>, vals: &mut Vec<T>) {
-        let base = cols.len();
+        let keys = &self.keys;
+        self.slots.sort_unstable_by_key(|&s| keys[s as usize]);
         for &s in &self.slots {
             let v = self.vals[s as usize];
             if !v.is_zero() {
-                cols.push(self.keys[s as usize]);
+                cols.push(keys[s as usize]);
                 vals.push(v);
             }
         }
-        // Sort the freshly appended tail by column, carrying values along.
-        let mut order: Vec<u32> = (0..(cols.len() - base) as u32).collect();
-        order.sort_unstable_by_key(|&p| cols[base + p as usize]);
-        let tail_cols: Vec<u32> = order.iter().map(|&p| cols[base + p as usize]).collect();
-        let tail_vals: Vec<T> = order.iter().map(|&p| vals[base + p as usize]).collect();
-        cols[base..].copy_from_slice(&tail_cols);
-        vals[base..].clone_from_slice(&tail_vals);
     }
 }
 
@@ -280,12 +317,28 @@ impl<T> Default for RowChunk<T> {
     }
 }
 
+/// Calls `f(j, A[i,k], B[k,j])` for every product of output row `i`, in
+/// ascending `k`, then ascending `j` within `B[k,:]`.
+#[inline(always)]
+fn for_each_product<T: Scalar>(a: &Csr<T>, b: &Csr<T>, i: usize, mut f: impl FnMut(u32, T, T)) {
+    let (a_cols, a_vals) = a.row(i);
+    for (&k, &av) in a_cols.iter().zip(a_vals) {
+        let (b_cols, b_vals) = b.row(k as usize);
+        for (&j, &bv) in b_cols.iter().zip(b_vals) {
+            f(j, av, bv);
+        }
+    }
+}
+
 /// Runs the numeric pass over `rows`, invoking `emit(i, cols, vals)` per
 /// row in ascending row order — `cols` strictly increasing, exact zeros
-/// already dropped. The scratch accumulators live across the whole range.
+/// already dropped. With a `mask`, row `i` keeps only the columns of
+/// `mask` row `i` (see the [module docs](self)). The scratch accumulators
+/// live across the whole range.
 fn gustavson_rows<T: Scalar>(
     a: &Csr<T>,
     b: &Csr<T>,
+    mask: Option<&Csr<T>>,
     rows: Range<usize>,
     bounds: &[u64],
     mut emit: impl FnMut(usize, &[u32], &[T]),
@@ -298,27 +351,24 @@ fn gustavson_rows<T: Scalar>(
     for i in rows {
         cols.clear();
         vals.clear();
-        let (a_cols, a_vals) = a.row(i);
         let ub = bounds[i];
-        if ub > 0 {
+        if let Some(mask) = mask {
+            let (mask_cols, _) = mask.row(i);
+            if ub > 0 && !mask_cols.is_empty() {
+                let acc = dense.get_or_insert_with(|| DenseAcc::new(n));
+                acc.begin_masked_row(mask_cols);
+                for_each_product(a, b, i, |j, av, bv| acc.scatter_masked(j, av, bv));
+                acc.drain_cols(mask_cols, &mut cols, &mut vals);
+            }
+        } else if ub > 0 {
             if use_dense_accumulator(ub, n) {
                 let acc = dense.get_or_insert_with(|| DenseAcc::new(n));
                 acc.begin_row();
-                for (&k, &av) in a_cols.iter().zip(a_vals) {
-                    let (b_cols, b_vals) = b.row(k as usize);
-                    for (&j, &bv) in b_cols.iter().zip(b_vals) {
-                        acc.scatter(j, av, bv);
-                    }
-                }
+                for_each_product(a, b, i, |j, av, bv| acc.scatter(j, av, bv));
                 acc.drain_sorted(&mut cols, &mut vals);
             } else {
                 hash.begin_row(ub);
-                for (&k, &av) in a_cols.iter().zip(a_vals) {
-                    let (b_cols, b_vals) = b.row(k as usize);
-                    for (&j, &bv) in b_cols.iter().zip(b_vals) {
-                        hash.scatter(j, av, bv);
-                    }
-                }
+                for_each_product(a, b, i, |j, av, bv| hash.scatter(j, av, bv));
                 hash.drain_sorted(&mut cols, &mut vals);
             }
         }
@@ -330,11 +380,12 @@ fn gustavson_rows<T: Scalar>(
 fn spgemm_chunk<T: Scalar>(
     a: &Csr<T>,
     b: &Csr<T>,
+    mask: Option<&Csr<T>>,
     rows: Range<usize>,
     bounds: &[u64],
 ) -> RowChunk<T> {
     let mut chunk = RowChunk::default();
-    gustavson_rows(a, b, rows, bounds, |_, cols, vals| {
+    gustavson_rows(a, b, mask, rows, bounds, |_, cols, vals| {
         chunk.counts.push(cols.len() as u32);
         chunk.cols.extend_from_slice(cols);
         chunk.vals.extend_from_slice(vals);
@@ -354,19 +405,32 @@ fn assemble<T: Scalar>(rows: usize, cols: usize, chunks: Vec<RowChunk<T>>) -> Cs
     builder.finish()
 }
 
+/// Panics unless `mask` (when given) is `a.rows() × b.cols()`.
+fn assert_mask_shape<T: Scalar>(a: &Csr<T>, b: &Csr<T>, mask: Option<&Csr<T>>) {
+    if let Some(m) = mask {
+        assert_eq!(
+            (m.rows(), m.cols()),
+            (a.rows(), b.cols()),
+            "mask must be a.rows() x b.cols()"
+        );
+    }
+}
+
 /// Serial Gustavson SpGEMM: `C = A · B`, both CSR, emitted directly into
-/// CSR. Triplet-exact to the `Csr::spmm_inner` oracle (see the
+/// CSR — or, with a `mask`, `C` restricted to the mask's pattern.
+/// Triplet-exact to the `Csr::spmm_inner` oracle (see the
 /// [module docs](self)).
 ///
 /// # Panics
 ///
-/// Panics if `a.cols() != b.rows()`.
-pub fn spgemm<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
+/// Panics if `a.cols() != b.rows()` or `mask` is not `a.rows() × b.cols()`.
+pub fn spgemm<T: Scalar>(a: &Csr<T>, b: &Csr<T>, mask: Option<&Csr<T>>) -> Csr<T> {
+    assert_mask_shape(a, b, mask);
     let (bounds, _) = symbolic_bounds(a, b);
     assemble(
         a.rows(),
         b.cols(),
-        vec![spgemm_chunk(a, b, 0..a.rows(), &bounds)],
+        vec![spgemm_chunk(a, b, mask, 0..a.rows(), &bounds)],
     )
 }
 
@@ -377,8 +441,14 @@ pub fn spgemm<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
 ///
 /// # Panics
 ///
-/// Panics if `a.cols() != b.rows()`.
-pub fn par_spgemm<T: Scalar>(pool: &ThreadPool, a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
+/// Panics if `a.cols() != b.rows()` or `mask` is not `a.rows() × b.cols()`.
+pub fn par_spgemm<T: Scalar>(
+    pool: &ThreadPool,
+    a: &Csr<T>,
+    b: &Csr<T>,
+    mask: Option<&Csr<T>>,
+) -> Csr<T> {
+    assert_mask_shape(a, b, mask);
     let (bounds, _) = symbolic_bounds(a, b);
     let ranges = partition_by_weight(a.rows(), pool.threads(), |i| bounds[i]);
     let mut chunks: Vec<RowChunk<T>> = Vec::new();
@@ -386,7 +456,7 @@ pub fn par_spgemm<T: Scalar>(pool: &ThreadPool, a: &Csr<T>, b: &Csr<T>) -> Csr<T
     pool.scoped(|s| {
         for (range, slot) in ranges.iter().cloned().zip(chunks.iter_mut()) {
             let bounds = &bounds;
-            s.execute(move || *slot = spgemm_chunk(a, b, range, bounds));
+            s.execute(move || *slot = spgemm_chunk(a, b, mask, range, bounds));
         }
     });
     assemble(a.rows(), b.cols(), chunks)
@@ -407,7 +477,7 @@ fn spgemm_smash_part<T: Scalar>(
     let mut bits = Vec::new();
     let mut nza = Vec::new();
     let mut block = vec![T::ZERO; b0];
-    gustavson_rows(a, b, rows, bounds, |i, cols, vals| {
+    gustavson_rows(a, b, None, rows, bounds, |i, cols, vals| {
         let base = i * bpl;
         for_each_line_block(cols, vals, &mut block, |blk, block_vals| {
             bits.push(base + blk);
@@ -532,19 +602,38 @@ pub fn row_scratch_bytes<T: Scalar>(ub: u64, n: usize) -> u64 {
     }
 }
 
+/// Row `i`'s bound on stored entries and its accumulator scratch, for a
+/// row with symbolic bound `ub` writing into `n` output columns. A masked
+/// row stores at most `nnz(mask[i])` entries and runs the dense
+/// accumulator's value and stamp arrays, with no touched list.
+fn row_cost<T: Scalar>(ub: u64, n: usize, mask: Option<&Csr<T>>, i: usize) -> (u64, u64) {
+    match mask {
+        None => (ub, row_scratch_bytes::<T>(ub, n)),
+        Some(m) => {
+            let dense = (n as u64).saturating_mul(std::mem::size_of::<T>() as u64 + 4);
+            (ub.min(m.row_nnz(i) as u64), dense)
+        }
+    }
+}
+
 /// Upper bound on the **transient engine memory** of an unchunked
-/// [`spgemm`] run over these symbolic `bounds` into `n` output columns:
-/// the staged `(column, value)` stream plus the splice into the builder
-/// (each at most `Σ ub` entries), plus the widest row's accumulator
-/// scratch. This is the estimate the executor's
+/// [`spgemm`] run over these symbolic `bounds` into `n` output columns,
+/// under an optional `mask`: the staged `(column, value)` stream plus the
+/// splice into the builder (each at most `Σ ub` entries, or
+/// `Σ min(ub, nnz(mask[i]))` when masked), plus the widest row's
+/// accumulator scratch. This is the estimate the executor's
 /// [`MemoryBudget`](crate::MemoryBudget) is checked against.
-pub fn estimate_engine_bytes<T: Scalar>(bounds: &[u64], n: usize) -> u64 {
-    let total: u64 = bounds.iter().sum();
-    let max_row = bounds
-        .iter()
-        .map(|&ub| row_scratch_bytes::<T>(ub, n))
-        .max()
-        .unwrap_or(0);
+///
+/// # Panics
+///
+/// Panics if `mask` has fewer rows than `bounds` has entries.
+pub fn estimate_engine_bytes<T: Scalar>(bounds: &[u64], n: usize, mask: Option<&Csr<T>>) -> u64 {
+    let (mut total, mut max_row) = (0u64, 0u64);
+    for (i, &ub) in bounds.iter().enumerate() {
+        let (entries, scratch) = row_cost(ub, n, mask, i);
+        total = total.saturating_add(entries);
+        max_row = max_row.max(scratch);
+    }
     total
         .saturating_mul(entry_bytes::<T>())
         .saturating_mul(2)
@@ -565,14 +654,14 @@ pub struct ChunkedRun {
     pub budget_bytes: u64,
 }
 
-/// Row-chunked Gustavson SpGEMM: identical output to [`spgemm`], with the
-/// transient engine memory (per-chunk staging plus accumulator scratch)
-/// capped at `scratch_budget` bytes. Rows are processed in ascending
-/// order through the same per-row body as the unchunked engine
-/// (`gustavson_rows` via the chunk packager), and each chunk is spliced
-/// into the output builder before the next chunk's staging is allocated —
-/// so the result is **bit-identical** to [`spgemm`], only the peak
-/// scratch differs.
+/// Row-chunked Gustavson SpGEMM: identical output to [`spgemm`] (masked
+/// or not), with the transient engine memory (per-chunk staging plus
+/// accumulator scratch) capped at `scratch_budget` bytes. Rows are
+/// processed in ascending order through the same per-row body as the
+/// unchunked engine (`gustavson_rows` via the chunk packager), and each
+/// chunk is spliced into the output builder before the next chunk's
+/// staging is allocated — so the result is **bit-identical** to
+/// [`spgemm`], only the peak scratch differs.
 ///
 /// The exact-sized output CSR itself is exempt from the budget (it is the
 /// caller's requested result, not engine scratch); the budget caps what
@@ -586,15 +675,18 @@ pub struct ChunkedRun {
 ///
 /// # Panics
 ///
-/// Panics if `a.cols() != b.rows()` or `bounds.len() != a.rows()`
-/// (callers obtain `bounds` from [`symbolic_bounds`]).
+/// Panics if `a.cols() != b.rows()`, `mask` is not `a.rows() × b.cols()`,
+/// or `bounds.len() != a.rows()` (callers obtain `bounds` from
+/// [`symbolic_bounds`]).
 pub fn spgemm_chunked<T: Scalar>(
     a: &Csr<T>,
     b: &Csr<T>,
+    mask: Option<&Csr<T>>,
     bounds: &[u64],
     scratch_budget: u64,
 ) -> Result<(Csr<T>, ChunkedRun), SmashError> {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    assert_mask_shape(a, b, mask);
     assert_eq!(bounds.len(), a.rows(), "one symbolic bound per output row");
     let n = b.cols();
     let mut builder = CsrBuilder::new(n);
@@ -610,14 +702,14 @@ pub fn spgemm_chunked<T: Scalar>(
     let mut stage = 0u64;
     let mut acc = 0u64;
     let mut flush = |start: usize, end: usize, footprint: u64, run: &mut ChunkedRun| {
-        let chunk = spgemm_chunk(a, b, start..end, bounds);
+        let chunk = spgemm_chunk(a, b, mask, start..end, bounds);
         builder.push_row_chunk(&chunk.counts, &chunk.cols, &chunk.vals);
         run.chunks += 1;
         run.peak_scratch_bytes = run.peak_scratch_bytes.max(footprint);
     };
     for (i, &ub) in bounds.iter().enumerate() {
-        let row_stage = ub.saturating_mul(entry_bytes::<T>()) + 4;
-        let row_acc = row_scratch_bytes::<T>(ub, n);
+        let (entries, row_acc) = row_cost(ub, n, mask, i);
+        let row_stage = entries.saturating_mul(entry_bytes::<T>()) + 4;
         let row_min = row_stage.saturating_add(row_acc);
         if row_min > scratch_budget {
             return Err(SmashError::ResourceExhausted {
@@ -657,16 +749,16 @@ mod tests {
     fn serial_matches_inner_product_oracle_exactly() {
         let a = generators::power_law(96, 80, 1_500, 1.3, 3);
         let b = generators::clustered(80, 72, 1_200, 5, 4);
-        assert_eq!(spgemm(&a, &b).to_coo().entries(), oracle(&a, &b));
+        assert_eq!(spgemm(&a, &b, None).to_coo().entries(), oracle(&a, &b));
     }
 
     #[test]
     fn parallel_is_bit_identical_to_serial() {
         let a = generators::power_law(200, 200, 6_000, 1.4, 11);
-        let want = spgemm(&a, &a);
+        let want = spgemm(&a, &a, None);
         for threads in [1, 2, 3, 8] {
             let pool = ThreadPool::new(threads);
-            assert_eq!(par_spgemm(&pool, &a, &a), want, "threads={threads}");
+            assert_eq!(par_spgemm(&pool, &a, &a, None), want, "threads={threads}");
         }
     }
 
@@ -693,7 +785,7 @@ mod tests {
     fn smash_emission_matches_encode_of_csr_product() {
         let a = generators::clustered(64, 64, 900, 4, 9);
         let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
-        let c = spgemm(&a, &a);
+        let c = spgemm(&a, &a, None);
         let want = SmashMatrix::encode(&c, cfg.clone());
         assert_eq!(spgemm_smash(&a, &a, cfg.clone()), want);
         for threads in [2, 8] {
@@ -709,12 +801,12 @@ mod tests {
     #[test]
     fn chunked_run_is_bit_identical_and_respects_budget() {
         let a = generators::power_law(150, 150, 4_000, 1.3, 7);
-        let want = spgemm(&a, &a);
+        let want = spgemm(&a, &a, None);
         let (bounds, _) = symbolic_bounds(&a, &a);
 
         // A budget covering the whole unchunked estimate: one chunk.
-        let full = estimate_engine_bytes::<f64>(&bounds, a.cols());
-        let (c, run) = spgemm_chunked(&a, &a, &bounds, full).unwrap();
+        let full = estimate_engine_bytes::<f64>(&bounds, a.cols(), None);
+        let (c, run) = spgemm_chunked(&a, &a, None, &bounds, full).unwrap();
         assert_eq!(c, want, "roomy budget");
         assert_eq!(run.chunks, 1);
         assert!(run.peak_scratch_bytes <= run.budget_bytes);
@@ -726,7 +818,7 @@ mod tests {
             .map(|&ub| ub * entry_bytes::<f64>() + 4 + row_scratch_bytes::<f64>(ub, a.cols()))
             .max()
             .unwrap();
-        let (c, run) = spgemm_chunked(&a, &a, &bounds, tight).unwrap();
+        let (c, run) = spgemm_chunked(&a, &a, None, &bounds, tight).unwrap();
         assert_eq!(c, want, "tight budget");
         assert!(run.chunks > 1, "tight budget must force chunking");
         assert!(
@@ -741,7 +833,7 @@ mod tests {
     fn chunked_run_reports_exhaustion_when_one_row_cannot_fit() {
         let a = generators::uniform(32, 32, 300, 5);
         let (bounds, _) = symbolic_bounds(&a, &a);
-        let err = spgemm_chunked(&a, &a, &bounds, 1).expect_err("1 byte fits nothing");
+        let err = spgemm_chunked(&a, &a, None, &bounds, 1).expect_err("1 byte fits nothing");
         match err {
             SmashError::ResourceExhausted { needed, budget } => {
                 assert_eq!(budget, 1);
@@ -753,14 +845,86 @@ mod tests {
 
     #[test]
     fn engine_estimate_scales_with_work() {
-        let small = estimate_engine_bytes::<f64>(&[1, 2, 3], 64);
-        let big = estimate_engine_bytes::<f64>(&[100, 200, 300], 64);
+        let small = estimate_engine_bytes::<f64>(&[1, 2, 3], 64, None);
+        let big = estimate_engine_bytes::<f64>(&[100, 200, 300], 64, None);
         assert!(big > small);
         // f32 entries are smaller than f64 entries.
         assert!(
-            estimate_engine_bytes::<f32>(&[100], 64) < estimate_engine_bytes::<f64>(&[100], 64)
+            estimate_engine_bytes::<f32>(&[100], 64, None)
+                < estimate_engine_bytes::<f64>(&[100], 64, None)
         );
-        assert_eq!(estimate_engine_bytes::<f64>(&[], 64), 0);
+        assert_eq!(estimate_engine_bytes::<f64>(&[], 64, None), 0);
+    }
+
+    /// `(row, column, value bits)` of every entry of `c` whose position is
+    /// stored in `mask` (all of `c` without a mask).
+    fn entries_under(c: &Csr<f64>, mask: Option<&Csr<f64>>) -> Vec<(u32, u32, u64)> {
+        let mut out = Vec::new();
+        for i in 0..c.rows() {
+            let (cols, vals) = c.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                if mask.is_none_or(|m| m.row(i).0.binary_search(&j).is_ok()) {
+                    out.push((i as u32, j, v.to_bits()));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn masked_product_is_the_unmasked_product_restricted_to_the_mask() {
+        // 2000 output columns, above DENSE_ACCUM_MIN_COLS: the unmasked
+        // reference mixes hash rows and dense (power-law head) rows.
+        let a = generators::power_law(120, 90, 2_000, 1.3, 5);
+        let b = generators::uniform(90, 2_000, 1_500, 6);
+        let mask = generators::uniform(120, 2_000, 20_000, 7);
+        let (bounds, _) = symbolic_bounds(&a, &b);
+        assert!(bounds
+            .iter()
+            .any(|&ub| ub > 0 && !use_dense_accumulator(ub, b.cols())));
+        assert!(bounds.iter().any(|&ub| use_dense_accumulator(ub, b.cols())));
+
+        let full = spgemm(&a, &b, None);
+        let want = entries_under(&full, Some(&mask));
+        assert!(!want.is_empty() && want.len() < full.nnz());
+        let masked = spgemm(&a, &b, Some(&mask));
+        assert_eq!(entries_under(&masked, None), want, "serial");
+        for threads in [1, 2, 8] {
+            let pool = ThreadPool::new(threads);
+            let c = par_spgemm(&pool, &a, &b, Some(&mask));
+            assert_eq!(c, masked, "threads={threads}");
+        }
+
+        // Chunked at the tightest budget every masked row fits alone in.
+        let tight = (0..a.rows())
+            .map(|i| {
+                let (entries, scratch) = row_cost(bounds[i], b.cols(), Some(&mask), i);
+                entries * entry_bytes::<f64>() + 4 + scratch
+            })
+            .max()
+            .unwrap();
+        let (c, run) = spgemm_chunked(&a, &b, Some(&mask), &bounds, tight).unwrap();
+        assert_eq!(c, masked, "chunked");
+        assert!(run.chunks > 1 && run.peak_scratch_bytes <= tight);
+        assert!(estimate_engine_bytes::<f64>(&bounds, b.cols(), Some(&mask)) > tight);
+    }
+
+    #[test]
+    fn masked_estimate_is_bounded_by_the_mask() {
+        let a = generators::power_law(64, 64, 1_500, 1.3, 2);
+        let (bounds, total) = symbolic_bounds(&a, &a);
+        let empty = Csr::<f64>::from_coo(&Coo::new(64, 64));
+        // An empty mask stores nothing: only the dense scratch remains.
+        let dense = 64 * (8 + 4);
+        assert_eq!(estimate_engine_bytes(&bounds, 64, Some(&empty)), dense);
+        assert_eq!(spgemm(&a, &a, Some(&empty)).nnz(), 0);
+        // The mask `a` itself caps each row at nnz(a[i]).
+        let capped: u64 = (0..64).map(|i| bounds[i].min(a.row_nnz(i) as u64)).sum();
+        assert!(capped < total);
+        assert_eq!(
+            estimate_engine_bytes(&bounds, 64, Some(&a)),
+            capped * entry_bytes::<f64>() * 2 + dense
+        );
     }
 
     #[test]

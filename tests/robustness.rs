@@ -174,7 +174,7 @@ proptest! {
     fn degraded_spgemm_is_bit_identical_and_caps_peak_scratch(a in arb_matrix()) {
         let want = Executor::serial().spgemm(&a, &a);
         let (bounds, _) = symbolic_bounds(&a, &a);
-        let full = estimate_engine_bytes::<f64>(&bounds, a.cols());
+        let full = estimate_engine_bytes::<f64>(&bounds, a.cols(), None);
 
         // Squeeze the budget to a quarter of the full-engine estimate (but
         // never below 1 byte) so non-trivial matrices actually chunk.
