@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use smash_core::{SmashConfig, SmashMatrix};
 use smash_kernels::test_vector;
 use smash_matrix::{generators, Bcsr};
-use smash_parallel::{par_csr_to_smash, par_spmm_csr, par_spmv_rows, ThreadPool};
+use smash_parallel::{par_csr_to_smash, par_spmv_rows, ThreadPool};
 use std::time::Duration;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -52,23 +52,6 @@ fn bench_spmv(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_spmm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_spmm");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(100))
-        .measurement_time(Duration::from_millis(400));
-    let a = generators::uniform(256, 256, 4_000, 7);
-    let b = generators::uniform(256, 256, 4_000, 8).to_csc();
-    for threads in THREAD_COUNTS {
-        let pool = ThreadPool::new(threads);
-        group.bench_with_input(BenchmarkId::new("csr", threads), &a, |bch, a| {
-            bch.iter(|| par_spmm_csr(&pool, a, &b))
-        });
-    }
-    group.finish();
-}
-
 fn bench_compression(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_compression");
     group
@@ -87,5 +70,5 @@ fn bench_compression(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_spmv, bench_spmm, bench_compression);
+criterion_group!(benches, bench_spmv, bench_compression);
 criterion_main!(benches);

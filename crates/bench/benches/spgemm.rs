@@ -1,10 +1,10 @@
 //! Wall-clock sparse × sparse multiply: the Gustavson engine (serial and
-//! parallel, CSR and direct-to-SMASH emission) against the inner-product
-//! baselines, on the power-law A·A and A·Aᵀ workloads where output rows
-//! vary wildly in density.
+//! parallel, CSR output, and CSR output encoded to SMASH) against the
+//! inner-product baselines, on the power-law A·A and A·Aᵀ workloads where
+//! output rows vary wildly in density.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use smash_core::SmashConfig;
+use smash_core::{SmashConfig, SmashMatrix};
 use smash_kernels::{native, spgemm};
 use smash_matrix::generators;
 use smash_parallel::ThreadPool;
@@ -45,7 +45,12 @@ fn bench(c: &mut Criterion) {
             bch.iter(|| black_box(native::spmm_csr_opt(a, &a_csc)))
         });
         group.bench_with_input(BenchmarkId::new("aa/to_smash", label), &a, |bch, a| {
-            bch.iter(|| black_box(spgemm::spgemm_smash(a, a, cfg.clone())))
+            bch.iter(|| {
+                black_box(SmashMatrix::encode(
+                    &spgemm::spgemm(a, a, None),
+                    cfg.clone(),
+                ))
+            })
         });
         group.bench_with_input(BenchmarkId::new("aat/gustavson", label), &a, |bch, a| {
             bch.iter(|| black_box(spgemm::spgemm(a, &at, None)))

@@ -308,11 +308,10 @@ impl<T: Scalar> SmashMatrix<T> {
     /// each part holds one contiguous line range's `(bit, block)` stream,
     /// and concatenating the parts in order yields the whole matrix.
     ///
-    /// Both the parallel encoder (`smash_parallel::par_csr_to_smash`) and
-    /// the SpGEMM engine's direct-to-SMASH emission
-    /// (`smash_kernels::spgemm`) assemble through this single routine, so
-    /// a matrix built from parts is `==` to one built by
-    /// [`SmashMatrix::encode`] from the equivalent CSR.
+    /// The parallel encoder (`smash_parallel::par_csr_to_smash`)
+    /// assembles through this routine, so a matrix built from parts is
+    /// `==` to one built by [`SmashMatrix::encode`] from the equivalent
+    /// CSR.
     ///
     /// # Errors
     ///

@@ -60,11 +60,10 @@
 //! ```
 
 use crate::error::{panic_detail, SmashError};
-use crate::native;
 pub use crate::operand::SpmvOperand;
 use crate::planner::{Format, MatrixProfile, Op, Plan, PlanRequest, Planner};
-use smash_core::{DynamicMatrix, Layout, SmashConfig, SmashMatrix};
-use smash_matrix::{spmm_dense_rows, spmv_rows, Coo, Csc, Csr, Dense, Scalar};
+use smash_core::{DynamicMatrix, SmashConfig, SmashMatrix};
+use smash_matrix::{spmm_dense_rows, spmv_rows, Csr, Dense, Scalar};
 use smash_parallel::{
     default_threads, par_csr_to_smash, par_spmm_dense_rows, par_spmv_rows, threads_from_env,
     ThreadPool,
@@ -242,7 +241,7 @@ impl ExecReport {
 /// run an `f64` solve and an `f32` inference pass back to back.
 ///
 /// See the [module docs](self) for the dispatch rules and the determinism
-/// guarantee, and [`Executor::spmv`] / [`Executor::spmm`] for the entry
+/// guarantee, and [`Executor::spmv`] / [`Executor::spgemm`] for the entry
 /// points.
 #[derive(Debug)]
 pub struct Executor {
@@ -606,66 +605,6 @@ impl Executor {
     /// ```
     pub fn spgemm_masked<T: Scalar>(&self, a: &Csr<T>, b: &Csr<T>, mask: &Csr<T>) -> Csr<T> {
         trusted(self.spgemm_body(a, b, Some(mask), Validation::Trusted)).0
-    }
-
-    /// Sparse × sparse multiply emitted straight into the SMASH encoding
-    /// (compress-on-the-fly): `==` to compressing
-    /// [`Executor::spgemm`]'s result with `SmashMatrix::encode`, without
-    /// materializing the intermediate CSR. Serial/parallel dispatch as in
-    /// [`Executor::spgemm`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.cols() != b.rows()` or `config` is not row-major.
-    pub fn spgemm_smash<T: Scalar>(
-        &self,
-        a: &Csr<T>,
-        b: &Csr<T>,
-        config: SmashConfig,
-    ) -> SmashMatrix<T> {
-        let mut report = self.start_report(self.plan_spgemm(a, b));
-        trusted(self.run("spgemm_smash", &mut report, |pool| match pool {
-            Some(p) => crate::spgemm::par_spgemm_smash(p, a, b, config.clone()),
-            None => crate::spgemm::spgemm_smash(a, b, config.clone()),
-        }))
-    }
-
-    /// Inner-product sparse matrix-matrix multiply `C = A * B` with `B` in
-    /// CSC form, backed by the Gustavson engine ([`Executor::spgemm`])
-    /// since the two produce identical triplet lists — the engine's
-    /// ascending-`k` `mul_add` fold is exactly the inner-product merge's.
-    /// Serial or parallel per the executor's mode; identical output
-    /// either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.cols() != b.rows()`.
-    pub fn spmm<T: Scalar>(&self, a: &Csr<T>, b: &Csc<T>) -> Coo<T> {
-        self.spgemm(a, &b.to_csr()).to_coo()
-    }
-
-    /// Block-granular SMASH SpMM (`A` row-major × `B` column-major, both
-    /// 1-level), serial or row-parallel per the executor's mode. The
-    /// parallel variant runs the serial per-row merge body over disjoint
-    /// row ranges, so every mode returns the identical triplet list.
-    /// `Auto` plans it as a SMASH-format SpGEMM weighing both operands'
-    /// stored values; no calibration row covers it, so the threshold tier
-    /// decides.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands are not 1-level row-major/col-major with
-    /// matching block sizes, or dimensions disagree.
-    pub fn spmm_smash<T: Scalar>(&self, a: &SmashMatrix<T>, b: &SmashMatrix<T>) -> Coo<T> {
-        assert_eq!(a.config().layout(), Layout::RowMajor, "A must be row-major");
-        let req = self
-            .request(Op::Spgemm, Format::Smash)
-            .with_work((a.nza().len() + b.nza().len()) as u64);
-        let mut report = self.start_report(self.plan(req, || MatrixProfile::of_smash(a)));
-        trusted(self.run("spmm_smash", &mut report, |pool| match pool {
-            Some(p) => crate::spgemm::par_spmm_smash(p, a, b),
-            None => native::spmm_smash(a, b),
-        }))
     }
 
     /// Compresses a CSR matrix into the SMASH encoding, in parallel when
@@ -1037,7 +976,8 @@ impl Default for Executor {
 mod tests {
     use super::*;
     use crate::common::test_vector;
-    use smash_matrix::{generators, Bcsr};
+    use crate::native;
+    use smash_matrix::{generators, Bcsr, Coo};
 
     /// The message `f` panics with.
     fn panic_message(f: impl FnOnce()) -> String {
@@ -1116,7 +1056,8 @@ mod tests {
         let b = generators::uniform(80, 64, 4_000, 8).to_csc();
         let want = native::spmm_csr(&a, &b);
         for (mode, exec) in modes() {
-            assert_eq!(exec.spmm(&a, &b).entries(), want.entries(), "{mode}");
+            let got = exec.spgemm(&a, &b.to_csr()).to_coo();
+            assert_eq!(got.entries(), want.entries(), "{mode}");
         }
     }
 
@@ -1547,22 +1488,6 @@ mod tests {
                 smash_core::DynamicBase::Smash(got) => assert_eq!(*got, want, "{mode}"),
                 other => panic!("expected a SMASH base, got {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn smash_spmm_through_executor_matches_native() {
-        let a = generators::uniform(40, 48, 300, 3);
-        let b = generators::clustered(48, 36, 250, 4, 4);
-        let sa = SmashMatrix::encode(&a, SmashConfig::row_major(&[2]).unwrap());
-        let sb = SmashMatrix::encode(&b, SmashConfig::col_major(&[2]).unwrap());
-        let want = native::spmm_smash(&sa, &sb);
-        for (mode, exec) in modes() {
-            assert_eq!(
-                exec.spmm_smash(&sa, &sb).entries(),
-                want.entries(),
-                "{mode}"
-            );
         }
     }
 }

@@ -196,8 +196,7 @@ pub(crate) fn check_smash_spmm_operands<T: Scalar>(a: &SmashMatrix<T>, b: &Smash
 /// starts — O(nnz blocks + lines) auxiliary memory, never the O(dense) full
 /// Bitmap-0 expansion.
 ///
-/// Shared between the serial `spmm_smash` loop and the row-parallel variant
-/// in the SpGEMM engine so that both run the identical per-row arithmetic.
+/// The operand of the native `spmm_smash` baseline kernel.
 pub(crate) struct SmashMergeOperand<'a, T> {
     offs: Vec<u32>,
     starts: &'a [u32],
@@ -235,9 +234,7 @@ impl<'a, T: Scalar> SmashMergeOperand<'a, T> {
 /// structural hit whose accumulated dot is non-zero (the cancellation policy
 /// documented in the native-kernel module docs).
 ///
-/// This is the exact per-row body of `spmm_smash`; the parallel variant
-/// dispatches disjoint row ranges to it, so outputs are bit-identical to the
-/// serial kernel at any thread count.
+/// This is the per-row body of the native `spmm_smash` baseline kernel.
 pub(crate) fn spmm_smash_row<T: Scalar>(
     i: usize,
     a: &SmashMergeOperand<'_, T>,

@@ -1,5 +1,5 @@
 //! Native row-wise **Gustavson SpGEMM** engine: `C = A · B` with both
-//! operands in CSR, emitted straight into CSR (or SMASH) with exact
+//! operands in CSR, emitted straight into CSR with exact
 //! per-row allocation — no COO detour, no post-hoc sort of the whole
 //! output.
 //!
@@ -71,9 +71,7 @@
 //! ```
 
 use crate::error::SmashError;
-use crate::operand::{check_smash_spmm_operands, spmm_smash_row, SmashMergeOperand};
-use smash_core::{for_each_line_block, Layout, SmashConfig, SmashMatrix};
-use smash_matrix::{Coo, Csr, CsrBuilder, Scalar};
+use smash_matrix::{Csr, CsrBuilder, Scalar};
 use smash_parallel::{partition_by_weight, ThreadPool};
 use std::ops::Range;
 
@@ -462,122 +460,6 @@ pub fn par_spgemm<T: Scalar>(
     assemble(a.rows(), b.cols(), chunks)
 }
 
-/// Per-range SMASH emission: runs the numeric pass and folds each output
-/// row straight through the encoder's per-line block routine, producing
-/// the `(bit indices, padded block values)` part the shared assembly
-/// consumes.
-fn spgemm_smash_part<T: Scalar>(
-    a: &Csr<T>,
-    b: &Csr<T>,
-    rows: Range<usize>,
-    bounds: &[u64],
-    b0: usize,
-    bpl: usize,
-) -> (Vec<usize>, Vec<T>) {
-    let mut bits = Vec::new();
-    let mut nza = Vec::new();
-    let mut block = vec![T::ZERO; b0];
-    gustavson_rows(a, b, None, rows, bounds, |i, cols, vals| {
-        let base = i * bpl;
-        for_each_line_block(cols, vals, &mut block, |blk, block_vals| {
-            bits.push(base + blk);
-            nza.extend_from_slice(block_vals);
-        });
-    });
-    (bits, nza)
-}
-
-/// Gustavson SpGEMM emitting straight into the SMASH encoding
-/// (compress-on-the-fly): each output row is folded through the same
-/// per-line block routine the encoder uses, so the result is `==` to
-/// `SmashMatrix::encode(&spgemm(a, b), config)` without ever
-/// materializing the intermediate CSR.
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()` or `config` is not row-major.
-pub fn spgemm_smash<T: Scalar>(a: &Csr<T>, b: &Csr<T>, config: SmashConfig) -> SmashMatrix<T> {
-    assert_eq!(config.layout(), Layout::RowMajor, "emission is row-major");
-    let (bounds, _) = symbolic_bounds(a, b);
-    let b0 = config.block_size();
-    let bpl = b.cols().div_ceil(b0);
-    let part = spgemm_smash_part(a, b, 0..a.rows(), &bounds, b0, bpl);
-    SmashMatrix::from_bit_blocks(a.rows(), b.cols(), config, &[part])
-        .expect("Gustavson emission preserves the encoder's invariants")
-}
-
-/// Parallel [`spgemm_smash`]: workers encode disjoint row ranges, the
-/// shared assembly splices them in line order — `==` to the serial
-/// emission at every thread count.
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()` or `config` is not row-major.
-pub fn par_spgemm_smash<T: Scalar>(
-    pool: &ThreadPool,
-    a: &Csr<T>,
-    b: &Csr<T>,
-    config: SmashConfig,
-) -> SmashMatrix<T> {
-    assert_eq!(config.layout(), Layout::RowMajor, "emission is row-major");
-    let (bounds, _) = symbolic_bounds(a, b);
-    let b0 = config.block_size();
-    let bpl = b.cols().div_ceil(b0);
-    let ranges = partition_by_weight(a.rows(), pool.threads(), |i| bounds[i]);
-    let mut parts: Vec<(Vec<usize>, Vec<T>)> = vec![Default::default(); ranges.len()];
-    pool.scoped(|s| {
-        for (range, slot) in ranges.iter().cloned().zip(parts.iter_mut()) {
-            let bounds = &bounds;
-            s.execute(move || *slot = spgemm_smash_part(a, b, range, bounds, b0, bpl));
-        }
-    });
-    SmashMatrix::from_bit_blocks(a.rows(), b.cols(), config, &parts)
-        .expect("Gustavson emission preserves the encoder's invariants")
-}
-
-/// Row-parallel SMASH × SMASH SpMM, bit-identical to
-/// [`crate::native::spmm_smash`] at every thread count: each worker runs
-/// the serial per-row merge body over a disjoint row-line range (balanced
-/// by A's per-line block counts), and the triplets splice in row order.
-///
-/// # Panics
-///
-/// Panics if the operands are not 1-level row-major/col-major with
-/// matching block sizes, or dimensions disagree.
-pub fn par_spmm_smash<T: Scalar>(
-    pool: &ThreadPool,
-    a: &SmashMatrix<T>,
-    b: &SmashMatrix<T>,
-) -> Coo<T> {
-    check_smash_spmm_operands(a, b);
-    let a_op = SmashMergeOperand::new(a);
-    let b_op = SmashMergeOperand::new(b);
-    let starts = a.line_block_starts();
-    let ranges = partition_by_weight(a.rows(), pool.threads(), |i| {
-        (starts[i + 1] - starts[i]) as u64
-    });
-    let mut chunks: Vec<Vec<(u32, u32, T)>> = vec![Vec::new(); ranges.len()];
-    pool.scoped(|s| {
-        for (range, slot) in ranges.iter().cloned().zip(chunks.iter_mut()) {
-            let (a_op, b_op) = (&a_op, &b_op);
-            s.execute(move || {
-                let mut out = Vec::new();
-                for i in range {
-                    spmm_smash_row(i, a_op, b_op, |j, v| out.push((i as u32, j as u32, v)));
-                }
-                *slot = out;
-            });
-        }
-    });
-    let nnz = chunks.iter().map(Vec::len).sum();
-    let mut c = Coo::with_capacity(a.rows(), b.cols(), nnz);
-    for (i, j, v) in chunks.into_iter().flatten() {
-        c.push(i as usize, j as usize, v);
-    }
-    c.compress();
-    c
-}
-
 /// Bytes of one emitted `(column, value)` entry in the engine's staging
 /// and splice arrays: a `u32` column index plus one scalar.
 fn entry_bytes<T>() -> u64 {
@@ -738,8 +620,7 @@ pub fn spgemm_chunked<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native;
-    use smash_matrix::generators;
+    use smash_matrix::{generators, Coo};
 
     fn oracle(a: &Csr<f64>, b: &Csr<f64>) -> Vec<(u32, u32, f64)> {
         a.spmm_inner(&b.to_csc()).unwrap().entries().to_vec()
@@ -779,23 +660,6 @@ mod tests {
         let (cols, _) = a.row(7);
         let want: u64 = cols.iter().map(|&k| a.row_nnz(k as usize) as u64).sum();
         assert_eq!(bounds[7], want);
-    }
-
-    #[test]
-    fn smash_emission_matches_encode_of_csr_product() {
-        let a = generators::clustered(64, 64, 900, 4, 9);
-        let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
-        let c = spgemm(&a, &a, None);
-        let want = SmashMatrix::encode(&c, cfg.clone());
-        assert_eq!(spgemm_smash(&a, &a, cfg.clone()), want);
-        for threads in [2, 8] {
-            let pool = ThreadPool::new(threads);
-            assert_eq!(
-                par_spgemm_smash(&pool, &a, &a, cfg.clone()),
-                want,
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]
@@ -925,22 +789,5 @@ mod tests {
             estimate_engine_bytes(&bounds, 64, Some(&a)),
             capped * entry_bytes::<f64>() * 2 + dense
         );
-    }
-
-    #[test]
-    fn par_spmm_smash_matches_serial_kernel() {
-        let a = generators::uniform(56, 64, 700, 3);
-        let b = generators::clustered(64, 48, 500, 4, 4);
-        let sa = SmashMatrix::encode(&a, SmashConfig::row_major(&[2]).unwrap());
-        let sb = SmashMatrix::encode(&b, SmashConfig::col_major(&[2]).unwrap());
-        let want = native::spmm_smash(&sa, &sb);
-        for threads in [1, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            assert_eq!(
-                par_spmm_smash(&pool, &sa, &sb).entries(),
-                want.entries(),
-                "threads={threads}"
-            );
-        }
     }
 }

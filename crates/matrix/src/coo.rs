@@ -26,19 +26,34 @@ pub struct Coo<T> {
     compressed: bool,
 }
 
+/// Whether a dimension of `n` rows or columns has every index in `u32`
+/// range, the index width of every format.
+pub(crate) fn dim_fits_u32(n: usize) -> bool {
+    n.saturating_sub(1) <= u32::MAX as usize
+}
+
 impl<T: Scalar> Coo<T> {
     /// Creates an empty `rows x cols` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `cols` exceeds `u32::MAX + 1`: indices are
+    /// stored as `u32`.
     pub fn new(rows: usize, cols: usize) -> Self {
-        Coo {
-            rows,
-            cols,
-            entries: Vec::new(),
-            compressed: true,
-        }
+        Self::with_capacity(rows, cols, 0)
     }
 
     /// Creates an empty matrix with capacity for `cap` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `cols` exceeds `u32::MAX + 1`, as
+    /// [`Coo::new`] does.
     pub fn with_capacity(rows: usize, cols: usize, cap: usize) -> Self {
+        assert!(
+            dim_fits_u32(rows) && dim_fits_u32(cols),
+            "{rows}x{cols} matrix exceeds the u32 index range"
+        );
         Coo {
             rows,
             cols,
@@ -182,6 +197,12 @@ impl<T: Scalar> Extend<(usize, usize, T)> for Coo<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "exceeds the u32 index range")]
+    fn new_rejects_dimensions_beyond_u32_indices() {
+        let _ = Coo::<f64>::new(1 << 33, 1);
+    }
 
     #[test]
     fn push_ignores_zeros() {

@@ -497,9 +497,7 @@ impl<T: Scalar> Csr<T> {
 
     /// Computes one row of the inner-product SpMM against `b` (CSC),
     /// invoking `emit(col, dot)` for each surviving output entry in column
-    /// order. Both [`spmm_inner`](Csr::spmm_inner) and the parallel SpMM
-    /// (`smash_parallel::par_spmm_csr`) drive this single row routine —
-    /// sharing it is what keeps the two bit-identical.
+    /// order: the row body of [`spmm_inner`](Csr::spmm_inner).
     ///
     /// # Panics
     ///

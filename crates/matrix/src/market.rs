@@ -22,6 +22,7 @@
 //! round-trips to the same entry count with no fabricated values, instead
 //! of silently doubling as `real general`.
 
+use crate::coo::dim_fits_u32;
 use crate::{Coo, MatrixError, Result, Scalar};
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -123,8 +124,9 @@ pub fn read_coo<T: Scalar, R: Read>(reader: R) -> Result<Coo<T>> {
 ///
 /// # Errors
 ///
-/// Returns [`MatrixError::Parse`] for malformed content and
-/// [`MatrixError::Io`] for underlying reader failures.
+/// Returns [`MatrixError::Parse`] for malformed content (including a row
+/// or column count above `u32::MAX + 1`, which `u32` indices cannot
+/// address) and [`MatrixError::Io`] for underlying reader failures.
 pub fn read_coo_with<T: Scalar, R: Read>(reader: R) -> Result<(Coo<T>, MarketHeader)> {
     let mut lines = BufReader::new(reader).lines();
     let mut line_no = 0usize;
@@ -214,6 +216,12 @@ pub fn read_coo_with<T: Scalar, R: Read>(reader: R) -> Result<(Coo<T>, MarketHea
     let rows = parse_usize(dims[0], line_no)?;
     let cols = parse_usize(dims[1], line_no)?;
     let nnz = parse_usize(dims[2], line_no)?;
+    if !dim_fits_u32(rows) || !dim_fits_u32(cols) {
+        return Err(MatrixError::Parse {
+            line: line_no,
+            message: format!("{rows}x{cols} matrix exceeds the u32 index range"),
+        });
+    }
     // An impossible count is rejected before anything is allocated, and a
     // merely huge one is only *trusted* for pre-allocation up to a cap: a
     // 30-byte stream must not be able to reserve gigabytes by declaring
@@ -723,6 +731,24 @@ mod tests {
     fn rejects_wrong_count() {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
         assert!(read_coo::<f64, _>(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn rejects_dimensions_beyond_u32_indices() {
+        // Row 4294967297 has no `u32` index; narrowing it gives row 0.
+        let text =
+            "%%MatrixMarket matrix coordinate real general\n4294967297 1 1\n4294967297 1 5.0\n";
+        match read_coo::<f64, _>(text.as_bytes()) {
+            Err(MatrixError::Parse { line: 2, message }) => {
+                assert!(message.contains("u32 index range"), "{message}")
+            }
+            other => panic!("expected a parse error on line 2, got {other:?}"),
+        }
+        // The widest dimension whose indices all fit `u32` still loads.
+        let text =
+            "%%MatrixMarket matrix coordinate real general\n4294967296 1 1\n4294967296 1 5.0\n";
+        let coo = read_coo::<f64, _>(text.as_bytes()).unwrap();
+        assert_eq!(coo.entries(), &[(u32::MAX, 0, 5.0)]);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Every function here is **bit-identical** to its serial counterpart
 //! (`smash_matrix::spmv_rows` / `spmm_dense_rows` for the drivers,
-//! `Csr::spmm_inner` for the inner-product SpMM, `SmashMatrix::encode`
-//! for the compressor) at every thread count. Two properties make that
-//! hold:
+//! `SmashMatrix::encode` for the compressor) at every thread count. Two
+//! properties make that hold:
 //!
 //! 1. the matrix is split into *contiguous* line ranges (see
 //!    [`partition_by_weight`](crate::partition_by_weight)), balanced by
@@ -17,10 +16,10 @@
 //! The partition depends only on the matrix and the pool's thread count,
 //! never on scheduling, so repeated runs are deterministic too.
 
-use crate::partition::{partition_by_weight, partition_rows};
+use crate::partition::partition_by_weight;
 use crate::pool::ThreadPool;
 use smash_core::{for_each_line_block, Layout, SmashConfig, SmashMatrix};
-use smash_matrix::{Coo, Csc, Csr, Dense, RowRead, Scalar};
+use smash_matrix::{Csr, Dense, RowRead, Scalar};
 
 /// Parallel `y = A·x` over any [`RowRead`] operand — *the* parallel SpMV
 /// driver of the kernel stack, for every format.
@@ -102,47 +101,6 @@ pub fn par_spmm_dense_rows<T: Scalar, R: RowRead<T> + ?Sized>(
     });
 }
 
-/// Inner-product SpMM over one row range, driving the same
-/// [`Csr::spmm_inner_row`] routine as the serial `spmm_inner`.
-fn spmm_rows<T: Scalar>(
-    a: &Csr<T>,
-    b: &Csc<T>,
-    rows: std::ops::Range<usize>,
-) -> Vec<(u32, u32, T)> {
-    let mut out = Vec::new();
-    for i in rows {
-        a.spmm_inner_row(i, b, |j, acc| out.push((i as u32, j as u32, acc)));
-    }
-    out
-}
-
-/// Parallel inner-product SpMM (`C = A * B`, `B` in CSC form) over row
-/// ranges of `A`; bit-identical to
-/// [`spmm_csr`](../../smash_kernels/native/fn.spmm_csr.html) at any
-/// thread count: per-range triplet lists are concatenated in row order, so
-/// the resulting COO matches the serial construction entry for entry.
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()`.
-pub fn par_spmm_csr<T: Scalar>(pool: &ThreadPool, a: &Csr<T>, b: &Csc<T>) -> Coo<T> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let ranges = partition_rows(a.row_ptr(), pool.threads());
-    let mut chunks: Vec<Vec<(u32, u32, T)>> = vec![Vec::new(); ranges.len()];
-    pool.scoped(|s| {
-        for (range, slot) in ranges.iter().cloned().zip(chunks.iter_mut()) {
-            s.execute(move || *slot = spmm_rows(a, b, range));
-        }
-    });
-    let nnz = chunks.iter().map(Vec::len).sum();
-    let mut c = Coo::with_capacity(a.rows(), b.cols(), nnz);
-    for (i, j, v) in chunks.into_iter().flatten() {
-        c.push(i as usize, j as usize, v);
-    }
-    c.compress();
-    c
-}
-
 /// Parallel CSR → SMASH compression; the produced matrix is `==` to
 /// `SmashMatrix::encode(a, config)` (same bitmap hierarchy, same NZA
 /// block order and padding) at any thread count.
@@ -210,8 +168,7 @@ where
         }
     });
     // Bit order across the parts is line order, so one shared assembly
-    // routine (also used by the SpGEMM engine's direct-to-SMASH emission)
-    // builds the bitmap hierarchy and NZA.
+    // routine builds the bitmap hierarchy and NZA.
     SmashMatrix::from_bit_blocks(rows, cols, config, &parts)
         .expect("parallel encoder preserves all invariants")
 }
@@ -219,7 +176,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr};
+    use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Coo};
 
     fn test_vector(n: usize) -> Vec<f64> {
         (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect()
@@ -267,23 +224,6 @@ mod tests {
             let mut y = vec![-3.0; 90];
             par_spmv_rows(&pool, &sm, &x, &mut y);
             assert_eq!(y, want, "threads = {}", pool.threads());
-        }
-    }
-
-    #[test]
-    fn par_spmm_csr_matches_serial_spmm_inner() {
-        let a = generators::uniform(40, 50, 400, 7);
-        let b = generators::uniform(50, 30, 350, 8);
-        let bc = b.to_csc();
-        let want = a.spmm_inner(&bc).unwrap();
-        for pool in pools() {
-            let got = par_spmm_csr(&pool, &a, &bc);
-            assert_eq!(
-                got.entries(),
-                want.entries(),
-                "threads = {}",
-                pool.threads()
-            );
         }
     }
 
@@ -374,7 +314,5 @@ mod tests {
             sm,
             SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4]).unwrap())
         );
-        let c = par_spmm_csr(&pool, &a, &a.to_csc());
-        assert_eq!(c.nnz(), 0);
     }
 }

@@ -72,12 +72,12 @@ fn main() {
     let avg = hops.iter().sum::<usize>() as f64 / hops.len().max(1) as f64;
     println!("two-hop neighbourhoods: avg {avg:.1}, max {max}");
 
-    // The same product, emitted straight into the SMASH encoding.
+    // The same A², compressed into the SMASH encoding.
     let cfg = smash::encoding::SmashConfig::row_major(&[2, 4]).expect("valid ratios");
-    let sm = parallel.spgemm_smash(&adj, &adj, cfg);
+    let sm = parallel.encode(&paths, cfg);
     println!(
         "A² compressed: {} stored blocks, {:.2}x storage vs CSR",
         sm.num_blocks(),
-        parallel.spgemm(&adj, &adj).storage_bytes() as f64 / sm.storage_bytes() as f64,
+        paths.storage_bytes() as f64 / sm.storage_bytes() as f64,
     );
 }

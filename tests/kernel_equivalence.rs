@@ -199,10 +199,10 @@ fn executor_auto_is_bit_identical_to_explicit_kernels() {
         spmv_rows(&sm, &x, &mut want);
         assert!(got == want, "smash auto != serial");
 
-        let b = a.transpose().to_csc();
+        let bt = a.transpose();
         assert!(
-            exec.spmm(a, &b).entries() == native::spmm_csr(a, &b).entries(),
-            "spmm auto != serial"
+            exec.spgemm(a, &bt).to_coo().entries() == native::spmm_csr(a, &bt.to_csc()).entries(),
+            "spgemm auto != serial"
         );
         let cfg = SmashConfig::row_major(&[2, 4]).expect("valid");
         assert!(

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::kernels::native;
 use smash::matrix::{generators, spmv_rows, Bcsr, Coo, Csr};
-use smash::parallel::{par_csr_to_smash, par_spmm_csr, par_spmv_rows, ThreadPool};
+use smash::parallel::{par_csr_to_smash, par_spmv_rows, ThreadPool};
 use smash::Executor;
 
 /// The thread counts every equivalence assertion runs under.
@@ -46,7 +46,8 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
             (cfg.clone(), SmashMatrix::encode(a, cfg))
         })
         .collect();
-    let bc = a.transpose().to_csc(); // inner dims: a.cols() == bᵀ.rows()
+    let bt = a.transpose(); // inner dims: a.cols() == bᵀ.rows()
+    let bc = bt.to_csc();
 
     // Serial references, computed once.
     let mut want_csr = vec![0.0f64; a.rows()];
@@ -65,12 +66,19 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
 
     let pools = THREADS
         .iter()
-        .map(|&t| (ThreadPool::new(t), format!("{t}")))
+        .map(|&t| {
+            (
+                ThreadPool::new(t),
+                Executor::with_threads(t),
+                format!("{t}"),
+            )
+        })
         .chain(std::iter::once((
             ThreadPool::with_default_threads(),
+            Executor::parallel(),
             "SMASH_THREADS/default".to_string(),
         )));
-    for (pool, label) in pools {
+    for (pool, exec, label) in pools {
         par_spmv_rows(&pool, a, &x, &mut got);
         assert_eq!(got, want_csr, "csr spmv, threads = {label}");
 
@@ -85,11 +93,11 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
             assert_eq!(&got_sm, sm, "csr_to_smash {cfg:?}, threads = {label}");
         }
 
-        let got_spmm = par_spmm_csr(&pool, a, &bc);
+        let got_spmm = exec.spgemm(a, &bt).to_coo();
         assert_eq!(
             got_spmm.entries(),
             want_spmm.entries(),
-            "spmm_csr, threads = {label}"
+            "spgemm, threads = {label}"
         );
     }
 }
@@ -124,7 +132,8 @@ fn assert_f32_parallel_bit_identical(a64: &Csr<f64>) {
     let bcsr = Bcsr::from_csr(&a, 2, 2).expect("valid 2x2 blocking");
     let cfg = SmashConfig::row_major(&[2, 4]).expect("valid config");
     let sm = SmashMatrix::encode(&a, cfg.clone());
-    let bc = a.transpose().to_csc();
+    let bt = a.transpose();
+    let bc = bt.to_csc();
 
     // Serial references in f32, computed once.
     let mut want_csr = vec![0.0f32; a.rows()];
@@ -138,6 +147,7 @@ fn assert_f32_parallel_bit_identical(a64: &Csr<f64>) {
     let mut got = vec![f32::NAN; a.rows()];
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::new(threads);
+        let exec = Executor::with_threads(threads);
         par_spmv_rows(&pool, &a, &x, &mut got);
         assert_eq!(got, want_csr, "f32 csr spmv, threads = {threads}");
         par_spmv_rows(&pool, &bcsr, &x, &mut got);
@@ -145,9 +155,9 @@ fn assert_f32_parallel_bit_identical(a64: &Csr<f64>) {
         par_spmv_rows(&pool, &sm, &x, &mut got);
         assert_eq!(got, want_smash, "f32 smash spmv, threads = {threads}");
         assert_eq!(
-            par_spmm_csr(&pool, &a, &bc).entries(),
+            exec.spgemm(&a, &bt).to_coo().entries(),
             want_spmm.entries(),
-            "f32 spmm_csr, threads = {threads}"
+            "f32 spgemm, threads = {threads}"
         );
         assert_eq!(
             par_csr_to_smash(&pool, &a, cfg.clone()),

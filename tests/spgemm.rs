@@ -273,43 +273,6 @@ fn outer_product_of_vectors_is_exact() {
     }
 }
 
-#[test]
-fn smash_emission_is_equal_to_encoding_the_product() {
-    let a = smash::matrix::generators::power_law(96, 96, 2_500, 1.25, 17);
-    let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
-    let want = SmashMatrix::encode(&spgemm::spgemm(&a, &a, None), cfg.clone());
-    for (name, exec) in [
-        ("serial", Executor::serial()),
-        ("threads8", Executor::with_threads(8)),
-    ] {
-        assert_eq!(exec.spgemm_smash(&a, &a, cfg.clone()), want, "{name}");
-    }
-}
-
-#[test]
-fn executor_spmm_smash_parallel_mode_runs_and_matches() {
-    // Regression: Parallel/Auto used to silently fall back to the serial
-    // kernel; now they dispatch the row-parallel variant, which must stay
-    // triplet-identical.
-    let a = smash::matrix::generators::uniform(96, 80, 2_500, 3);
-    let b = smash::matrix::generators::clustered(80, 64, 2_000, 4, 4);
-    let sa = SmashMatrix::encode(&a, SmashConfig::row_major(&[2]).unwrap());
-    let sb = SmashMatrix::encode(&b, SmashConfig::col_major(&[2]).unwrap());
-    let want = native::spmm_smash(&sa, &sb);
-    for (name, exec) in [
-        ("parallel", Executor::parallel()),
-        ("threads2", Executor::with_threads(2)),
-        ("threads8", Executor::with_threads(8)),
-        ("auto", Executor::auto()),
-    ] {
-        assert_eq!(
-            exec.spmm_smash(&sa, &sb).entries(),
-            want.entries(),
-            "{name}"
-        );
-    }
-}
-
 /// The masks every masked case runs under, for an `r × c` product `full`:
 /// a random pattern, empty, full, the product's own pattern, and its
 /// complement (disjoint from the product).
