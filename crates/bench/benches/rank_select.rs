@@ -1,88 +1,14 @@
-//! Rank/select index microbenchmarks: O(1) indexed rank vs the O(n) word
-//! scan, and O(1) directory row seeks vs full Bitmap-0 expansion.
+//! Row-seek microbenchmark: an O(1) line-directory seek plus cursor walk
+//! against expanding the full Bitmap-0 first.
 //!
-//! These quantify the tentpole of the indexed-access refactor: the
-//! kernels' per-row addressing no longer pays O(logical bits) per call.
+//! This quantifies the indexed-access design: the kernels' per-row
+//! addressing does not pay O(logical bits) per call.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use smash_core::{Bitmap, RankIndex, SmashConfig, SmashMatrix};
+use smash_core::{SmashConfig, SmashMatrix};
 use smash_matrix::generators;
 use std::hint::black_box;
 use std::time::Duration;
-
-fn bitmap_with_density(bits: usize, every: usize) -> Bitmap {
-    let mut b = Bitmap::zeros(bits);
-    for i in (0..bits).step_by(every) {
-        b.set(i, true);
-    }
-    b
-}
-
-/// Indexed vs scanning rank at several probe positions of a 1 Mi-bit map.
-fn bench_rank(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rank");
-    group
-        .sample_size(30)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
-    let bits = 1 << 20;
-    let bm = bitmap_with_density(bits, 3);
-    let idx = RankIndex::build(&bm);
-    // Probe positions spread across the bitmap (the scan cost grows with
-    // the position; the indexed cost does not).
-    let probes: Vec<usize> = (1..=16).map(|i| i * (bits / 16) - 7).collect();
-    group.bench_with_input(BenchmarkId::new("indexed", bits), &probes, |b, probes| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for &p in probes {
-                acc += idx.rank(&bm, black_box(p));
-            }
-            acc
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("scan", bits), &probes, |b, probes| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for &p in probes {
-                acc += bm.rank(black_box(p));
-            }
-            acc
-        })
-    });
-    group.finish();
-}
-
-/// Select throughput over the same bitmap.
-fn bench_select(c: &mut Criterion) {
-    let mut group = c.benchmark_group("select");
-    group
-        .sample_size(30)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
-    let bm = bitmap_with_density(1 << 20, 5);
-    let idx = RankIndex::build(&bm);
-    let ones = idx.ones();
-    let ks: Vec<usize> = (1..=16).map(|i| i * (ones / 16) - 1).collect();
-    group.bench_with_input(BenchmarkId::new("indexed", ones), &ks, |b, ks| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for &k in ks {
-                acc += idx.select(&bm, black_box(k)).unwrap();
-            }
-            acc
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("iter_ones_nth", ones), &ks, |b, ks| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for &k in ks {
-                acc += bm.iter_ones().nth(black_box(k)).unwrap();
-            }
-            acc
-        })
-    });
-    group.finish();
-}
 
 /// Seeking one row of a compressed matrix: directory cursor vs expanding
 /// the whole logical Bitmap-0 first.
@@ -134,5 +60,5 @@ fn bench_row_seek(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_rank, bench_select, bench_row_seek);
+criterion_group!(benches, bench_row_seek);
 criterion_main!(benches);

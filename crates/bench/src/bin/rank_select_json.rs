@@ -1,19 +1,20 @@
-//! Machine-readable perf snapshot for the rank/select indexing layer.
+//! Machine-readable perf snapshot for the line-directory indexing layer.
 //!
 //! Writes `BENCH_rank_select.json` (path overridable as the first CLI
-//! argument) with wall-clock throughput and peak-auxiliary-memory
-//! numbers, so CI archives a perf trajectory future PRs can compare
-//! against. The process exits non-zero if the two headline claims of the
-//! indexed-access refactor do not hold on this host:
+//! argument) with row-seek, cursor-walk and kernel throughput numbers,
+//! so CI archives a perf trajectory future PRs can compare against. The
+//! process exits non-zero if either headline claim of the indexed-access
+//! design does not hold on this host:
 //!
-//! * indexed `RankIndex::rank` beats the O(n) `Bitmap::rank` word scan;
-//! * SMASH SpMM auxiliary memory (directory + per-line offsets) is
-//!   sublinear in the logical Bitmap-0 size;
+//! * an O(1) directory row seek beats expanding the full Bitmap-0;
 //! * a full `line_cursor` walk of a `[2,4]` blocky matrix costs less than
 //!   [`MAX_CURSOR_WALK_OVER_SCAN`] popcount passes over the same stored
 //!   bitmap words — a host-independent ratio for the streaming cursor.
+//!
+//! The host-independent auxiliary-memory bounds of the directory are
+//! deterministic and live in `tests/rank_select.rs`.
 
-use smash_core::{Bitmap, RankIndex, SmashConfig, SmashMatrix};
+use smash_core::{SmashConfig, SmashMatrix};
 use smash_kernels::native::spmm_smash;
 use smash_kernels::test_vector;
 use smash_matrix::{generators, locality};
@@ -46,28 +47,6 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_rank_select.json".into());
-
-    // --- Rank: indexed vs O(n) scan over a 4 Mi-bit map. -----------------
-    let bits = 1 << 22;
-    let mut bm = Bitmap::zeros(bits);
-    for i in (0..bits).step_by(3) {
-        bm.set(i, true);
-    }
-    let idx = RankIndex::build(&bm);
-    let probes: Vec<usize> = (1..=64).map(|i| i * (bits / 64) - 7).collect();
-    let indexed_rank_ns = time_ns(200, || probes.iter().map(|&p| idx.rank(&bm, p)).sum());
-    let scan_rank_ns = time_ns(3, || probes.iter().map(|&p| bm.rank(p)).sum());
-    let rank_speedup = scan_rank_ns / indexed_rank_ns;
-
-    // --- Select: indexed vs iterator scan. -------------------------------
-    let ones = idx.ones();
-    let ks: Vec<usize> = (1..=64).map(|i| i * (ones / 64) - 1).collect();
-    let indexed_select_ns = time_ns(200, || {
-        ks.iter().map(|&k| idx.select(&bm, k).unwrap()).sum()
-    });
-    let scan_select_ns = time_ns(3, || {
-        ks.iter().map(|&k| bm.iter_ones().nth(k).unwrap()).sum()
-    });
 
     // --- Row seek: directory cursor vs full expansion. -------------------
     let a = generators::clustered(4096, 4096, 120_000, 6, 17);
@@ -120,32 +99,15 @@ fn main() {
     });
     let cursor_walk_over_scan = cursor_walk_ns / bitmap_scan_ns;
 
-    // --- SpMM throughput + peak auxiliary memory. ------------------------
-    // Aux memory of the indexed path: both directories plus the flattened
-    // per-line offset arrays (O(nnz-blocks + bits / 512)); the seed path
-    // materialized both logical Bitmap-0s on top of the same offsets
-    // (O(logical bits)). Fixing nnz while growing the dense size shows
-    // the sublinear scaling directly.
-    let spmm_aux = |n: usize| -> (usize, usize, SmashMatrix<f64>, SmashMatrix<f64>) {
-        let sa = SmashMatrix::encode(
-            &generators::uniform(n, n, 10_000, 7),
-            SmashConfig::row_major(&[2]).expect("flat"),
-        );
-        let sb = SmashMatrix::encode(
-            &generators::uniform(n, n, 10_000, 8),
-            SmashConfig::col_major(&[2]).expect("flat"),
-        );
-        let logical_bits = sa.hierarchy().logical_bits(0) + sb.hierarchy().logical_bits(0);
-        let aux = sa.directory().aux_bytes()
-            + sb.directory().aux_bytes()
-            + (sa.num_blocks() + sb.num_blocks()) * std::mem::size_of::<u32>();
-        (logical_bits, aux, sa, sb)
-    };
-    let (logical_bits_small, aux_small, _, _) = spmm_aux(1024);
-    let (logical_bits, aux_indexed_bytes, sa, sb) = spmm_aux(4096);
-    let aux_expansion_bytes = logical_bits.div_ceil(8)
-        + (sa.num_blocks() + sb.num_blocks()) * std::mem::size_of::<u32>()
-        + (sa.line_count() + sb.line_count()) * std::mem::size_of::<Vec<u32>>();
+    // --- SpMM throughput. -----------------------------------------------
+    let sa = SmashMatrix::encode(
+        &generators::uniform(4096, 4096, 10_000, 7),
+        SmashConfig::row_major(&[2]).expect("flat"),
+    );
+    let sb = SmashMatrix::encode(
+        &generators::uniform(4096, 4096, 10_000, 8),
+        SmashConfig::col_major(&[2]).expect("flat"),
+    );
     let t = Instant::now();
     let c = spmm_smash(&sa, &sb);
     let spmm_ns = t.elapsed().as_nanos() as f64;
@@ -162,46 +124,18 @@ fn main() {
     let spmv_nnz_per_s = a.nnz() as f64 / (spmv_ns / 1e9);
 
     let json = format!(
-        "{{\n  \"bitmap_bits\": {bits},\n  \"indexed_rank_ns\": {indexed_rank_ns:.1},\n  \
-         \"scan_rank_ns\": {scan_rank_ns:.1},\n  \"rank_speedup\": {rank_speedup:.2},\n  \
-         \"indexed_select_ns\": {indexed_select_ns:.1},\n  \"scan_select_ns\": {scan_select_ns:.1},\n  \
-         \"row_seek_directory_ns\": {seek_directory_ns:.1},\n  \
+        "{{\n  \"row_seek_directory_ns\": {seek_directory_ns:.1},\n  \
          \"row_seek_expand_ns\": {seek_expand_ns:.1},\n  \
          \"cursor_walk_ns\": {cursor_walk_ns:.0},\n  \
          \"bitmap_scan_ns\": {bitmap_scan_ns:.0},\n  \
          \"cursor_walk_over_scan\": {cursor_walk_over_scan:.2},\n  \
          \"spmm_nnz_per_s\": {spmm_nnz_per_s:.0},\n  \
-         \"par_spmv_smash_nnz_per_s\": {spmv_nnz_per_s:.0},\n  \
-         \"spmm_logical_bitmap_bits\": {logical_bits},\n  \
-         \"spmm_aux_indexed_bytes\": {aux_indexed_bytes},\n  \
-         \"spmm_aux_expansion_bytes\": {aux_expansion_bytes},\n  \
-         \"spmm_logical_bitmap_bits_small\": {logical_bits_small},\n  \
-         \"spmm_aux_indexed_bytes_small\": {aux_small},\n  \
-         \"rank_index_aux_bytes\": {}\n}}\n",
-        idx.aux_bytes()
+         \"par_spmv_smash_nnz_per_s\": {spmv_nnz_per_s:.0}\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write snapshot");
     println!("{json}");
     println!("wrote {out_path}");
 
-    assert!(
-        rank_speedup > 1.0,
-        "indexed rank ({indexed_rank_ns:.0} ns) must beat the O(n) scan ({scan_rank_ns:.0} ns)"
-    );
-    assert!(
-        aux_indexed_bytes < logical_bits / 8,
-        "SpMM aux memory ({aux_indexed_bytes} B) must stay below the expanded \
-         logical bitmap alone ({} B)",
-        logical_bits / 8
-    );
-    // Sublinear scaling: 16x the dense area (same nnz) must grow aux
-    // memory far less than 16x.
-    let bits_growth = logical_bits as f64 / logical_bits_small as f64;
-    let aux_growth = aux_indexed_bytes as f64 / aux_small as f64;
-    assert!(
-        aux_growth < bits_growth / 2.0,
-        "aux grew {aux_growth:.1}x for a {bits_growth:.1}x larger logical bitmap"
-    );
     assert!(
         seek_directory_ns < seek_expand_ns,
         "directory row seek must beat full expansion"

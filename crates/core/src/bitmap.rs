@@ -189,10 +189,9 @@ impl Bitmap {
     /// Number of set bits in `[0, idx)` (rank), by scanning every word
     /// below `idx`.
     ///
-    /// This is the O(n) baseline; hot paths should build a
-    /// [`RankIndex`](crate::RankIndex) once and use its O(1)
-    /// [`rank`](crate::RankIndex::rank) instead. The scan is kept as the
-    /// property-test oracle for the indexed version.
+    /// O(n), and no kernel calls it: the line directory counts set bits
+    /// in one running pass at build time, and the line cursor walks rows
+    /// without ranking. The scan serves as a test oracle.
     ///
     /// # Panics
     ///

@@ -1,28 +1,27 @@
-//! O(1) random access into the compressed hierarchy: the software
-//! analogue of the BMU's per-matrix `bmapinfo` state.
+//! O(1) row seeks into the compressed hierarchy: the software analogue
+//! of the BMU's per-matrix `bmapinfo` state.
 //!
 //! Historically every kernel that needed per-line addressing expanded the
 //! *entire* logical Bitmap-0 (`BitmapHierarchy::expand_full`) — O(dense
 //! size) auxiliary memory and scan time per call. [`LineDirectory`]
-//! replaces that: built once per matrix, it maps each block-line to its
-//! starting NZA ordinal and to one position per level in the *stored*
-//! (compacted) bitmaps, backed by per-level [`RankIndex`]es. Any line of
-//! the compressed matrix is then reachable in O(1) without touching
-//! preceding rows.
+//! replaces that: built once per matrix in one streaming pass over the
+//! stored bitmaps, it maps each block-line to its starting NZA ordinal
+//! and to one position per level in the *stored* (compacted) bitmaps.
+//! Any line of the compressed matrix is then reachable in O(1) without
+//! touching preceding rows.
 //!
 //! [`LineCursor`] walks one line's non-zero blocks the way the BMU scans
 //! the hierarchy (paper §4.3–4.4): it pops set bits out of the stored
 //! level-0 words with count-trailing-zeros, and each time the scan enters
 //! a new stored group it advances the level above by one set bit, in step
 //! with level 0. A row walk costs amortized O(1) per stored group and
-//! issues no `select`; rank/select serve only the random seeks
-//! ([`LineDirectory::block_rank`], [`LineDirectory::block_select`]) and
-//! the one-off per-line seeds computed at build time.
+//! issues no rank and no select. The build keeps no rank index either:
+//! one running popcount per level serves every line in order.
 //!
-//! Auxiliary memory is O(lines · levels + stored-bits / 512) instead of
-//! O(logical bits): sublinear in the dense matrix size.
+//! Auxiliary memory is O(lines · levels) instead of O(logical bits):
+//! sublinear in the dense matrix size.
 
-use crate::{Bitmap, BitmapHierarchy, RankIndex, MAX_LEVELS};
+use crate::{Bitmap, BitmapHierarchy, MAX_LEVELS};
 
 /// Per-matrix directory for O(1) row seeks into the compressed form.
 ///
@@ -49,8 +48,8 @@ use crate::{Bitmap, BitmapHierarchy, RankIndex, MAX_LEVELS};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineDirectory {
-    /// One rank/select index per stored bitmap level.
-    level_ranks: Vec<RankIndex>,
+    /// Number of bitmap levels of the hierarchy.
+    levels: usize,
     /// Starting NZA block ordinal of each line (length `lines + 1`).
     starts: Vec<u32>,
     /// Per-line, per-level stored starts, `levels` entries per line
@@ -68,15 +67,52 @@ pub struct LineDirectory {
     bpl: usize,
 }
 
+/// Set bits of one stored level below a position, counted in one forward
+/// pass: positions must be queried in non-decreasing order, and each word
+/// is popcounted once over the whole pass.
+struct RunningRank<'a> {
+    words: &'a [u64],
+    /// Words fully counted so far.
+    wi: usize,
+    /// Set bits in `words[..wi]`.
+    before: usize,
+}
+
+impl RunningRank<'_> {
+    /// Set bits in `[0, p)`.
+    fn rank(&mut self, p: usize) -> usize {
+        debug_assert!(p >= self.wi * 64, "positions must not decrease");
+        let full = p / 64;
+        for &w in &self.words[self.wi..full] {
+            self.before += w.count_ones() as usize;
+        }
+        self.wi = full;
+        match p % 64 {
+            0 => self.before,
+            rem => self.before + (self.words[full] & ((1u64 << rem) - 1)).count_ones() as usize,
+        }
+    }
+}
+
+/// Converts an NZA block ordinal for the `u32` line starts, panicking
+/// instead of truncating past `u32::MAX` blocks.
+fn start_u32(ordinal: usize) -> u32 {
+    u32::try_from(ordinal)
+        .unwrap_or_else(|_| panic!("{ordinal} NZA blocks overflow the u32 per-line block starts"))
+}
+
 impl LineDirectory {
-    /// Builds the directory: per-level rank indexes plus one O(levels²)
-    /// seek per line. Total cost O(stored bits / 64 + lines · levels²).
+    /// Builds the directory in one streaming pass: a line's ancestor
+    /// position at every level never decreases as the line index grows
+    /// (an insertion point included), so each stored level is popcounted
+    /// once with a running count. Total cost O(stored bits / 64 + lines ·
+    /// levels).
     ///
     /// # Panics
     ///
     /// Panics if `lines * bpl` disagrees with the hierarchy's logical
-    /// level-0 length, or the hierarchy has more than [`MAX_LEVELS`]
-    /// levels.
+    /// level-0 length, the hierarchy has more than [`MAX_LEVELS`] levels,
+    /// or it holds more than `u32::MAX` blocks.
     pub fn build(h: &BitmapHierarchy, lines: usize, bpl: usize) -> LineDirectory {
         assert_eq!(
             lines * bpl,
@@ -85,42 +121,60 @@ impl LineDirectory {
         );
         let levels = h.num_levels();
         assert!(levels <= MAX_LEVELS, "at most {MAX_LEVELS} levels");
-        let level_ranks: Vec<RankIndex> = (0..levels)
-            .map(|l| RankIndex::build(h.stored_level(l)))
+        let top = levels - 1;
+        let mut ranks: Vec<RunningRank> = (0..levels)
+            .map(|l| RunningRank {
+                words: h.stored_level(l).words(),
+                wi: 0,
+                before: 0,
+            })
             .collect();
-        let mut dir = LineDirectory {
-            level_ranks,
-            starts: Vec::with_capacity(lines + 1),
-            stored_starts: Vec::with_capacity((lines + 1) * levels),
-            group_starts: Vec::with_capacity((lines + 1) * levels),
-            bpl,
-        };
-        let stored0 = h.stored_level(0);
+        let mut starts = Vec::with_capacity(lines + 1);
+        let mut stored_starts = vec![0u64; (lines + 1) * levels];
+        let mut group_starts = vec![0u64; (lines + 1) * levels];
         for line in 0..lines {
             // Logical index of the line's first bit, then of its ancestor
             // at each level up.
-            let mut j = line * bpl;
-            for l in 0..levels {
-                if l > 0 {
-                    j /= h.ratios()[l] as usize;
-                }
-                let (pos, present) = dir.locate(h, l, j);
-                let offset = match h.ratios().get(l + 1) {
-                    Some(&g) if present => j % g as usize,
-                    _ => 0,
-                };
-                dir.stored_starts.push(pos as u64);
-                dir.group_starts.push((pos - offset) as u64);
+            let mut logical = [0usize; MAX_LEVELS];
+            logical[0] = line * bpl;
+            for l in 1..levels {
+                logical[l] = logical[l - 1] / h.ratios()[l] as usize;
             }
-            let pos0 = dir.stored_starts[line * levels] as usize;
-            dir.starts
-                .push(dir.level_ranks[0].rank(stored0, pos0) as u32);
+            let at = line * levels;
+            // Top-down: the top is stored in full (logical == stored); a
+            // level's stored group is the rank of its parent's position
+            // among the set parent bits, present only if that parent bit
+            // is stored and set.
+            let (mut pos, mut present) = (logical[top], true);
+            stored_starts[at + top] = pos as u64;
+            group_starts[at + top] = pos as u64;
+            for l in (0..top).rev() {
+                let g = h.ratios()[l + 1] as usize;
+                present = present && h.stored_level(l + 1).get(pos);
+                let group = ranks[l + 1].rank(pos) * g;
+                pos = if present {
+                    group + logical[l] % g
+                } else {
+                    group
+                };
+                stored_starts[at + l] = pos as u64;
+                group_starts[at + l] = group as u64;
+            }
+            starts.push(start_u32(ranks[0].rank(pos)));
         }
-        let ends = (0..levels).map(|l| h.stored_level(l).len() as u64);
-        dir.stored_starts.extend(ends.clone());
-        dir.group_starts.extend(ends);
-        dir.starts.push(dir.level_ranks[0].ones() as u32);
-        dir
+        for l in 0..levels {
+            let end = h.stored_level(l).len();
+            stored_starts[lines * levels + l] = end as u64;
+            group_starts[lines * levels + l] = end as u64;
+        }
+        starts.push(start_u32(ranks[0].rank(h.stored_level(0).len())));
+        LineDirectory {
+            levels,
+            starts,
+            stored_starts,
+            group_starts,
+            bpl,
+        }
     }
 
     /// Number of lines covered.
@@ -172,7 +226,7 @@ impl LineDirectory {
     #[inline]
     pub fn cursor<'a>(&self, h: &'a BitmapHierarchy, line: usize) -> LineCursor<'a> {
         assert!(line < self.line_count(), "line {line} out of range");
-        let levels = self.level_ranks.len();
+        let levels = self.levels;
         assert_eq!(
             h.num_levels(),
             levels,
@@ -223,82 +277,11 @@ impl LineDirectory {
         }
     }
 
-    /// Number of non-zero blocks whose logical level-0 index is below
-    /// `logical` — rank into the *logical* Bitmap-0 in O(levels) without
-    /// expanding it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `logical > h.logical_bits(0)` or the hierarchy disagrees
-    /// with the directory.
-    pub fn block_rank(&self, h: &BitmapHierarchy, logical: usize) -> usize {
-        assert_eq!(h.num_levels(), self.level_ranks.len(), "hierarchy mismatch");
-        if logical >= h.logical_bits(0) {
-            assert_eq!(logical, h.logical_bits(0), "logical index out of range");
-            return self.level_ranks[0].ones();
-        }
-        let (pos, _) = self.locate(h, 0, logical);
-        self.level_ranks[0].rank(h.stored_level(0), pos)
-    }
-
-    /// Logical level-0 index of NZA block `ordinal` — select into the
-    /// *logical* Bitmap-0 in O(levels), or `None` past the last block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hierarchy disagrees with the directory.
-    pub fn block_select(&self, h: &BitmapHierarchy, ordinal: usize) -> Option<usize> {
-        assert_eq!(h.num_levels(), self.level_ranks.len(), "hierarchy mismatch");
-        let s = self.level_ranks[0].select(h.stored_level(0), ordinal)?;
-        Some(self.stored_to_logical(h, 0, s))
-    }
-
     /// Directory footprint in bytes — the peak auxiliary memory an
-    /// indexed kernel needs, O(lines · levels + stored-bits / 512).
+    /// indexed kernel needs, O(lines · levels).
     pub fn aux_bytes(&self) -> usize {
-        self.level_ranks
-            .iter()
-            .map(RankIndex::aux_bytes)
-            .sum::<usize>()
-            + self.starts.len() * std::mem::size_of::<u32>()
+        self.starts.len() * std::mem::size_of::<u32>()
             + (self.stored_starts.len() + self.group_starts.len()) * std::mem::size_of::<u64>()
-    }
-
-    /// Maps logical bit `j` of `level` to its position in the stored
-    /// (compacted) bitmap, returning `(position, present)`. When the
-    /// group holding `j` was compacted away, `position` is the insertion
-    /// point: every stored set bit below it has a smaller logical index.
-    fn locate(&self, h: &BitmapHierarchy, level: usize, j: usize) -> (usize, bool) {
-        let top = h.num_levels() - 1;
-        if level == top {
-            // The top level is stored in full: logical == stored.
-            return (j, true);
-        }
-        let g = h.ratios()[level + 1] as usize;
-        let (parent_pos, parent_exists) = self.locate(h, level + 1, j / g);
-        let parent_bitmap = h.stored_level(level + 1);
-        let present = parent_exists && parent_bitmap.get(parent_pos);
-        // Groups stored before this one = set parent bits before `j / g`.
-        let k = self.level_ranks[level + 1].rank(parent_bitmap, parent_pos);
-        if present {
-            (k * g + j % g, true)
-        } else {
-            (k * g, false)
-        }
-    }
-
-    /// Maps stored bit `s` of `level` back to its logical index, walking
-    /// the parent chain upward with one O(1) select per level.
-    fn stored_to_logical(&self, h: &BitmapHierarchy, level: usize, s: usize) -> usize {
-        let top = h.num_levels() - 1;
-        if level == top {
-            return s;
-        }
-        let g = h.ratios()[level + 1] as usize;
-        let parent_pos = self.level_ranks[level + 1]
-            .select(h.stored_level(level + 1), s / g)
-            .expect("stored group always has a set parent bit");
-        self.stored_to_logical(h, level + 1, parent_pos) * g + s % g
     }
 }
 
@@ -475,14 +458,7 @@ mod tests {
             assert_eq!(dir.blocks_in_line(line), want.len());
             expect_ord += want.len();
         }
-        // Logical rank/select agree with the expansion too.
-        for logical in 0..=h.logical_bits(0) {
-            assert_eq!(dir.block_rank(h, logical), full.rank(logical));
-        }
-        for (k, &l) in all.iter().enumerate() {
-            assert_eq!(dir.block_select(h, k), Some(l));
-        }
-        assert_eq!(dir.block_select(h, all.len()), None);
+        assert_eq!(dir.line_starts()[lines] as usize, all.len());
     }
 
     #[test]
@@ -538,6 +514,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967296 NZA blocks overflow")]
+    fn block_starts_past_u32_panic_instead_of_wrapping() {
+        start_u32(u32::MAX as usize + 1);
     }
 
     #[test]

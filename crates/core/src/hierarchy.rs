@@ -171,35 +171,17 @@ impl BitmapHierarchy {
     }
 
     /// Iterates over the logical level-0 indices of set bits, in increasing
-    /// order. The `n`-th yielded index owns NZA block `n`.
-    pub fn blocks(&self) -> Blocks<'_> {
-        let top = self.num_levels() - 1;
-        Blocks {
-            hierarchy: self,
-            consumed: vec![0; self.num_levels()],
-            stack: vec![Frame {
-                level: top,
-                logical_base: 0,
-                storage_base: 0,
-                pos: 0,
-                group_len: self.levels[top].len(),
-            }],
-        }
-    }
-
-    /// Calls `f(ordinal, logical_level0_index)` for every set level-0 bit in
-    /// order. Equivalent to `self.blocks().enumerate()` but avoids iterator
-    /// state, which keeps tight encode/decode loops fast.
-    pub fn for_each_block(&self, mut f: impl FnMut(usize, usize)) {
-        for (ordinal, logical) in self.blocks().enumerate() {
-            f(ordinal, logical);
-        }
+    /// order: the level-0 records of [`visits`](Self::visits). The `n`-th
+    /// yielded index owns NZA block `n`. Kept as the depth-first oracle the
+    /// tests check the line cursor against; the library walks blocks line
+    /// by line through [`LineCursor`](crate::LineCursor).
+    pub fn blocks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.visits().filter(|v| v.level == 0).map(|v| v.logical)
     }
 
     /// Iterates over *every* set bit the depth-first scan encounters, at
     /// every level, as [`Visit`] records carrying both the logical and the
-    /// storage position. Level-0 visits appear in the same order as
-    /// [`BitmapHierarchy::blocks`].
+    /// storage position, in depth-first order.
     ///
     /// This is the exact work a software scanner (paper §4.4) performs, so
     /// the instrumented software-only SMASH kernels replay it to charge
@@ -316,59 +298,6 @@ struct Frame {
     group_len: usize,
 }
 
-/// Depth-first iterator over set level-0 bits, produced by
-/// [`BitmapHierarchy::blocks`].
-///
-/// This mirrors the BMU scan of paper §4.2.3: "every time a set bit is
-/// encountered at any bitmap level, we save that bit's index within the
-/// bitmap and then traverse the lower-level bitmap associated with that set
-/// bit".
-#[derive(Debug, Clone)]
-pub struct Blocks<'a> {
-    hierarchy: &'a BitmapHierarchy,
-    /// Groups consumed so far per level (cursor into compacted storage).
-    consumed: Vec<usize>,
-    stack: Vec<Frame>,
-}
-
-impl Iterator for Blocks<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            let frame = self.stack.last_mut()?;
-            let bitmap = &self.hierarchy.levels[frame.level];
-            let from = frame.storage_base + frame.pos;
-            let limit = frame.storage_base + frame.group_len;
-            let found = bitmap.next_one(from).filter(|&i| i < limit);
-            match found {
-                None => {
-                    self.stack.pop();
-                }
-                Some(idx) => {
-                    let offset = idx - frame.storage_base;
-                    frame.pos = offset + 1;
-                    let logical = frame.logical_base + offset;
-                    if frame.level == 0 {
-                        return Some(logical);
-                    }
-                    let child = frame.level - 1;
-                    let g = self.hierarchy.ratios[frame.level - 1 + 1] as usize;
-                    let storage_base = self.consumed[child] * g;
-                    self.consumed[child] += 1;
-                    self.stack.push(Frame {
-                        level: child,
-                        logical_base: logical * g,
-                        storage_base,
-                        pos: 0,
-                        group_len: g,
-                    });
-                }
-            }
-        }
-    }
-}
-
 /// One set bit encountered during a depth-first scan, produced by
 /// [`BitmapHierarchy::visits`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -384,6 +313,11 @@ pub struct Visit {
 
 /// Iterator over every set bit the depth-first scan encounters (all
 /// levels), produced by [`BitmapHierarchy::visits`].
+///
+/// This mirrors the BMU scan of paper §4.2.3: "every time a set bit is
+/// encountered at any bitmap level, we save that bit's index within the
+/// bitmap and then traverse the lower-level bitmap associated with that set
+/// bit".
 #[derive(Debug, Clone)]
 pub struct Visits<'a> {
     hierarchy: &'a BitmapHierarchy,
@@ -622,14 +556,5 @@ mod tests {
         }
         // Empty input still yields the single clear top bit.
         assert_eq!(reduce_level(&Bitmap::zeros(0), 4).len(), 1);
-    }
-
-    #[test]
-    fn for_each_block_matches_iterator() {
-        let bm0 = bm(&[2, 3, 11], 16);
-        let h = BitmapHierarchy::from_level0(&bm0, &[2, 4]).unwrap();
-        let mut pairs = Vec::new();
-        h.for_each_block(|ord, idx| pairs.push((ord, idx)));
-        assert_eq!(pairs, vec![(0, 2), (1, 3), (2, 11)]);
     }
 }

@@ -13,10 +13,10 @@
 //!
 //! [`SmashMatrix`] ties both together with the matrix geometry and the
 //! [`SmashConfig`] (per-level ratios + row/column-major [`Layout`]), and
-//! carries a [`LineDirectory`] — per-level [`RankIndex`]es plus per-line
-//! cursors — so any row of the compressed form is reachable in O(1)
-//! without expanding the bitmaps (the software analogue of the paper's
-//! BMU indexing).
+//! carries a [`LineDirectory`] — per-line NZA starts and per-level stored
+//! positions — so a [`LineCursor`] reaches any row of the compressed form
+//! in O(1) and walks it without expanding the bitmaps or issuing a rank
+//! or select (the software analogue of the paper's BMU indexing).
 //!
 //! # Example
 //!
@@ -44,7 +44,6 @@ mod dynamic;
 mod error;
 mod hierarchy;
 mod nza;
-mod rank_select;
 mod smash_matrix;
 pub mod storage;
 
@@ -53,7 +52,6 @@ pub use config::{Layout, SmashConfig, MAX_LEVELS, MAX_RATIO};
 pub use directory::{LineCursor, LineDirectory};
 pub use dynamic::{merge_row, Delta, DeltaOverlay, DynamicBase, DynamicMatrix};
 pub use error::SmashError;
-pub use hierarchy::{BitmapHierarchy, Blocks, Visit, Visits};
+pub use hierarchy::{BitmapHierarchy, Visit, Visits};
 pub use nza::Nza;
-pub use rank_select::{RankIndex, SUPERBLOCK_BITS};
 pub use smash_matrix::{block_axpy_dense, block_dot, for_each_line_block, SmashMatrix};

@@ -367,20 +367,20 @@ impl<T: Scalar> SmashMatrix<T> {
         let b0 = self.config.block_size();
         let bpl = self.blocks_per_line();
         let line_len = self.line_len();
-        for (ordinal, logical) in self.hierarchy.blocks().enumerate() {
-            let line = logical / bpl;
-            let start = (logical % bpl) * b0;
-            let block = self.nza.block(ordinal);
-            for (e, &v) in block.iter().enumerate() {
-                let off = start + e;
-                if off >= line_len || v.is_zero() {
-                    continue;
+        for line in 0..self.line_count() {
+            for (ordinal, logical) in self.line_cursor(line) {
+                let start = (logical - line * bpl) * b0;
+                for (e, &v) in self.nza.block(ordinal).iter().enumerate() {
+                    let off = start + e;
+                    if off >= line_len || v.is_zero() {
+                        continue;
+                    }
+                    let (r, c) = match self.config.layout() {
+                        Layout::RowMajor => (line, off),
+                        Layout::ColMajor => (off, line),
+                    };
+                    coo.push(r, c, v);
                 }
-                let (r, c) = match self.config.layout() {
-                    Layout::RowMajor => (line, off),
-                    Layout::ColMajor => (off, line),
-                };
-                coo.push(r, c, v);
             }
         }
         Csr::from_coo(&coo)
@@ -468,13 +468,16 @@ impl<T: Scalar> SmashMatrix<T> {
     /// Iterates over `(row, col_of_block_start, block_values)` in storage
     /// order — what a software SpMV walks.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (usize, usize, &[T])> + '_ {
-        self.hierarchy
-            .blocks()
-            .enumerate()
-            .map(move |(ordinal, logical)| {
-                let (r, c) = self.block_row_col(logical);
-                (r, c, self.nza.block(ordinal))
-            })
+        self.cursor_blocks().map(move |(ordinal, logical)| {
+            let (r, c) = self.block_row_col(logical);
+            (r, c, self.nza.block(ordinal))
+        })
+    }
+
+    /// Every line's [`line_cursor`](Self::line_cursor) in line order: all
+    /// `(nza_ordinal, logical_bitmap0_index)` pairs, ordinal ascending.
+    fn cursor_blocks(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.line_count()).flat_map(move |line| self.line_cursor(line))
     }
 
     /// Reconstructs the full (uncompacted) Bitmap-0, whose bit `line *
@@ -490,10 +493,10 @@ impl<T: Scalar> SmashMatrix<T> {
     }
 
     /// The per-line directory: O(1) row seeks into the compressed form
-    /// (starting NZA ordinals, stored-bitmap cursors, logical
-    /// rank/select) — the software analogue of the BMU's `bmapinfo`
-    /// state. Built once at construction; O(lines + stored bits / 512)
-    /// memory.
+    /// (starting NZA ordinals and per-level stored positions that seed
+    /// each line's cursor) — the software analogue of the BMU's
+    /// `bmapinfo` state. Built once at construction in one streaming pass
+    /// over the stored bitmaps; O(lines · levels) memory.
     pub fn directory(&self) -> &LineDirectory {
         &self.directory
     }
@@ -597,8 +600,8 @@ impl<T: Scalar> SmashMatrix<T> {
         // Two-cursor block-level merge over the set Bitmap-0 bits.
         let mut bm0 = Bitmap::zeros(self.line_count() * self.blocks_per_line());
         let mut nza = Nza::new(b0);
-        let mut ia = self.hierarchy.blocks().enumerate().peekable();
-        let mut ib = other.hierarchy.blocks().enumerate().peekable();
+        let mut ia = self.cursor_blocks().peekable();
+        let mut ib = other.cursor_blocks().peekable();
         let mut sum = vec![T::ZERO; b0];
         loop {
             let (take_a, take_b) = match (ia.peek(), ib.peek()) {
@@ -831,12 +834,16 @@ mod tests {
 
     #[test]
     fn col_major_roundtrips() {
+        // Column lines of 37 elements leave ragged last groups under 2- to
+        // 4-level hierarchies.
         let a = generators::uniform(37, 53, 400, 9);
-        let sm = SmashMatrix::encode(&a, SmashConfig::col_major(&[2, 4]).unwrap());
-        sm.validate().unwrap();
-        assert_eq!(sm.decode(), a);
-        assert_eq!(sm.line_count(), 53);
-        assert_eq!(sm.line_len(), 37);
+        for ratios in [&[2u32, 4][..], &[2, 4, 16], &[8, 4, 2], &[2, 2, 3, 2]] {
+            let sm = SmashMatrix::encode(&a, SmashConfig::col_major(ratios).unwrap());
+            sm.validate().unwrap();
+            assert_eq!(sm.decode(), a, "ratios {ratios:?}");
+            assert_eq!(sm.line_count(), 53);
+            assert_eq!(sm.line_len(), 37);
+        }
     }
 
     #[test]
@@ -926,12 +933,15 @@ mod tests {
     fn add_matches_csr_add() {
         let a = generators::uniform(48, 56, 300, 41);
         let b = generators::clustered(48, 56, 280, 4, 42);
-        for ratios in [&[2u32][..], &[4, 4], &[2, 4, 16]] {
-            let sa = SmashMatrix::encode(&a, cfg(ratios));
-            let sb = SmashMatrix::encode(&b, cfg(ratios));
-            let sum = sa.add(&sb).unwrap();
-            sum.validate().unwrap();
-            assert_eq!(sum.decode(), a.add(&b).unwrap(), "ratios {ratios:?}");
+        for layout in [Layout::RowMajor, Layout::ColMajor] {
+            for ratios in [&[2u32][..], &[4, 4], &[2, 4, 16]] {
+                let config = SmashConfig::new(ratios, layout).unwrap();
+                let sa = SmashMatrix::encode(&a, config.clone());
+                let sb = SmashMatrix::encode(&b, config);
+                let sum = sa.add(&sb).unwrap();
+                sum.validate().unwrap();
+                assert_eq!(sum.decode(), a.add(&b).unwrap(), "{layout:?} {ratios:?}");
+            }
         }
     }
 

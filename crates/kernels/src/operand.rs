@@ -209,8 +209,10 @@ impl<'a, T: Scalar> SmashMergeOperand<'a, T> {
     pub(crate) fn new(sm: &'a SmashMatrix<T>) -> Self {
         let bpl = sm.blocks_per_line();
         let mut offs = vec![0u32; sm.num_blocks()];
-        for (ordinal, logical) in sm.hierarchy().blocks().enumerate() {
-            offs[ordinal] = (logical % bpl) as u32;
+        for line in 0..sm.line_count() {
+            for (ordinal, logical) in sm.line_cursor(line) {
+                offs[ordinal] = (logical - line * bpl) as u32;
+            }
         }
         let lines = sm.line_block_starts().len() - 1;
         Self {

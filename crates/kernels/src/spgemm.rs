@@ -27,7 +27,7 @@
 //!
 //! Both accumulators fold contributions in ascending-`k` order with
 //! [`Scalar::mul_add`], which is *exactly* the fold
-//! `Csr::spmm_inner_row` performs per `(i, j)` — so the engine's output
+//! `Csr::spmm_inner` performs per `(i, j)` — so the engine's output
 //! is `==` (triplet-exact, not approximately) to the inner-product
 //! oracle, and dense and hash rows are bit-identical to each other.
 //! The accumulator choice depends only on `(ub[i], b.cols())`, and the

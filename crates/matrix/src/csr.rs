@@ -489,46 +489,35 @@ impl<T: Scalar> Csr<T> {
         }
         let mut c = Coo::new(self.rows, b.cols());
         for i in 0..self.rows {
-            self.spmm_inner_row(i, b, |j, acc| c.push(i, j, acc));
+            let (a_cols, a_vals) = self.row(i);
+            if a_cols.is_empty() {
+                continue;
+            }
+            for j in 0..b.cols() {
+                let (b_rows, b_vals) = b.col(j);
+                // Index matching: advance two sorted cursors.
+                let (mut p, mut q) = (0usize, 0usize);
+                let mut acc = T::ZERO;
+                let mut hit = false;
+                while p < a_cols.len() && q < b_rows.len() {
+                    match a_cols[p].cmp(&b_rows[q]) {
+                        std::cmp::Ordering::Less => p += 1,
+                        std::cmp::Ordering::Greater => q += 1,
+                        std::cmp::Ordering::Equal => {
+                            acc = a_vals[p].mul_add(b_vals[q], acc);
+                            hit = true;
+                            p += 1;
+                            q += 1;
+                        }
+                    }
+                }
+                if hit && !acc.is_zero() {
+                    c.push(i, j, acc);
+                }
+            }
         }
         c.compress();
         Ok(c)
-    }
-
-    /// Computes one row of the inner-product SpMM against `b` (CSC),
-    /// invoking `emit(col, dot)` for each surviving output entry in column
-    /// order: the row body of [`spmm_inner`](Csr::spmm_inner).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub fn spmm_inner_row(&self, i: usize, b: &Csc<T>, mut emit: impl FnMut(usize, T)) {
-        let (a_cols, a_vals) = self.row(i);
-        if a_cols.is_empty() {
-            return;
-        }
-        for j in 0..b.cols() {
-            let (b_rows, b_vals) = b.col(j);
-            // Index matching: advance two sorted cursors.
-            let (mut p, mut q) = (0usize, 0usize);
-            let mut acc = T::ZERO;
-            let mut hit = false;
-            while p < a_cols.len() && q < b_rows.len() {
-                match a_cols[p].cmp(&b_rows[q]) {
-                    std::cmp::Ordering::Less => p += 1,
-                    std::cmp::Ordering::Greater => q += 1,
-                    std::cmp::Ordering::Equal => {
-                        acc = a_vals[p].mul_add(b_vals[q], acc);
-                        hit = true;
-                        p += 1;
-                        q += 1;
-                    }
-                }
-            }
-            if hit && !acc.is_zero() {
-                emit(j, acc);
-            }
-        }
     }
 
     /// Reference sparse matrix addition `C = A + B` (merge of sorted rows).

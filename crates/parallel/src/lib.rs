@@ -8,8 +8,8 @@
 //! * [`ThreadPool`] — a from-scratch scoped pool (std threads + channels)
 //!   with clean shutdown, panic propagation and a `SMASH_THREADS`
 //!   environment override ([`default_threads`]);
-//! * [`partition_by_weight`] / [`partition_rows`] — deterministic,
-//!   nnz-balanced contiguous range partitioning;
+//! * [`partition_by_weight`] — deterministic, weight-balanced
+//!   contiguous range partitioning;
 //! * [`par_spmv_rows`], [`par_spmm_dense_rows`] — the parallel SpMV and
 //!   dense-SpMM drivers over any `RowRead` operand (CSR, BCSR, SMASH,
 //!   dynamic) — plus the parallel encoder [`par_csr_to_smash`]: all
@@ -44,7 +44,7 @@ mod partition;
 mod pool;
 
 pub use kernels::{par_csr_to_smash, par_spmm_dense_rows, par_spmv_rows};
-pub use partition::{partition_by_weight, partition_rows};
+pub use partition::partition_by_weight;
 pub use pool::{
     default_threads, threads_from_env, Scope, ThreadPool, ThreadsEnvError, THREADS_ENV,
 };

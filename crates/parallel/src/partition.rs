@@ -56,13 +56,6 @@ pub fn partition_by_weight(
     ranges
 }
 
-/// Partitions CSR-style rows by their non-zero counts, as read from a
-/// `row_ptr` array of length `rows + 1`.
-pub fn partition_rows(row_ptr: &[u32], parts: usize) -> Vec<Range<usize>> {
-    let rows = row_ptr.len().saturating_sub(1);
-    partition_by_weight(rows, parts, |i| u64::from(row_ptr[i + 1] - row_ptr[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,16 +107,5 @@ mod tests {
         let a = partition_by_weight(500, 8, w);
         let b = partition_by_weight(500, 8, w);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn partition_rows_uses_nnz_weights() {
-        // row_ptr for rows with nnz [8, 0, 0, 0, 8]: the empty middle
-        // spreads between the two heavy ends.
-        let row_ptr = [0u32, 8, 8, 8, 8, 16];
-        let ranges = partition_rows(&row_ptr, 2);
-        assert_covers(&ranges, 5);
-        assert_eq!(ranges.len(), 2);
-        assert!(ranges[0].end >= 1 && ranges[0].end <= 4, "{ranges:?}");
     }
 }

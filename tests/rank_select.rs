@@ -1,11 +1,11 @@
-//! Property tests for the rank/select indexing layer: `RankIndex`
-//! against the O(n) scans, `LineDirectory`/`LineCursor` against the
-//! full-expansion oracle, and the directory-backed kernels against the
-//! seed kernels — **bit-identical** (`==`), at thread counts {1, 2, 8},
-//! across adversarial shapes.
+//! Property tests for the line-directory indexing layer:
+//! `LineDirectory`/`LineCursor` against the full-expansion oracle in both
+//! layouts, the directory's auxiliary-memory bounds, and the
+//! directory-backed kernels against the seed kernels — **bit-identical**
+//! (`==`), at thread counts {1, 2, 8}, across adversarial shapes.
 
 use proptest::prelude::*;
-use smash::encoding::{Bitmap, RankIndex, SmashConfig, SmashMatrix};
+use smash::encoding::{Layout, SmashConfig, SmashMatrix};
 use smash::kernels::native;
 use smash::matrix::{generators, spmv_rows, Coo, Csr};
 use smash::parallel::{par_spmv_rows, ThreadPool};
@@ -17,11 +17,6 @@ fn vector(n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| 0.5 + ((i * 37) % 11) as f64 * 0.375)
         .collect()
-}
-
-/// Arbitrary bitmap: length 0..1200, arbitrary contents.
-fn arb_bitmap() -> impl Strategy<Value = Bitmap> {
-    proptest::collection::vec(any::<bool>(), 0..1200).prop_map(|bits| Bitmap::from_bools(&bits))
 }
 
 /// Arbitrary sparse matrix with adversarial shapes: skinny, empty rows,
@@ -46,6 +41,27 @@ fn arb_matrix() -> impl Strategy<Value = Csr<f64>> {
 /// Arbitrary hierarchy configuration: 1-4 levels, small ratios.
 fn arb_ratios() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(2u32..9, 1..5)
+}
+
+/// Either block layout.
+fn arb_layout() -> impl Strategy<Value = Layout> {
+    any::<bool>().prop_map(|col| {
+        if col {
+            Layout::ColMajor
+        } else {
+            Layout::RowMajor
+        }
+    })
+}
+
+/// Encodes `a` with its rows as the lines in either layout: column-major
+/// encodes the transpose, so `a`'s shape properties hold per line.
+fn encode_lines(a: &Csr<f64>, ratios: &[u32], layout: Layout) -> SmashMatrix<f64> {
+    let config = SmashConfig::new(ratios, layout).unwrap();
+    match layout {
+        Layout::RowMajor => SmashMatrix::encode(a, config),
+        Layout::ColMajor => SmashMatrix::encode(&a.transpose(), config),
+    }
 }
 
 /// A configuration plus a matrix whose lines hold a number of level-0
@@ -74,8 +90,12 @@ fn arb_straddling() -> impl Strategy<Value = (Vec<u32>, Csr<f64>)> {
 }
 
 /// Every line's cursor output against the full-expansion oracle.
-fn assert_cursor_matches_expansion(a: &Csr<f64>, ratios: &[u32]) -> Result<(), TestCaseError> {
-    let sm = SmashMatrix::encode(a, SmashConfig::row_major(ratios).unwrap());
+fn assert_cursor_matches_expansion(
+    a: &Csr<f64>,
+    ratios: &[u32],
+    layout: Layout,
+) -> Result<(), TestCaseError> {
+    let sm = encode_lines(a, ratios, layout);
     let full = sm.full_bitmap0();
     let bpl = sm.blocks_per_line();
     let want: Vec<(usize, usize)> = full.iter_ones().enumerate().collect();
@@ -95,51 +115,32 @@ fn assert_cursor_matches_expansion(a: &Csr<f64>, ratios: &[u32]) -> Result<(), T
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Indexed rank must equal the O(n) word scan at every position.
-    #[test]
-    fn rank_index_matches_scan(bm in arb_bitmap(), frac in 0.0f64..1.0) {
-        let idx = RankIndex::build(&bm);
-        let pos = ((bm.len() as f64) * frac) as usize;
-        prop_assert_eq!(idx.rank(&bm, pos), bm.rank(pos));
-        prop_assert_eq!(idx.rank(&bm, bm.len()), bm.count_ones());
-        prop_assert_eq!(idx.ones(), bm.count_ones());
-    }
-
-    /// Indexed select must equal the naive iterator scan for every k,
-    /// and None past the population count.
-    #[test]
-    fn select_index_matches_scan(bm in arb_bitmap(), k in 0usize..1400) {
-        let idx = RankIndex::build(&bm);
-        prop_assert_eq!(idx.select(&bm, k), bm.iter_ones().nth(k));
-    }
-
     /// The line cursor must yield exactly the (ordinal, logical) pairs
     /// the full-expansion oracle produces, line by line — on arbitrary
-    /// shapes and on lines whose groups straddle line borders.
+    /// shapes and on lines whose groups straddle line borders, in either
+    /// layout.
     #[test]
     fn line_cursor_matches_full_expansion(
         a in arb_matrix(),
         ratios in arb_ratios(),
         straddling in arb_straddling(),
+        layout in arb_layout(),
     ) {
-        assert_cursor_matches_expansion(&a, &ratios)?;
-        assert_cursor_matches_expansion(&straddling.1, &straddling.0)?;
+        assert_cursor_matches_expansion(&a, &ratios, layout)?;
+        assert_cursor_matches_expansion(&straddling.1, &straddling.0, layout)?;
     }
 
-    /// Directory-backed per-line starts must equal the expansion oracle,
-    /// and logical rank/select must invert each other.
+    /// Directory-backed per-line starts must equal the expansion oracle
+    /// in either layout.
     #[test]
-    fn directory_starts_match_oracle(a in arb_matrix(), ratios in arb_ratios()) {
-        let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&ratios).unwrap());
+    fn directory_starts_match_oracle(
+        a in arb_matrix(),
+        ratios in arb_ratios(),
+        layout in arb_layout(),
+    ) {
+        let sm = encode_lines(&a, &ratios, layout);
         let full = sm.full_bitmap0();
         prop_assert_eq!(sm.line_block_starts(), &sm.line_block_starts_in(&full)[..]);
-        let dir = sm.directory();
-        let h = sm.hierarchy();
-        for (k, logical) in full.iter_ones().enumerate() {
-            prop_assert_eq!(dir.block_select(h, k), Some(logical));
-            prop_assert_eq!(dir.block_rank(h, logical), k);
-        }
-        prop_assert_eq!(dir.block_select(h, sm.num_blocks()), None);
     }
 
     /// The directory-backed parallel SpMV must be bit-identical to the
@@ -199,4 +200,43 @@ proptest! {
             }
         }
     }
+}
+
+/// Directory plus flattened per-line offsets of a row-major and a
+/// column-major flat SMASH SpMM operand pair (`n`², 10k non-zeros each):
+/// `(logical Bitmap-0 bits, auxiliary bytes)`.
+fn spmm_aux(n: usize) -> (usize, usize) {
+    let sa = SmashMatrix::encode(
+        &generators::uniform(n, n, 10_000, 7),
+        SmashConfig::row_major(&[2]).unwrap(),
+    );
+    let sb = SmashMatrix::encode(
+        &generators::uniform(n, n, 10_000, 8),
+        SmashConfig::col_major(&[2]).unwrap(),
+    );
+    let logical_bits = sa.hierarchy().logical_bits(0) + sb.hierarchy().logical_bits(0);
+    let aux = sa.directory().aux_bytes()
+        + sb.directory().aux_bytes()
+        + (sa.num_blocks() + sb.num_blocks()) * std::mem::size_of::<u32>();
+    (logical_bits, aux)
+}
+
+/// The SpMM operands' auxiliary memory stays below the expanded logical
+/// Bitmap-0 alone, and grows less than half as fast as the logical bits
+/// when the dense area grows 16× at a fixed non-zero count.
+#[test]
+fn spmm_aux_memory_is_sublinear() {
+    let (bits_small, aux_small) = spmm_aux(1024);
+    let (bits, aux) = spmm_aux(4096);
+    assert!(
+        aux < bits / 8,
+        "SpMM aux memory ({aux} B) must stay below the expanded logical bitmap alone ({} B)",
+        bits / 8
+    );
+    let bits_growth = bits as f64 / bits_small as f64;
+    let aux_growth = aux as f64 / aux_small as f64;
+    assert!(
+        aux_growth < bits_growth / 2.0,
+        "aux grew {aux_growth:.1}x for a {bits_growth:.1}x larger logical bitmap"
+    );
 }
