@@ -2,12 +2,13 @@
 //! it replaces.
 //!
 //! An update batch of `k` point mutations either goes into a
-//! `DynamicMatrix` overlay (k map inserts, reads merge on the fly) or
-//! forces a from-scratch CSR rebuild (O(nnz) triplet reconstruction).
-//! The overlay should win decisively while `k` is a small fraction of
-//! nnz — the regime the `dynamic_json` bin asserts; this bench records
-//! the curve, including the merged-read penalty the overlay pays on
-//! the following SpMV and the cost of compacting the overlay away.
+//! `DynamicMatrix` overlay (k map inserts; the next read merges the
+//! touched rows once into a frozen view) or forces a from-scratch CSR
+//! rebuild (O(nnz) triplet reconstruction). The overlay should win
+//! decisively while `k` is a small fraction of nnz — the regime the
+//! `dynamic_json` bin asserts; this bench records the curve, including
+//! the freeze and touched-row cost the overlay pays on the following
+//! SpMV and the cost of compacting the overlay away.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use smash_core::DynamicMatrix;

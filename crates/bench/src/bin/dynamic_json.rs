@@ -4,19 +4,19 @@
 //! argument): for several delta ratios it times absorbing an update
 //! batch through the `DynamicMatrix` overlay (apply + one merged SpMV)
 //! against absorbing it by a full from-scratch rebuild (merge + plain
-//! SpMV), and runs the incremental-PageRank workload warm vs. cold.
-//! The process exits non-zero if either headline claim fails on this
-//! host:
+//! SpMV), and reports the incremental-PageRank workload's warm and cold
+//! iteration counts. The process exits non-zero if the timing claim
+//! fails on this host:
 //!
 //! * **overlay wins small updates** — at every delta ratio ≤ 1% of
-//!   nnz, overlay apply + merged read is faster than the full rebuild;
-//! * **warm starts don't regress** — incremental PageRank resumed from
-//!   the previous ranks needs no more iterations than a cold solve,
-//!   while converging to the same fixed point.
+//!   nnz, overlay apply + merged read is faster than the full rebuild.
 //!
 //! It also re-verifies, on the benchmarked data, that the merged view
 //! is triplet-exact against the rebuild — the bit-identity contract
-//! the speedup must never trade away.
+//! the speedup must never trade away. The host-independent warm-start
+//! claim (no more iterations than a cold solve, same fixed point) is
+//! gated by `tests/dynamic.rs::warm_restart_needs_no_more_iterations_than_cold`
+//! on the same graph.
 
 use smash_core::DynamicMatrix;
 use smash_graph::{pagerank_power, uniform_ranks, Graph, IncrementalPageRank};
@@ -115,13 +115,8 @@ fn main() {
     }
 
     // Incremental PageRank: warm restart vs. cold solve after a batch
-    // of edge insertions. A road network, because every vertex has
-    // out-edges: with no dangling mass leak, both trajectories decay at
-    // the damping factor and the warm start's closer initial residual
-    // translates directly into fewer iterations. (On dangling-heavy
-    // graphs the cold-start error drains through the dangling columns
-    // faster than the recurrent-region perturbation a warm start
-    // carries, and the iteration comparison becomes meaningless.)
+    // of edge insertions, on the road network the warm-start test in
+    // `tests/dynamic.rs` gates.
     let g: Graph<f64> = smash_graph::generators::road_network(4096, 8192, 7);
     let tol = 1e-8;
     let mut pr = IncrementalPageRank::new(&g, 0.85, tol, 1000);
@@ -132,7 +127,6 @@ fn main() {
         let v = (i * 40503 + 13) % 4096;
         inserted += pr.add_edge(u, v) as usize;
     }
-    assert!(inserted > 0, "every probe edge collided with the graph");
     let warm = pr.solve();
     let cold_after = pagerank_power(
         &pr.snapshot().transition_matrix(),
@@ -141,18 +135,6 @@ fn main() {
         tol,
         1000,
     );
-    assert!(
-        warm.iterations <= cold_after.iterations,
-        "warm restart took {} iterations, cold solve {}",
-        warm.iterations,
-        cold_after.iterations
-    );
-    for (w, c) in warm.ranks.iter().zip(&cold_after.ranks) {
-        assert!(
-            (w - c).abs() < 20.0 * tol,
-            "warm and cold solves disagree: {w} vs {c}"
-        );
-    }
 
     let json = format!(
         "{{\n  \"workload\": \"dynamic-matrix updates and incremental PageRank\",\n  \

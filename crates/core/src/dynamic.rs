@@ -1,5 +1,5 @@
 //! Dynamic matrices: an immutable base tier plus a mutable delta overlay,
-//! merged on access and compacted explicitly.
+//! frozen into merged rows once per write batch and compacted explicitly.
 //!
 //! Every format in this workspace is immutable — good for kernels, bad
 //! for live graphs where edges arrive continuously. Following the tiered
@@ -7,17 +7,28 @@
 //! merging), [`DynamicMatrix`] presents one logical matrix as two tiers:
 //!
 //! * the **base**: a [`Csr`] or row-major [`SmashMatrix`], untouched;
-//! * the **overlay**: a [`DeltaOverlay`] absorbing point mutations —
-//!   `set` (insert/update), `add` (accumulate, SpAdd semantics) and
-//!   `delete`.
+//! * the **overlay**: a [`DeltaOverlay`] write log absorbing point
+//!   mutations — `set` (insert/update), `add` (accumulate, SpAdd
+//!   semantics) and `delete`.
 //!
-//! Kernels run through the [`RowRead`] operand layer: rows without
-//! overlay entries execute the base format's exact serial body, touched
-//! rows are merged on the fly with the same sorted two-cursor merge (and
-//! the same cancellation rule — a merged value that is exact `±0.0` is
-//! dropped, never stored) as the native `spadd` kernel. The result is
+//! Reads never consult the write log row by row. The first read after a
+//! write **freezes** the overlay: every touched row is merged once with
+//! [`merge_row`] — the same sorted two-cursor merge (and the same
+//! cancellation rule: a merged value that is exact `±0.0` is dropped,
+//! never stored) as the native `spadd` kernel — into a sorted list of
+//! touched rows plus their merged rows in CSR layout. Kernels run
+//! through the [`RowRead`] operand layer and walk that list in step with
+//! their row range: each run of untouched rows goes to the base format's
+//! own serial body in one call, and each touched row runs the rebuilt
+//! format's row body over its frozen merged row. The result is
 //! **bit-identical** to rebuilding the merged matrix from scratch and
 //! running the base format's kernel over it, at every thread count.
+//!
+//! Cost model: a write is one write-log insert and drops the frozen view;
+//! the next read pays one merge pass over the touched rows; every read
+//! until the next write costs what the base's body costs plus one row
+//! body per touched row. The frozen view holds the merged touched rows
+//! and nothing else.
 //!
 //! [`DynamicMatrix::compact`] absorbs the overlay into a fresh base via
 //! the same per-line encoder routine as a from-scratch build, so a
@@ -29,6 +40,7 @@ use crate::{block_axpy_dense, block_dot, for_each_line_block, Layout, SmashConfi
 use smash_matrix::{for_each_rhs_tile, Csr, CsrBuilder, Dense, RowRead, Scalar};
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// One overlay mutation for a single matrix cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,10 +232,105 @@ pub enum DynamicBase<T> {
     Smash(SmashMatrix<T>),
 }
 
+impl<T: Scalar> DynamicBase<T> {
+    /// Copies logical row `i` (decode semantics for a SMASH base:
+    /// explicit padding zeros are skipped).
+    fn row_into(&self, i: usize, cols: &mut Vec<u32>, vals: &mut Vec<T>) {
+        match self {
+            DynamicBase::Csr(a) => RowRead::row_into(a, i, cols, vals),
+            DynamicBase::Smash(a) => RowRead::row_into(a, i, cols, vals),
+        }
+    }
+}
+
+/// The overlay frozen into read form: the touched rows in increasing
+/// order and their merged rows in CSR layout, built once per write batch.
+#[derive(Debug, Clone)]
+struct FrozenRows<T> {
+    /// Touched row indices, strictly increasing.
+    rows: Vec<u32>,
+    /// `ptr[k]..ptr[k + 1]` spans the merged entries of row `rows[k]`.
+    ptr: Vec<usize>,
+    cols: Vec<u32>,
+    vals: Vec<T>,
+    /// Logical base entries in the touched rows: the entries the merged
+    /// rows replace.
+    base_entries: usize,
+}
+
+/// One step of a row range walked in step with the touched rows.
+enum Segment<'a, T> {
+    /// A run of untouched rows, served by the base's own body.
+    Base(Range<usize>),
+    /// One touched row and its merged entries.
+    Touched(usize, &'a [u32], &'a [T]),
+}
+
+impl<T: Scalar> FrozenRows<T> {
+    /// Merges every touched row of `overlay` against `base` — the only
+    /// place [`merge_row`] runs.
+    fn build(base: &DynamicBase<T>, overlay: &DeltaOverlay<T>) -> Self {
+        let touched = overlay.touched_rows();
+        let mut f = FrozenRows {
+            rows: Vec::with_capacity(touched),
+            ptr: Vec::with_capacity(touched + 1),
+            cols: Vec::new(),
+            vals: Vec::new(),
+            base_entries: 0,
+        };
+        f.ptr.push(0);
+        let (mut bc, mut bv) = (Vec::new(), Vec::new());
+        let (mut mc, mut mv) = (Vec::new(), Vec::new());
+        for (&r, delta) in &overlay.rows {
+            base.row_into(r as usize, &mut bc, &mut bv);
+            merge_row(&bc, &bv, delta, &mut mc, &mut mv);
+            f.rows.push(r);
+            f.cols.extend_from_slice(&mc);
+            f.vals.extend_from_slice(&mv);
+            f.ptr.push(f.cols.len());
+            f.base_entries += bc.len();
+        }
+        f
+    }
+
+    /// The merged entries of the `k`-th touched row.
+    fn row(&self, k: usize) -> (&[u32], &[T]) {
+        let span = self.ptr[k]..self.ptr[k + 1];
+        (&self.cols[span.clone()], &self.vals[span])
+    }
+
+    /// Walks rows `g` as alternating untouched runs and touched rows,
+    /// after one binary search for the first touched row of the range.
+    fn segments(&self, g: Range<usize>) -> impl Iterator<Item = Segment<'_, T>> + '_ {
+        let mut k = self.rows.partition_point(|&r| (r as usize) < g.start);
+        let (mut at, end) = (g.start, g.end);
+        std::iter::from_fn(move || {
+            if at >= end {
+                return None;
+            }
+            let next = self.rows.get(k).map_or(end, |&r| (r as usize).min(end));
+            if next > at {
+                let run = at..next;
+                at = next;
+                return Some(Segment::Base(run));
+            }
+            let (cols, vals) = self.row(k);
+            k += 1;
+            at += 1;
+            Some(Segment::Touched(next, cols, vals))
+        })
+    }
+}
+
 /// A logically mutable sparse matrix: immutable base tier + delta
-/// overlay, merged on access.
+/// overlay write log, read through merged rows frozen once per write
+/// batch.
 ///
-/// Kernels consume it through [`RowRead`], so the executor's
+/// Writes (`set`, `add`, `delete`) go to the overlay and drop the frozen
+/// view. The first read after a write merges each touched row once; reads
+/// until the next write walk the sorted touched rows in step with their
+/// row range, so untouched rows cost exactly what the base's own body
+/// costs. Kernels consume it through [`RowRead`], so the executor's
 /// `spmv`/`spmm_dense` (serial or parallel) run over it unchanged and
 /// produce results bit-identical to rebuilding the merged matrix from
 /// scratch in the base's format. See the module docs and
@@ -249,19 +356,35 @@ pub enum DynamicBase<T> {
 /// spmv_rows(&rebuilt, &x, &mut want);
 /// assert_eq!(y, want);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DynamicMatrix<T> {
     base: DynamicBase<T>,
     overlay: DeltaOverlay<T>,
+    /// The overlay's merged rows; built by the first read after a write
+    /// and dropped by every write, which takes `&mut self`.
+    frozen: OnceLock<FrozenRows<T>>,
+}
+
+/// Two matrices are equal when their base tiers and overlays are; the
+/// frozen view is derived from both.
+impl<T: Scalar> PartialEq for DynamicMatrix<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.base == other.base && self.overlay == other.overlay
+    }
 }
 
 impl<T: Scalar> DynamicMatrix<T> {
+    fn with_base(base: DynamicBase<T>) -> Self {
+        DynamicMatrix {
+            base,
+            overlay: DeltaOverlay::new(),
+            frozen: OnceLock::new(),
+        }
+    }
+
     /// Wraps a CSR base with an empty overlay.
     pub fn from_csr(base: Csr<T>) -> Self {
-        DynamicMatrix {
-            base: DynamicBase::Csr(base),
-            overlay: DeltaOverlay::new(),
-        }
+        DynamicMatrix::with_base(DynamicBase::Csr(base))
     }
 
     /// Wraps a row-major SMASH base with an empty overlay.
@@ -276,10 +399,7 @@ impl<T: Scalar> DynamicMatrix<T> {
             Layout::RowMajor,
             "dynamic SMASH base must be row-major"
         );
-        DynamicMatrix {
-            base: DynamicBase::Smash(base),
-            overlay: DeltaOverlay::new(),
-        }
+        DynamicMatrix::with_base(DynamicBase::Smash(base))
     }
 
     /// The immutable base tier.
@@ -317,6 +437,13 @@ impl<T: Scalar> DynamicMatrix<T> {
         );
     }
 
+    /// The frozen read view, merged on the first read after a write.
+    /// Workers racing on that first read share one build.
+    fn frozen(&self) -> &FrozenRows<T> {
+        self.frozen
+            .get_or_init(|| FrozenRows::build(&self.base, &self.overlay))
+    }
+
     /// Sets cell `(r, c)` to `v` (insert or update).
     ///
     /// # Panics
@@ -324,6 +451,7 @@ impl<T: Scalar> DynamicMatrix<T> {
     /// Panics if `(r, c)` is out of bounds.
     pub fn set(&mut self, r: usize, c: usize, v: T) {
         self.check_bounds(r, c);
+        self.frozen.take();
         self.overlay.set(r, c, v);
     }
 
@@ -334,6 +462,7 @@ impl<T: Scalar> DynamicMatrix<T> {
     /// Panics if `(r, c)` is out of bounds.
     pub fn add(&mut self, r: usize, c: usize, d: T) {
         self.check_bounds(r, c);
+        self.frozen.take();
         self.overlay.add(r, c, d);
     }
 
@@ -344,50 +473,41 @@ impl<T: Scalar> DynamicMatrix<T> {
     /// Panics if `(r, c)` is out of bounds.
     pub fn delete(&mut self, r: usize, c: usize) {
         self.check_bounds(r, c);
+        self.frozen.take();
         self.overlay.delete(r, c);
     }
 
-    /// Copies the base's logical row `i` (decode semantics for a SMASH
-    /// base: explicit padding zeros are skipped).
-    fn base_row_into(&self, i: usize, cols: &mut Vec<u32>, vals: &mut Vec<T>) {
-        match &self.base {
-            DynamicBase::Csr(a) => RowRead::row_into(a, i, cols, vals),
-            DynamicBase::Smash(a) => RowRead::row_into(a, i, cols, vals),
-        }
-    }
-
-    /// Exact logical non-zero count of the merged view, in O(base rows +
-    /// touched-row entries).
+    /// Exact logical non-zero count of the merged view: the base's count
+    /// with the touched rows' base entries swapped for their merged
+    /// entries. O(1) once the view is frozen; the first read after a write
+    /// pays the one merge pass over the touched rows.
     pub fn nnz(&self) -> usize {
         let base_nnz = match &self.base {
             DynamicBase::Csr(a) => a.nnz(),
             DynamicBase::Smash(a) => a.nnz(),
         };
-        let (mut bc, mut bv) = (Vec::new(), Vec::new());
-        let (mut mc, mut mv) = (Vec::new(), Vec::new());
-        let mut nnz = base_nnz;
-        for (&r, delta) in &self.overlay.rows {
-            self.base_row_into(r as usize, &mut bc, &mut bv);
-            merge_row(&bc, &bv, delta, &mut mc, &mut mv);
-            nnz = nnz - bc.len() + mc.len();
-        }
-        nnz
+        let f = self.frozen();
+        base_nnz - f.base_entries + f.cols.len()
     }
 
     /// Materializes the merged view as a plain CSR — exactly the matrix a
     /// from-scratch rebuild would produce from the merged triplets.
     pub fn merged_csr(&self) -> Csr<T> {
-        let (mut bc, mut bv) = (Vec::new(), Vec::new());
-        let (mut mc, mut mv) = (Vec::new(), Vec::new());
         let mut b = CsrBuilder::with_capacity(self.cols(), self.rows(), self.nnz());
-        for i in 0..self.rows() {
-            self.base_row_into(i, &mut bc, &mut bv);
-            match self.overlay.row(i) {
-                None => b.push_row(&bc, &bv),
-                Some(delta) => {
-                    merge_row(&bc, &bv, delta, &mut mc, &mut mv);
-                    b.push_row(&mc, &mv);
-                }
+        let (mut bc, mut bv) = (Vec::new(), Vec::new());
+        for seg in self.frozen().segments(0..self.rows()) {
+            match seg {
+                Segment::Base(run) => match &self.base {
+                    DynamicBase::Csr(a) => run.for_each(|i| {
+                        let (cols, vals) = a.row(i);
+                        b.push_row(cols, vals);
+                    }),
+                    DynamicBase::Smash(a) => run.for_each(|i| {
+                        RowRead::row_into(a, i, &mut bc, &mut bv);
+                        b.push_row(&bc, &bv);
+                    }),
+                },
+                Segment::Touched(_, cols, vals) => b.push_row(cols, vals),
             }
         }
         b.finish()
@@ -417,6 +537,7 @@ impl<T: Scalar> DynamicMatrix<T> {
             DynamicBase::Smash(a) => DynamicBase::Smash(encode(&merged, a.config().clone())),
         };
         self.overlay.clear();
+        self.frozen.take();
     }
 }
 
@@ -454,59 +575,59 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
     }
 
     fn row_into(&self, i: usize, cols: &mut Vec<u32>, vals: &mut Vec<T>) {
-        match self.overlay.row(i) {
-            None => self.base_row_into(i, cols, vals),
-            Some(delta) => {
-                let (mut bc, mut bv) = (Vec::new(), Vec::new());
-                self.base_row_into(i, &mut bc, &mut bv);
-                merge_row(&bc, &bv, delta, cols, vals);
+        let f = self.frozen();
+        match f.rows.binary_search(&(i as u32)) {
+            Ok(k) => {
+                let (rc, rv) = f.row(k);
+                cols.clear();
+                vals.clear();
+                cols.extend_from_slice(rc);
+                vals.extend_from_slice(rv);
             }
+            Err(_) => self.base.row_into(i, cols, vals),
         }
     }
 
     fn spmv_granules(&self, g: Range<usize>, x: &[T], y: &mut [T]) {
-        let (mut bc, mut bv) = (Vec::new(), Vec::new());
-        let (mut mc, mut mv) = (Vec::new(), Vec::new());
+        let lo = g.start;
+        let segments = self.frozen().segments(g);
         match &self.base {
             DynamicBase::Csr(a) => {
-                let lo = g.start;
-                for i in g {
-                    y[i - lo] = match self.overlay.row(i) {
-                        // Untouched rows run the exact CSR serial body.
-                        None => a.row_dot(i, x),
-                        Some(delta) => {
-                            let (rc, rv) = a.row(i);
-                            merge_row(rc, rv, delta, &mut mc, &mut mv);
-                            // The rebuilt matrix's row_dot over the merged
-                            // entries — the same SIMD body, bit for bit.
-                            T::simd_dot_indexed(&mc, &mv, x)
+                for seg in segments {
+                    match seg {
+                        // Untouched runs run the exact CSR serial body.
+                        Segment::Base(run) => {
+                            let out = &mut y[run.start - lo..run.end - lo];
+                            a.spmv_granules(run, x, out);
                         }
-                    };
+                        // The rebuilt matrix's row_dot over the merged
+                        // entries — the same SIMD body, bit for bit.
+                        Segment::Touched(i, mc, mv) => y[i - lo] = T::simd_dot_indexed(mc, mv, x),
+                    }
                 }
             }
             DynamicBase::Smash(a) => {
                 let b0 = a.config().block_size();
                 let cols = a.cols();
                 let mut scratch = vec![T::ZERO; b0];
-                y.fill(T::ZERO);
-                for row in g.clone() {
-                    match self.overlay.row(row) {
-                        // Untouched rows run the exact SMASH cursor body.
-                        None => {
-                            a.spmv_granules(row..row + 1, x, &mut y[row - g.start..=row - g.start])
+                for seg in segments {
+                    match seg {
+                        // Untouched runs run the exact SMASH cursor body.
+                        Segment::Base(run) => {
+                            let out = &mut y[run.start - lo..run.end - lo];
+                            a.spmv_granules(run, x, out);
                         }
-                        Some(delta) => {
-                            RowRead::row_into(a, row, &mut bc, &mut bv);
-                            merge_row(&bc, &bv, delta, &mut mc, &mut mv);
-                            // Re-blocked merged row: the same blocks (and
-                            // the same per-block dot) a re-encoded matrix
-                            // would store for this row.
-                            let yi = &mut y[row - g.start];
-                            for_each_line_block(&mc, &mv, &mut scratch, |blk, block| {
+                        // Re-blocked merged row: the same blocks (and the
+                        // same per-block dot) a re-encoded matrix would
+                        // store for this row.
+                        Segment::Touched(i, mc, mv) => {
+                            let mut acc = T::ZERO;
+                            for_each_line_block(mc, mv, &mut scratch, |blk, block| {
                                 let col = blk * b0;
                                 let n = b0.min(cols - col);
-                                *yi += block_dot(block, x, col, n);
+                                acc += block_dot(block, x, col, n);
                             });
+                            y[i - lo] = acc;
                         }
                     }
                 }
@@ -516,22 +637,22 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
 
     fn spmm_dense_granules(&self, g: Range<usize>, b: &Dense<T>, c: &mut [T]) {
         let n = b.cols();
-        let (mut bc, mut bv) = (Vec::new(), Vec::new());
-        let (mut mc, mut mv) = (Vec::new(), Vec::new());
+        let lo = g.start;
+        let segments = self.frozen().segments(g);
         match &self.base {
             DynamicBase::Csr(a) => {
-                let lo = g.start;
-                for i in g {
-                    let out = &mut c[(i - lo) * n..(i - lo + 1) * n];
-                    match self.overlay.row(i) {
-                        None => a.row_spmm_dense(i, b, out),
-                        Some(delta) => {
-                            let (rc, rv) = a.row(i);
-                            merge_row(rc, rv, delta, &mut mc, &mut mv);
-                            // The rebuilt matrix's tiled row body over the
-                            // merged entries.
+                for seg in segments {
+                    match seg {
+                        Segment::Base(run) => {
+                            let out = &mut c[(run.start - lo) * n..(run.end - lo) * n];
+                            a.spmm_dense_granules(run, b, out);
+                        }
+                        // The rebuilt matrix's tiled row body over the
+                        // merged entries.
+                        Segment::Touched(i, mc, mv) => {
+                            let out = &mut c[(i - lo) * n..(i - lo + 1) * n];
                             for_each_rhs_tile(n, |j0, w| {
-                                T::simd_row_tile(&mc, &mv, b.as_slice(), n, j0, w, out);
+                                T::simd_row_tile(mc, mv, b.as_slice(), n, j0, w, out);
                             });
                         }
                     }
@@ -541,15 +662,16 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
                 let b0 = a.config().block_size();
                 let cols = a.cols();
                 let mut scratch = vec![T::ZERO; b0];
-                c.fill(T::ZERO);
-                for row in g.clone() {
-                    let out = &mut c[(row - g.start) * n..(row - g.start + 1) * n];
-                    match self.overlay.row(row) {
-                        None => a.spmm_dense_granules(row..row + 1, b, out),
-                        Some(delta) => {
-                            RowRead::row_into(a, row, &mut bc, &mut bv);
-                            merge_row(&bc, &bv, delta, &mut mc, &mut mv);
-                            for_each_line_block(&mc, &mv, &mut scratch, |blk, block| {
+                for seg in segments {
+                    match seg {
+                        Segment::Base(run) => {
+                            let out = &mut c[(run.start - lo) * n..(run.end - lo) * n];
+                            a.spmm_dense_granules(run, b, out);
+                        }
+                        Segment::Touched(i, mc, mv) => {
+                            let out = &mut c[(i - lo) * n..(i - lo + 1) * n];
+                            out.fill(T::ZERO);
+                            for_each_line_block(mc, mv, &mut scratch, |blk, block| {
                                 let col = blk * b0;
                                 let nb = b0.min(cols - col);
                                 block_axpy_dense(block, b, col, nb, out);

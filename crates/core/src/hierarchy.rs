@@ -510,18 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn level0_visits_match_blocks() {
-        let bits: Vec<usize> = (0..300).filter(|i| i % 17 == 0).collect();
-        let h = BitmapHierarchy::from_level0(&bm(&bits, 300), &[2, 4, 4]).unwrap();
-        let from_visits: Vec<usize> = h
-            .visits()
-            .filter(|v| v.level == 0)
-            .map(|v| v.logical)
-            .collect();
-        assert_eq!(from_visits, h.blocks().collect::<Vec<_>>());
-    }
-
-    #[test]
     fn visit_storage_positions_are_monotone_per_level() {
         let bits: Vec<usize> = (0..500).filter(|i| i % 7 == 3).collect();
         let h = BitmapHierarchy::from_level0(&bm(&bits, 500), &[2, 8, 4]).unwrap();

@@ -11,11 +11,11 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
-use smash::graph::{pagerank_power, uniform_ranks, Graph, IncrementalPageRank};
+use smash::graph::{generators, pagerank_power, uniform_ranks, Graph, IncrementalPageRank};
 use smash::kernels::native;
-use smash::matrix::{spmm_dense_rows, spmv_rows, Coo, Csr, CsrBuilder, Dense};
+use smash::matrix::{spmm_dense_rows, spmv_rows, Coo, Csr, CsrBuilder, Dense, RowRead};
 use smash::parallel::{par_spmm_dense_rows, par_spmv_rows, ThreadPool};
-use smash::{Delta, DynamicMatrix, Executor};
+use smash::{Delta, DynamicBase, DynamicMatrix, Executor};
 
 /// One overlay mutation, drawn by proptest.
 #[derive(Debug, Clone, Copy)]
@@ -57,6 +57,24 @@ fn arb_case() -> impl Strategy<Value = (Csr<f64>, Vec<Mutation>)> {
 /// Applies the script to both the dynamic matrix and a map-based model,
 /// returning the model rebuilt as a CSR — the from-scratch oracle.
 fn apply(dm: &mut DynamicMatrix<f64>, base: &Csr<f64>, muts: &[Mutation]) -> Csr<f64> {
+    write(dm, muts);
+    model(base, muts)
+}
+
+/// Applies the script to the dynamic matrix only.
+fn write(dm: &mut DynamicMatrix<f64>, muts: &[Mutation]) {
+    for &m in muts {
+        match m {
+            Mutation::Set(i, j, v) => dm.set(i, j, v),
+            Mutation::Add(i, j, d) => dm.add(i, j, d),
+            Mutation::Delete(i, j) => dm.delete(i, j),
+        }
+    }
+}
+
+/// The base with the script applied to a map-based model, rebuilt as a
+/// CSR — the from-scratch oracle.
+fn model(base: &Csr<f64>, muts: &[Mutation]) -> Csr<f64> {
     let mut model: BTreeMap<(usize, usize), f64> = BTreeMap::new();
     for i in 0..base.rows() {
         let (cols, vals) = base.row(i);
@@ -69,7 +87,6 @@ fn apply(dm: &mut DynamicMatrix<f64>, base: &Csr<f64>, muts: &[Mutation]) -> Csr
     for &m in muts {
         match m {
             Mutation::Set(i, j, v) => {
-                dm.set(i, j, v);
                 if v == 0.0 {
                     model.remove(&(i, j));
                 } else {
@@ -77,7 +94,6 @@ fn apply(dm: &mut DynamicMatrix<f64>, base: &Csr<f64>, muts: &[Mutation]) -> Csr
                 }
             }
             Mutation::Add(i, j, d) => {
-                dm.add(i, j, d);
                 let v = model.get(&(i, j)).copied().unwrap_or(0.0) + d;
                 if v == 0.0 {
                     model.remove(&(i, j));
@@ -86,7 +102,6 @@ fn apply(dm: &mut DynamicMatrix<f64>, base: &Csr<f64>, muts: &[Mutation]) -> Csr
                 }
             }
             Mutation::Delete(i, j) => {
-                dm.delete(i, j);
                 model.remove(&(i, j));
             }
         }
@@ -103,6 +118,15 @@ fn apply(dm: &mut DynamicMatrix<f64>, base: &Csr<f64>, muts: &[Mutation]) -> Csr
         out.push_row(&cols, &vals);
     }
     out.finish()
+}
+
+/// The model rebuilt in the dynamic matrix's base format: the operand a
+/// from-scratch rebuild hands the kernels.
+fn rebuilt_like(dm: &DynamicMatrix<f64>, model: &Csr<f64>) -> Box<dyn RowRead<f64>> {
+    match dm.base() {
+        DynamicBase::Csr(_) => Box::new(model.clone()),
+        DynamicBase::Smash(a) => Box::new(SmashMatrix::encode(model, a.config().clone())),
+    }
 }
 
 /// Both base tiers the overlay can sit on.
@@ -183,6 +207,89 @@ proptest! {
             Executor::auto().compact(&mut via_exec);
             prop_assert!(via_exec.overlay().is_empty());
             prop_assert_eq!(&via_exec.merged_csr(), &before);
+        }
+    }
+
+    /// Reads interleaved with chunks of writes: after every chunk each
+    /// read is `==` the model rebuilt at that point, on both base tiers.
+    /// The first read after the writes runs through the parallel driver,
+    /// at 2 threads on the matrix and at 8 on an unread clone. A clone
+    /// taken after a read and then written to leaves the original's reads
+    /// unchanged, and compacting after a read keeps the merged rows.
+    #[test]
+    fn reads_between_write_chunks_match_the_rebuild(
+        case in arb_case(),
+        cuts in proptest::collection::vec(0usize..64, 0..4),
+    ) {
+        let (base, muts) = case;
+        let mut ends: Vec<usize> = cuts.into_iter().map(|c| c.min(muts.len())).collect();
+        ends.push(muts.len());
+        ends.sort_unstable();
+        let (rows, cols) = (base.rows(), base.cols());
+        let x: Vec<f64> = (0..cols).map(|i| (i % 7) as f64 - 3.0).collect();
+        let mut b = Dense::zeros(cols, 3);
+        for i in 0..cols {
+            for j in 0..3 {
+                b.set(i, j, ((i + 5 * j) % 4) as f64 - 1.5);
+            }
+        }
+        let (pool2, pool8) = (ThreadPool::new(2), ThreadPool::new(8));
+        for mut dm in both_bases(&base) {
+            let mut done = 0;
+            for &end in &ends {
+                write(&mut dm, &muts[done..end]);
+                done = end;
+                let want = model(&base, &muts[..end]);
+                let rebuilt = rebuilt_like(&dm, &want);
+                let mut y_want = vec![0.0; rows];
+                spmv_rows(&*rebuilt, &x, &mut y_want);
+
+                let twin = dm.clone();
+                let mut got = vec![f64::NAN; rows];
+                par_spmv_rows(&pool2, &dm, &x, &mut got);
+                prop_assert_eq!(&got, &y_want);
+                got.fill(f64::NAN);
+                par_spmv_rows(&pool8, &twin, &x, &mut got);
+                prop_assert_eq!(&got, &y_want);
+
+                got.fill(f64::NAN);
+                spmv_rows(&dm, &x, &mut got);
+                prop_assert_eq!(&got, &y_want);
+                let (mut c_want, mut c_got) = (Dense::zeros(rows, 3), Dense::zeros(rows, 3));
+                spmm_dense_rows(&*rebuilt, &b, &mut c_want);
+                spmm_dense_rows(&dm, &b, &mut c_got);
+                prop_assert_eq!(&c_got, &c_want);
+                let (mut rc, mut rv) = (Vec::new(), Vec::new());
+                for i in 0..rows {
+                    dm.row_into(i, &mut rc, &mut rv);
+                    prop_assert_eq!((&rc[..], &rv[..]), want.row(i), "row {}", i);
+                }
+                prop_assert_eq!(dm.nnz(), want.nnz());
+                prop_assert_eq!(&dm.merged_csr(), &want);
+
+                let mut fork = dm.clone();
+                let fork_muts = [
+                    Mutation::Set(0, 0, 1234.0),
+                    Mutation::Delete(rows - 1, cols - 1),
+                ];
+                write(&mut fork, &fork_muts);
+                let fork_want = model(&base, &[&muts[..end], &fork_muts[..]].concat());
+                let mut fork_y = (vec![0.0; rows], vec![f64::NAN; rows]);
+                spmv_rows(&*rebuilt_like(&fork, &fork_want), &x, &mut fork_y.0);
+                spmv_rows(&fork, &x, &mut fork_y.1);
+                prop_assert_eq!(&fork_y.1, &fork_y.0);
+                prop_assert_eq!(&fork.merged_csr(), &fork_want);
+                got.fill(f64::NAN);
+                spmv_rows(&dm, &x, &mut got);
+                prop_assert_eq!(&got, &y_want, "a written clone changed the original");
+                prop_assert_eq!(&dm.merged_csr(), &want);
+
+                let mut compacted = dm.clone();
+                compacted.compact();
+                prop_assert!(compacted.overlay().is_empty());
+                prop_assert_eq!(compacted.nnz(), want.nnz());
+                prop_assert_eq!(&compacted.merged_csr(), &want);
+            }
         }
     }
 
@@ -304,5 +411,82 @@ fn incremental_pagerank_matches_from_scratch_bitwise() {
     assert!(warm.iterations <= cold_iters.max(oracle.iterations));
     for (a, b) in warm.ranks.iter().zip(&oracle.ranks) {
         assert!((a - b).abs() < 2e-11, "{a} vs {b}");
+    }
+}
+
+#[test]
+fn incremental_pagerank_stays_bitwise_across_epochs_and_compactions() {
+    let n = 512;
+    let g = generators::road_network(n, 1024, 11);
+    let (damping, tol, max_iters) = (0.85, 1e-12, 1000);
+    let mut pr = IncrementalPageRank::new(&g, damping, tol, max_iters);
+    pr.solve();
+    for epoch in 0..6usize {
+        let mut added = 0;
+        for i in 0..24usize {
+            let u = (epoch * 7919 + i * 2654435761) % n;
+            let v = (epoch * 104729 + i * 40503 + 13) % n;
+            added += pr.add_edge(u, v) as usize;
+        }
+        assert!(added > 0, "epoch {epoch} inserted no edge");
+        assert!(!pr.matrix().overlay().is_empty());
+
+        // Each warm solve retraces, bit for bit, a solve over the rebuilt
+        // transition matrix from the same starting ranks.
+        let r0 = pr.ranks().expect("solved before the epoch").to_vec();
+        let warm = pr.solve();
+        let rebuilt = pr.snapshot().transition_matrix();
+        let oracle = pagerank_power(&rebuilt, &r0, damping, tol, max_iters);
+        assert_eq!(warm.ranks, oracle.ranks, "epoch {epoch}");
+        assert_eq!(warm.iterations, oracle.iterations, "epoch {epoch}");
+
+        if epoch % 3 == 2 {
+            pr.compact();
+            assert!(pr.matrix().overlay().is_empty());
+            assert_eq!(pr.matrix().merged_csr(), rebuilt, "epoch {epoch}");
+        }
+    }
+}
+
+/// Warm restarts after a batch of edge insertions need no more
+/// iterations than a cold solve of the mutated graph and land on the
+/// same fixed point. A road network, because every vertex has
+/// out-edges: with no dangling mass leak, both trajectories decay at the
+/// damping factor and the warm start's closer initial residual turns
+/// directly into fewer iterations. (On dangling-heavy graphs the
+/// cold-start error drains through the dangling columns faster than the
+/// perturbation a warm start carries, and the comparison means nothing.)
+#[test]
+fn warm_restart_needs_no_more_iterations_than_cold() {
+    let g = generators::road_network(4096, 8192, 7);
+    let tol = 1e-8;
+    let mut pr = IncrementalPageRank::new(&g, 0.85, tol, 1000);
+    pr.solve();
+    let mut inserted = 0usize;
+    for i in 0..64usize {
+        let u = (i * 2654435761) % 4096;
+        let v = (i * 40503 + 13) % 4096;
+        inserted += pr.add_edge(u, v) as usize;
+    }
+    assert!(inserted > 0, "every probe edge collided with the graph");
+    let warm = pr.solve();
+    let cold = pagerank_power(
+        &pr.snapshot().transition_matrix(),
+        &uniform_ranks::<f64>(pr.vertices()),
+        0.85,
+        tol,
+        1000,
+    );
+    assert!(
+        warm.iterations <= cold.iterations,
+        "warm restart took {} iterations, cold solve {}",
+        warm.iterations,
+        cold.iterations
+    );
+    for (w, c) in warm.ranks.iter().zip(&cold.ranks) {
+        assert!(
+            (w - c).abs() < 20.0 * tol,
+            "warm and cold solves disagree: {w} vs {c}"
+        );
     }
 }
