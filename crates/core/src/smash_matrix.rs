@@ -1,7 +1,7 @@
 use crate::{
     Bitmap, BitmapHierarchy, Layout, LineCursor, LineDirectory, Nza, SmashConfig, SmashError,
 };
-use smash_matrix::{Coo, Csr, Dense, RowRead, Scalar};
+use smash_matrix::{Csr, CsrBuilder, Dense, RowRead, Scalar};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Invokes `f(local_block_index, block_values)` for each occupied block of
@@ -362,28 +362,47 @@ impl<T: Scalar> SmashMatrix<T> {
     /// Decompresses back to CSR. Explicit zeros inside NZA blocks are
     /// dropped, so `decode(encode(m)) == m` for any matrix without stored
     /// zeros.
+    ///
+    /// Each line's entries come out of the cursor in offset order, so the
+    /// lines are appended straight to a [`CsrBuilder`] with no sort; a
+    /// column-major matrix builds its lines as the rows of the transpose.
     pub fn decode(&self) -> Csr<T> {
-        let mut coo = Coo::with_capacity(self.rows, self.cols, self.nza.nnz());
-        let b0 = self.config.block_size();
-        let bpl = self.blocks_per_line();
-        let line_len = self.line_len();
+        let mut lines = CsrBuilder::with_capacity(self.line_len(), self.line_count(), self.nnz());
+        let (mut offs, mut vals) = (Vec::new(), Vec::new());
         for line in 0..self.line_count() {
-            for (ordinal, logical) in self.line_cursor(line) {
-                let start = (logical - line * bpl) * b0;
-                for (e, &v) in self.nza.block(ordinal).iter().enumerate() {
-                    let off = start + e;
-                    if off >= line_len || v.is_zero() {
-                        continue;
-                    }
-                    let (r, c) = match self.config.layout() {
-                        Layout::RowMajor => (line, off),
-                        Layout::ColMajor => (off, line),
-                    };
-                    coo.push(r, c, v);
+            self.line_into(line, &mut offs, &mut vals);
+            lines.push_row(&offs, &vals);
+        }
+        let lines = lines.finish();
+        match self.config.layout() {
+            Layout::RowMajor => lines,
+            Layout::ColMajor => lines.transpose(),
+        }
+    }
+
+    /// Replaces `offs`/`vals` with line `line`'s logical entries (element
+    /// offset within the line, value) in offset order. Explicit padding
+    /// zeros inside a stored block are not logical entries and are
+    /// skipped. The one line walk behind [`decode`](Self::decode) and
+    /// [`RowRead::row_into`].
+    fn line_into(&self, line: usize, offs: &mut Vec<u32>, vals: &mut Vec<T>) {
+        offs.clear();
+        vals.clear();
+        let b0 = self.config.block_size();
+        let line_len = self.line_len();
+        let nza = self.nza.values();
+        let line_base = line * self.blocks_per_line();
+        for (ordinal, logical) in self.line_cursor(line) {
+            let off0 = (logical - line_base) * b0;
+            let n = b0.min(line_len - off0);
+            let block = &nza[ordinal * b0..ordinal * b0 + n];
+            for (k, v) in block.iter().enumerate() {
+                if !v.is_zero() {
+                    offs.push((off0 + k) as u32);
+                    vals.push(*v);
                 }
             }
         }
-        Csr::from_coo(&coo)
     }
 
     /// Expands to a dense matrix.
@@ -719,25 +738,7 @@ impl<T: Scalar> RowRead<T> for SmashMatrix<T> {
 
     fn row_into(&self, i: usize, cols: &mut Vec<u32>, vals: &mut Vec<T>) {
         assert_eq!(self.config.layout(), Layout::RowMajor, "row-major rows");
-        cols.clear();
-        vals.clear();
-        let b0 = self.config.block_size();
-        let bpl = self.blocks_per_line();
-        let nza = self.nza().values();
-        let line_base = i * bpl;
-        for (ordinal, logical) in self.line_cursor(i) {
-            let col0 = (logical - line_base) * b0;
-            let n = b0.min(self.cols - col0);
-            let block = &nza[ordinal * b0..ordinal * b0 + n];
-            for (k, v) in block.iter().enumerate() {
-                // Decode semantics: explicit padding zeros inside a stored
-                // block are not logical entries.
-                if !v.is_zero() {
-                    cols.push((col0 + k) as u32);
-                    vals.push(*v);
-                }
-            }
-        }
+        self.line_into(i, cols, vals);
     }
 
     fn spmv_granules(&self, g: std::ops::Range<usize>, x: &[T], y: &mut [T]) {
@@ -787,7 +788,7 @@ impl<T: Scalar> RowRead<T> for SmashMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smash_matrix::generators;
+    use smash_matrix::{generators, Coo};
 
     fn cfg(ratios: &[u32]) -> SmashConfig {
         SmashConfig::row_major(ratios).unwrap()
@@ -843,6 +844,35 @@ mod tests {
             assert_eq!(sm.decode(), a, "ratios {ratios:?}");
             assert_eq!(sm.line_count(), 53);
             assert_eq!(sm.line_len(), 37);
+        }
+    }
+
+    #[test]
+    fn decode_drops_explicit_zeros_in_both_layouts() {
+        // Stored zeros at (0,1), next to 2.0 in column 1's first block, and
+        // at (2,2), alone in its block in either layout.
+        let a = Csr::from_parts(
+            4,
+            4,
+            vec![0, 2, 3, 4, 5],
+            vec![0, 1, 1, 2, 3],
+            vec![1.0, 0.0, 2.0, 0.0, 3.0],
+        )
+        .unwrap();
+        let mut coo = Coo::new(4, 4);
+        for &(r, c, v) in &[(0, 0, 1.0), (1, 1, 2.0), (3, 3, 3.0)] {
+            coo.push(r, c, v);
+        }
+        let expect = Csr::from_coo(&coo);
+        for ratios in [&[2u32][..], &[2, 2]] {
+            for config in [
+                SmashConfig::row_major(ratios).unwrap(),
+                SmashConfig::col_major(ratios).unwrap(),
+            ] {
+                let sm = SmashMatrix::encode(&a, config);
+                assert_eq!(sm.nnz(), 3);
+                assert_eq!(sm.decode(), expect, "{}", sm.config());
+            }
         }
     }
 

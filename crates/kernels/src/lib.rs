@@ -9,12 +9,11 @@
 //!   so the simulator can time them on the Table 2 machine. These power the
 //!   Fig. 3 and Figs. 10–17/20 experiments.
 //! * **Native kernels** ([`native`]) — plain Rust for wall-clock runs on
-//!   the host (the paper's real-system Fig. 9 experiment and the Criterion
-//!   benches).
+//!   the host (the paper's real-system Fig. 9 experiment).
 //!
 //! The [`spgemm`] module is the native sparse × sparse engine: row-wise
 //! Gustavson multiplication with symbolic sizing, per-row dense/hash
-//! accumulators and direct CSR or SMASH emission — triplet-exact to the
+//! accumulators and direct CSR emission — triplet-exact to the
 //! inner-product oracle and bit-identical at every thread count.
 //!
 //! The [`harness`] module dispatches by [`Mechanism`], building the right

@@ -1,5 +1,5 @@
 //! Native (wall-clock) kernels for the real-system experiment (paper §7.1,
-//! Fig. 9) and the Criterion benches.
+//! Fig. 9).
 //!
 //! SpMV and batched sparse × dense SpMM have no per-format functions:
 //! every format implements `smash_matrix::RowRead`, and one driver pair

@@ -563,6 +563,15 @@ impl<T: Scalar> Csr<T> {
     }
 }
 
+/// Converts a running non-zero count for the `u32` row pointers,
+/// panicking instead of wrapping past `u32::MAX` entries. `#[inline]`
+/// because it runs once per row inside the generic `push_row`, which
+/// other crates instantiate.
+#[inline]
+fn row_ptr_u32(nnz: usize) -> u32 {
+    u32::try_from(nnz).unwrap_or_else(|_| panic!("{nnz} non-zeros overflow the u32 row pointers"))
+}
+
 /// Incremental row-by-row CSR constructor for kernels that emit their
 /// output directly in compressed form (no COO detour, no sort, no
 /// duplicate merge).
@@ -652,7 +661,7 @@ impl<T: Scalar> CsrBuilder<T> {
         }
         self.col_ind.extend_from_slice(cols);
         self.values.extend_from_slice(vals);
-        self.row_ptr.push(self.col_ind.len() as u32);
+        self.row_ptr.push(row_ptr_u32(self.col_ind.len()));
     }
 
     /// Splices a pre-computed chunk of consecutive rows: `counts[r]` gives
@@ -960,6 +969,17 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn builder_rejects_out_of_bounds_column() {
         CsrBuilder::<f64>::new(2).push_row(&[2], &[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967296 non-zeros overflow")]
+    fn row_pointers_past_u32_panic_instead_of_wrapping() {
+        row_ptr_u32(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn row_pointers_up_to_u32_max_convert_exactly() {
+        assert_eq!(row_ptr_u32(u32::MAX as usize), u32::MAX);
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl SystemConfig {
         }
     }
 
-    /// Same system with prefetching disabled (ablation benches).
+    /// Same system with prefetching disabled (the prefetcher ablation).
     pub fn without_prefetch(mut self) -> Self {
         self.prefetch.enabled = false;
         self

@@ -174,6 +174,34 @@ fn f32_pipeline_matches_f64_oracle_on_families() {
     }
 }
 
+/// The SMASH block-merge SpMM, monomorphized to f32 over the flat `[2]`
+/// operands it takes, matches the f64 oracle within `f32::TOLERANCE`.
+#[test]
+fn f32_spmm_smash_matches_f64_oracle_on_families() {
+    for (name, a64) in families() {
+        let b64 = generators::uniform(a64.cols(), 16, 2 * a64.cols().max(8), 3);
+        let want = a64.spmm_inner(&b64.to_csc()).expect("dims").to_dense();
+        let flat = SmashConfig::row_major(&[2]).expect("valid");
+        let sa = SmashMatrix::encode(&a64.cast::<f32>(), flat);
+        let sb = SmashMatrix::encode(
+            &b64.cast::<f32>(),
+            SmashConfig::col_major(&[2]).expect("valid"),
+        );
+        let got = native::spmm_smash(&sa, &sb).to_dense();
+        for i in 0..want.rows() {
+            for j in 0..want.cols() {
+                assert!(
+                    got.get(i, j)
+                        .approx_eq(f32::from_f64(want.get(i, j)), f32::TOLERANCE),
+                    "{name} ({i},{j}): {} vs {}",
+                    got.get(i, j),
+                    want.get(i, j)
+                );
+            }
+        }
+    }
+}
+
 /// `Executor::auto` must produce bit-identical output to the explicit
 /// serial kernel of each format, at both precisions — the executor is a
 /// dispatcher, never a rounding change.

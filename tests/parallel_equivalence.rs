@@ -309,3 +309,26 @@ fn graph_applications_bit_identical_across_thread_counts() {
         );
     }
 }
+
+/// A single-level SMASH `[2]` operand (no upper level to seed the line
+/// cursor from) runs the parallel SpMV bit-identically to the serial one
+/// at 4 and 8 workers, and to serial CSR within tolerance.
+#[test]
+fn flat_smash_par_spmv_is_bit_identical_at_4_and_8_threads() {
+    let a = generators::clustered(512, 512, 8_000, 6, 42);
+    let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2]).expect("flat config"));
+    let x = vector(a.cols());
+    let mut want = vec![0.0f64; a.rows()];
+    spmv_rows(&sm, &x, &mut want);
+    let mut csr = vec![0.0f64; a.rows()];
+    spmv_rows(&a, &x, &mut csr);
+    for (w, c) in want.iter().zip(&csr) {
+        assert!((w - c).abs() < 1e-9 * (1.0 + c.abs()), "{w} vs {c}");
+    }
+    for threads in [4, 8] {
+        let pool = ThreadPool::new(threads);
+        let mut got = vec![f64::NAN; a.rows()];
+        par_spmv_rows(&pool, &sm, &x, &mut got);
+        assert_eq!(got, want, "threads = {threads}");
+    }
+}

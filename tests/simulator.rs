@@ -84,6 +84,23 @@ fn deterministic_simulation() {
     assert_eq!(s1, s2, "simulation must be reproducible");
 }
 
+/// The SMASH mechanism simulates at hierarchy depths 1, 2 and 3: each
+/// run is reproducible and retires exactly the counting engine's
+/// instructions.
+#[test]
+fn smash_spmv_simulates_at_every_hierarchy_depth() {
+    let a = generators::clustered(256, 256, 3000, 6, 42);
+    let sys = SystemConfig::paper_table2_scaled(16);
+    for ratios in [&[2u32][..], &[2, 4], &[2, 4, 16]] {
+        let cfg = SmashConfig::row_major(ratios).expect("valid");
+        let sim = harness::sim_spmv(Mechanism::Smash, &a, &cfg, &sys);
+        assert_eq!(sim, harness::sim_spmv(Mechanism::Smash, &a, &cfg, &sys));
+        let cnt = harness::count_spmv(Mechanism::Smash, &a, &cfg);
+        assert_eq!(sim.instructions(), cnt.instructions(), "ratios {ratios:?}");
+        assert!(sim.cycles > 0, "ratios {ratios:?}");
+    }
+}
+
 #[test]
 fn instruction_counts_are_engine_independent() {
     // SimEngine and CountEngine must agree on every mechanism and kernel.
