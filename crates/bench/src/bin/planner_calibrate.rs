@@ -21,7 +21,7 @@ use smash_core::{SmashConfig, SmashMatrix};
 use smash_kernels::planner::{Format, Op, Planner};
 use smash_kernels::spgemm;
 use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Csr, Dense, RowRead};
-use smash_parallel::{par_csr_to_smash, par_spmm_dense_rows, par_spmv_rows, ThreadPool};
+use smash_parallel::{par_spmm_dense_rows, par_spmv_rows, ThreadPool};
 use std::collections::BTreeSet;
 
 fn default_table_path() -> String {
@@ -109,16 +109,6 @@ fn measure(z: &ZooMatrix, c: &Candidate, pool: impl Fn(usize) -> ThreadPool) -> 
                 zoo::time_ns(3, 1, || spgemm::par_spgemm(&p, a, b, None).nnz())
             };
             (work.max(1.0), ns)
-        }
-        Op::Encode => {
-            let cfg = smash_config();
-            let ns = if c.threads == 1 {
-                zoo::time_ns(3, 1, || SmashMatrix::encode(a, cfg.clone()).nza().len())
-            } else {
-                let p = pool(c.threads);
-                zoo::time_ns(3, 1, || par_csr_to_smash(&p, a, cfg.clone()).nza().len())
-            };
-            (nnz as f64, ns)
         }
     }
 }

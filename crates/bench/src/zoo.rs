@@ -138,12 +138,6 @@ pub fn candidates() -> Vec<Candidate> {
             threads,
             tile: 1,
         });
-        grid.push(Candidate {
-            op: Op::Encode,
-            format: Format::Smash,
-            threads,
-            tile: 1,
-        });
     }
     grid
 }
@@ -215,7 +209,7 @@ mod tests {
     #[test]
     fn candidate_grid_covers_every_op_and_both_tiers() {
         let grid = candidates();
-        for op in [Op::Spmv, Op::SpmmDense, Op::Spgemm, Op::Encode] {
+        for op in [Op::Spmv, Op::SpmmDense, Op::Spgemm] {
             assert!(grid.iter().any(|c| c.op == op && c.threads == 1));
             assert!(grid.iter().any(|c| c.op == op && c.threads > 1));
         }

@@ -36,7 +36,8 @@
 //!
 //! See `docs/DYNAMIC.md` for the tier model and the full contracts.
 
-use crate::{block_axpy_dense, block_dot, for_each_line_block, Layout, SmashConfig, SmashMatrix};
+use crate::smash_matrix::for_each_line_block;
+use crate::{block_axpy_dense, block_dot, Layout, SmashMatrix};
 use smash_matrix::{for_each_rhs_tile, Csr, CsrBuilder, Dense, RowRead, Scalar};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -513,28 +514,21 @@ impl<T: Scalar> DynamicMatrix<T> {
         b.finish()
     }
 
-    /// Absorbs the overlay into a fresh base tier (serial encoder) and
-    /// clears it. The new base is `==` to a from-scratch build of the
-    /// merged matrix: `Csr` bases become [`merged_csr`](Self::merged_csr),
-    /// SMASH bases are re-encoded with [`SmashMatrix::encode`] under the
-    /// same [`SmashConfig`].
+    /// Absorbs the overlay into a fresh base tier and clears it. The new
+    /// base is `==` to a from-scratch build of the merged matrix: `Csr`
+    /// bases become [`merged_csr`](Self::merged_csr), SMASH bases are
+    /// re-encoded with [`SmashMatrix::encode`] under the same
+    /// [`SmashConfig`](crate::SmashConfig).
     pub fn compact(&mut self) {
-        self.compact_with(SmashMatrix::encode);
-    }
-
-    /// [`compact`](Self::compact) with an injected CSR → SMASH encoder,
-    /// so callers holding a thread pool can compact through the parallel
-    /// encoder (`smash_parallel::par_csr_to_smash`), which is `==` to the
-    /// serial one at every thread count. The closure is only invoked for
-    /// a SMASH base.
-    pub fn compact_with(&mut self, encode: impl FnOnce(&Csr<T>, SmashConfig) -> SmashMatrix<T>) {
         if self.overlay.is_empty() {
             return;
         }
         let merged = self.merged_csr();
         self.base = match &self.base {
             DynamicBase::Csr(_) => DynamicBase::Csr(merged),
-            DynamicBase::Smash(a) => DynamicBase::Smash(encode(&merged, a.config().clone())),
+            DynamicBase::Smash(a) => {
+                DynamicBase::Smash(SmashMatrix::encode(&merged, a.config().clone()))
+            }
         };
         self.overlay.clear();
         self.frozen.take();
@@ -687,6 +681,7 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SmashConfig;
     use smash_matrix::{generators, spmm_dense_rows, spmv_rows};
 
     fn base() -> Csr<f64> {

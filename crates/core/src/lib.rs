@@ -54,4 +54,4 @@ pub use dynamic::{merge_row, Delta, DeltaOverlay, DynamicBase, DynamicMatrix};
 pub use error::SmashError;
 pub use hierarchy::{BitmapHierarchy, Visit, Visits};
 pub use nza::Nza;
-pub use smash_matrix::{block_axpy_dense, block_dot, for_each_line_block, SmashMatrix};
+pub use smash_matrix::{block_axpy_dense, block_dot, SmashMatrix};

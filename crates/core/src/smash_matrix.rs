@@ -9,10 +9,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// entries; `block` is a caller-provided scratch buffer of length `b0`
 /// whose contents are the zero-padded block at each invocation.
 ///
-/// Both the serial encoder ([`SmashMatrix::encode`]) and the parallel one
-/// (`smash_parallel::par_csr_to_smash`) build their NZA through this single
-/// routine — sharing it is what keeps the two bit-identical.
-pub fn for_each_line_block<T: Scalar>(
+/// The encoder ([`SmashMatrix::encode`]) builds its NZA through this
+/// routine, and the dynamic overlay's merged-row walks share it, so both
+/// split a line into blocks identically.
+pub(crate) fn for_each_line_block<T: Scalar>(
     offsets: &[u32],
     values: &[T],
     block: &mut [T],
@@ -195,8 +195,7 @@ impl<T: Scalar> SmashMatrix<T> {
             .expect("config was validated at construction");
 
         // Pass 2: fill the NZA in bit order (which is line order, then block
-        // order within the line), through the per-line routine shared with
-        // the parallel encoder.
+        // order within the line).
         let mut nza = Nza::new(b0);
         let mut block = vec![T::ZERO; b0];
         for line in 0..lines {
@@ -282,9 +281,8 @@ impl<T: Scalar> SmashMatrix<T> {
     }
 
     /// Assembles a matrix from an already-built hierarchy and NZA,
-    /// validating every structural invariant. This is the constructor the
-    /// parallel encoder (`smash-parallel`) uses after its workers have
-    /// produced the per-range bitmap segments and value blocks.
+    /// validating every structural invariant — the constructor for parts
+    /// produced outside [`SmashMatrix::encode`].
     ///
     /// # Errors
     ///
@@ -300,63 +298,6 @@ impl<T: Scalar> SmashMatrix<T> {
     ) -> Result<Self, SmashError> {
         Self::validate_parts(rows, cols, &config, &hierarchy, &nza)?;
         Ok(Self::assemble(rows, cols, config, hierarchy, nza))
-    }
-
-    /// Assembles a matrix from per-range lists of occupied logical
-    /// Bitmap-0 bit indices and the matching zero-padded block values, in
-    /// bit order — the shape producers that compress on the fly emit:
-    /// each part holds one contiguous line range's `(bit, block)` stream,
-    /// and concatenating the parts in order yields the whole matrix.
-    ///
-    /// The parallel encoder (`smash_parallel::par_csr_to_smash`)
-    /// assembles through this routine, so a matrix built from parts is
-    /// `==` to one built by [`SmashMatrix::encode`] from the equivalent
-    /// CSR.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmashError::Inconsistent`] if the concatenated bit
-    /// indices are not strictly increasing (parts out of order would
-    /// silently misalign blocks and values), a bit index is out of range,
-    /// or the assembled parts violate any [`from_parts`] invariant.
-    ///
-    /// [`from_parts`]: Self::from_parts
-    pub fn from_bit_blocks(
-        rows: usize,
-        cols: usize,
-        config: SmashConfig,
-        parts: &[(Vec<usize>, Vec<T>)],
-    ) -> Result<Self, SmashError> {
-        let (lines, line_len) = match config.layout() {
-            Layout::RowMajor => (rows, cols),
-            Layout::ColMajor => (cols, rows),
-        };
-        let total_bits = lines * line_len.div_ceil(config.block_size());
-        let mut bm0 = Bitmap::zeros(total_bits);
-        let mut all_vals = Vec::with_capacity(parts.iter().map(|(_, v)| v.len()).sum());
-        let mut prev: Option<usize> = None;
-        for (bits, vals) in parts {
-            for &bit in bits {
-                if prev.is_some_and(|p| p >= bit) {
-                    return Err(SmashError::Inconsistent(format!(
-                        "bit indices must be strictly increasing across parts \
-                         ({} then {bit})",
-                        prev.unwrap(),
-                    )));
-                }
-                if bit >= total_bits {
-                    return Err(SmashError::Inconsistent(format!(
-                        "bit index {bit} outside the {total_bits}-bit Bitmap-0"
-                    )));
-                }
-                bm0.set(bit, true);
-                prev = Some(bit);
-            }
-            all_vals.extend_from_slice(vals);
-        }
-        let hierarchy = BitmapHierarchy::from_level0(&bm0, config.ratios())?;
-        let nza = Nza::from_values(config.block_size(), all_vals);
-        Self::from_parts(rows, cols, config, hierarchy, nza)
     }
 
     /// Decompresses back to CSR. Explicit zeros inside NZA blocks are

@@ -150,6 +150,35 @@ mod tests {
         }
     }
 
+    /// The exact oracle: `M`'s pattern is `Aᵀ`'s and entry `(v, u)` is
+    /// the bits of `T::from_f64(1.0 / outdeg(u))`, the expression
+    /// `IncrementalPageRank::add_edge` re-weights a column with.
+    fn assert_transition_exact<T: Scalar>(g: &Graph<T>) {
+        let m = g.transition_matrix();
+        let at = g.adjacency().transpose();
+        assert_eq!(m.row_ptr(), at.row_ptr());
+        assert_eq!(m.col_ind(), at.col_ind());
+        for (v, u, w) in m.iter() {
+            assert!(
+                w == T::from_f64(1.0 / g.out_degree(u) as f64),
+                "M[{v}][{u}]"
+            );
+        }
+    }
+
+    #[test]
+    fn transition_matrix_entries_are_exact_inverse_out_degrees() {
+        // Out-degrees 3, 1, 0 (a sink), 2 and 1: 1/3 is inexact in both
+        // precisions, so a reordered or re-rounded weight would show.
+        let edges = [(0, 1), (0, 2), (0, 3), (1, 2), (3, 0), (3, 4), (4, 2)];
+        let g = Graph::<f64>::from_edges(5, &edges);
+        assert_transition_exact(&g);
+        assert_transition_exact(&g.cast::<f32>());
+        let r = crate::generators::rmat(256, 2_000, 7);
+        assert_transition_exact(&r);
+        assert_transition_exact(&r.cast::<f32>());
+    }
+
     #[test]
     fn transpose_reverses_edges() {
         let g = diamond();

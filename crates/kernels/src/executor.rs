@@ -3,13 +3,14 @@
 //!
 //! Callers hand an [`Executor`] any supported operand format — [`Csr`],
 //! [`Bcsr`](smash_matrix::Bcsr), a compressed [`SmashMatrix`] or a
-//! [`DynamicMatrix`] overlay — at any [`Scalar`] precision. The operand's
+//! [`DynamicMatrix`](smash_core::DynamicMatrix) overlay — at any
+//! [`Scalar`] precision. The operand's
 //! [`RowRead`](smash_matrix::RowRead) view feeds one serial/parallel
 //! driver pair (`spmv_rows` / `par_spmv_rows` and their dense-SpMM
 //! twins); there is no per-format kernel function in between.
 //!
-//! Each op (`spmv`, `spmm_dense`, `spgemm`, `encode`) has **one dispatch
-//! body** shared by two tiers:
+//! Each op (`spmv`, `spmm_dense`, `spgemm`) has **one dispatch body**
+//! shared by two tiers:
 //!
 //! * the panicking tier (`spmv`, …) for trusted operands checks
 //!   dimensions only and panics with the typed [`SmashError`]'s message;
@@ -19,6 +20,9 @@
 //!
 //! Both tiers act on the same [`Plan`] and run the same degradation
 //! ladder: a panic on the pool is reported and retried serially.
+//! Encoding has only the fallible tier, [`Executor::try_encode`], which
+//! validates untrusted input before the one encoder
+//! [`SmashMatrix::encode`]; trusted input calls that encoder directly.
 //!
 //! Three [`ExecMode`]s exist:
 //!
@@ -61,12 +65,11 @@
 
 use crate::error::{panic_detail, SmashError};
 pub use crate::operand::SpmvOperand;
-use crate::planner::{Format, MatrixProfile, Op, Plan, PlanRequest, Planner};
-use smash_core::{DynamicMatrix, SmashConfig, SmashMatrix};
+use crate::planner::{Choice, Format, MatrixProfile, Op, Plan, PlanRequest, Planner};
+use smash_core::{SmashConfig, SmashMatrix};
 use smash_matrix::{spmm_dense_rows, spmv_rows, Csr, Dense, Scalar};
 use smash_parallel::{
-    default_threads, par_csr_to_smash, par_spmm_dense_rows, par_spmv_rows, threads_from_env,
-    ThreadPool,
+    default_threads, par_spmm_dense_rows, par_spmv_rows, threads_from_env, ThreadPool,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -457,15 +460,6 @@ impl Executor {
         self.plan(req, || MatrixProfile::of_csr(a))
     }
 
-    /// The [`Plan`] that [`Executor::encode`] would act on. Encoding
-    /// produces SMASH, so it plans under that format, as its calibration
-    /// rows do.
-    pub fn plan_encode<T: Scalar>(&self, a: &Csr<T>) -> Plan {
-        self.plan(self.request(Op::Encode, Format::Smash), || {
-            MatrixProfile::of_csr(a)
-        })
-    }
-
     /// Sparse matrix-vector product `y = A * x` over any supported format
     /// and precision.
     ///
@@ -607,21 +601,6 @@ impl Executor {
         trusted(self.spgemm_body(a, b, Some(mask), Validation::Trusted)).0
     }
 
-    /// Compresses a CSR matrix into the SMASH encoding, in parallel when
-    /// the executor's mode and the matrix size call for it. The produced
-    /// matrix is `==` to `SmashMatrix::encode(a, config)` either way.
-    pub fn encode<T: Scalar>(&self, a: &Csr<T>, config: SmashConfig) -> SmashMatrix<T> {
-        trusted(self.encode_body(a, config, Validation::Trusted)).0
-    }
-
-    /// Merges a dynamic matrix's overlay into its base tier
-    /// ([`DynamicMatrix::compact`]), re-encoding a SMASH base through
-    /// [`Executor::encode`]. The compacted base is `==` to building it
-    /// from scratch from the merged matrix, whichever path runs.
-    pub fn compact<T: Scalar>(&self, m: &mut DynamicMatrix<T>) {
-        m.compact_with(|merged, cfg| self.encode(merged, cfg));
-    }
-
     /// Fallible [`Executor::spmv`]: validates the operands up front
     /// (dimensions, cached structural [`validate`](Csr::validate), the
     /// [`NonFinitePolicy`]) and reports errors as values. A parallel
@@ -706,21 +685,37 @@ impl Executor {
         self.spgemm_body(a, b, Some(mask), Validation::Checked)
     }
 
-    /// Fallible [`Executor::encode`]: validates the CSR operand (cached
-    /// structural check plus the [`NonFinitePolicy`] scan); a panicking
-    /// parallel encoder is caught, reported, and retried serially — the
-    /// result is `==` either way.
+    /// Fallible CSR → SMASH compression for untrusted input: validates
+    /// the CSR operand (cached structural check plus the
+    /// [`NonFinitePolicy`] scan), then runs [`SmashMatrix::encode`], so
+    /// the result is `==` to it in every mode. The report carries a fixed
+    /// one-thread SMASH plan: there is one encoder and it is serial.
     ///
     /// # Errors
     ///
     /// [`SmashError::InvalidStructure`] / [`SmashError::NonFinite`] from
-    /// validation, [`SmashError::Panicked`] if the serial retry panics.
+    /// validation, [`SmashError::Panicked`] if the encoder panics.
     pub fn try_encode<T: Scalar>(
         &self,
         a: &Csr<T>,
         config: SmashConfig,
     ) -> Result<(SmashMatrix<T>, ExecReport), SmashError> {
-        self.encode_body(a, config, Validation::Checked)
+        const OP: &str = "encode";
+        SpmvOperand::Csr(a).check(OP)?;
+        self.check_finite(OP, "A", a.values())?;
+        let mut report = self.start_report(Plan {
+            choice: Choice {
+                format: Format::Smash,
+                threads: 1,
+                tile: 1,
+            },
+            score: f64::NAN,
+            alternatives: Vec::new(),
+            calibrated: false,
+            rationale: "encode: the serial encoder; not profiled".into(),
+        });
+        let sm = self.run(OP, &mut report, |_| SmashMatrix::encode(a, config.clone()))?;
+        Ok((sm, report))
     }
 
     // ------------------------------------------------------------------
@@ -833,25 +828,6 @@ impl Executor {
             None => crate::spgemm::spgemm(a, b, mask),
         })?;
         Ok((c, report))
-    }
-
-    fn encode_body<T: Scalar>(
-        &self,
-        a: &Csr<T>,
-        config: SmashConfig,
-        v: Validation,
-    ) -> Result<(SmashMatrix<T>, ExecReport), SmashError> {
-        const OP: &str = "encode";
-        if v == Validation::Checked {
-            SpmvOperand::Csr(a).check(OP)?;
-            self.check_finite(OP, "A", a.values())?;
-        }
-        let mut report = self.start_report(self.plan_encode(a));
-        let sm = self.run(OP, &mut report, |pool| match pool {
-            Some(p) => par_csr_to_smash(p, a, config.clone()),
-            None => SmashMatrix::encode(a, config.clone()),
-        })?;
-        Ok((sm, report))
     }
 
     /// The degradation ladder every op runs: `kernel` gets the pool when
@@ -1063,11 +1039,25 @@ mod tests {
 
     #[test]
     fn encode_modes_agree() {
+        // Every mode, at 1, 2 and 8 threads, runs the one serial encoder
+        // and says so in its plan.
         let a = generators::power_law(128, 128, 20_000, 1.3, 5);
         let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
         let want = SmashMatrix::encode(&a, cfg.clone());
-        for (mode, exec) in modes() {
-            assert_eq!(exec.encode(&a, cfg.clone()), want, "{mode}");
+        let execs = [
+            ("serial", Executor::serial()),
+            ("threads1", Executor::with_threads(1)),
+            ("threads2", Executor::with_threads(2)),
+            ("threads8", Executor::with_threads(8)),
+            ("auto", Executor::auto()),
+            ("auto_empty", Executor::auto_with(Planner::empty())),
+        ];
+        for (mode, exec) in execs {
+            let (sm, report) = exec.try_encode(&a, cfg.clone()).unwrap();
+            assert_eq!(sm, want, "{mode}");
+            assert_eq!(report.plan.choice.format, Format::Smash, "{mode}");
+            assert_eq!(report.plan.choice.threads, 1, "{mode}");
+            assert!(!report.plan.calibrated, "{mode}");
         }
     }
 
@@ -1210,7 +1200,8 @@ mod tests {
                 let msg = panic_message(|| exec.spmm_dense(op, &b, &mut narrow));
                 assert_eq!(msg, err.to_string(), "{what} via {mode}");
             }
-            // SpGEMM and encode take CSR operands.
+            // SpGEMM and encode take CSR operands; encode plans one
+            // thread in every mode.
             let (c_try, report) = exec.try_spgemm(&a, &a).unwrap();
             check_report("spgemm", report);
             assert_eq!(exec.spgemm(&a, &a), c_try, "spgemm via {mode}");
@@ -1220,8 +1211,8 @@ mod tests {
             });
             assert_eq!(msg, err.to_string(), "spgemm via {mode}");
             let (sm_try, report) = exec.try_encode(&a, cfg.clone()).unwrap();
-            check_report("encode", report);
-            assert_eq!(exec.encode(&a, cfg.clone()), sm_try, "encode via {mode}");
+            assert!(!report.degraded(), "encode via {mode}");
+            assert_eq!(report.plan.choice.threads, 1, "encode via {mode}");
             assert_eq!(sm_try, sm, "encode via {mode}");
         }
     }
@@ -1470,24 +1461,5 @@ mod tests {
         let mut dm2 = DynamicMatrix::from_csr(generators::uniform(16, 16, 60, 3));
         dm2.delete(2, 2);
         assert!(exec.try_spmv(&dm2, &test_vector::<f64>(16), &mut y).is_ok());
-    }
-
-    #[test]
-    fn executor_compact_matches_direct_compaction() {
-        use smash_core::DynamicMatrix;
-        let a = generators::power_law(128, 128, 20_000, 1.3, 5);
-        let sm = SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4]).unwrap());
-        for (mode, exec) in modes() {
-            let mut dm = DynamicMatrix::from_smash(sm.clone());
-            dm.set(5, 9, 4.0);
-            dm.delete(17, 3);
-            let want = SmashMatrix::encode(&dm.merged_csr(), sm.config().clone());
-            exec.compact(&mut dm);
-            assert!(dm.overlay().is_empty(), "{mode}");
-            match dm.base() {
-                smash_core::DynamicBase::Smash(got) => assert_eq!(*got, want, "{mode}"),
-                other => panic!("expected a SMASH base, got {other:?}"),
-            }
-        }
     }
 }

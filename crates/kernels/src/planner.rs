@@ -82,8 +82,6 @@ pub enum Op {
     SpmmDense,
     /// Sparse × sparse Gustavson multiply (`Executor::spgemm`).
     Spgemm,
-    /// CSR → SMASH compression (`Executor::encode`).
-    Encode,
 }
 
 impl Op {
@@ -93,7 +91,6 @@ impl Op {
             Op::Spmv => "spmv",
             Op::SpmmDense => "spmm_dense",
             Op::Spgemm => "spgemm",
-            Op::Encode => "encode",
         }
     }
 
@@ -102,7 +99,6 @@ impl Op {
             "spmv" => Op::Spmv,
             "spmm_dense" => Op::SpmmDense,
             "spgemm" => Op::Spgemm,
-            "encode" => Op::Encode,
             _ => return None,
         })
     }
@@ -450,11 +446,11 @@ impl PlanRequest {
     }
 
     /// The work measure predictions scale with: logical nnz for
-    /// SpMV/encode, nnz × RHS width for batched SpMM, the symbolic flop
+    /// SpMV, nnz × RHS width for batched SpMM, the symbolic flop
     /// count for SpGEMM.
     fn predict_work(&self, profile: &MatrixProfile) -> f64 {
         match self.op {
-            Op::Spmv | Op::Encode => profile.nnz as f64,
+            Op::Spmv => profile.nnz as f64,
             Op::SpmmDense => profile.nnz as f64 * self.rhs_cols.max(1) as f64,
             Op::Spgemm => self.work.unwrap_or(profile.nnz as u64) as f64,
         }
@@ -470,7 +466,6 @@ impl PlanRequest {
             Op::Spgemm => {
                 usize::try_from(self.work.unwrap_or(profile.nnz as u64)).unwrap_or(usize::MAX)
             }
-            Op::Encode => profile.nnz,
         }
     }
 }
@@ -1146,7 +1141,7 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
     fn built_in_table_parses_and_covers_every_op() {
         let p = Planner::built_in();
         assert!(p.is_calibrated());
-        for op in [Op::Spmv, Op::SpmmDense, Op::Spgemm, Op::Encode] {
+        for op in [Op::Spmv, Op::SpmmDense, Op::Spgemm] {
             assert!(
                 p.rows.iter().any(|r| r.op == op),
                 "checked-in table has no rows for {op}"

@@ -214,13 +214,7 @@ impl<T: Scalar> Csr<T> {
             &owned
         };
         let rows = coo.rows();
-        let mut row_ptr = vec![0u32; rows + 1];
-        for &(r, _, _) in coo.entries() {
-            row_ptr[r as usize + 1] += 1;
-        }
-        for i in 0..rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
+        let row_ptr = counted_ptr(rows, coo.nnz(), coo.entries().iter().map(|e| e.0 as usize));
         let mut col_ind = Vec::with_capacity(coo.nnz());
         let mut values = Vec::with_capacity(coo.nnz());
         for &(_, c, v) in coo.entries() {
@@ -270,13 +264,11 @@ impl<T: Scalar> Csr<T> {
 
     /// Converts to compressed sparse column.
     pub fn to_csc(&self) -> Csc<T> {
-        let mut col_ptr = vec![0u32; self.cols + 1];
-        for &c in &self.col_ind {
-            col_ptr[c as usize + 1] += 1;
-        }
-        for j in 0..self.cols {
-            col_ptr[j + 1] += col_ptr[j];
-        }
+        let col_ptr = counted_ptr(
+            self.cols,
+            self.nnz(),
+            self.col_ind.iter().map(|&c| c as usize),
+        );
         let mut row_ind = vec![0u32; self.nnz()];
         let mut values = vec![T::ZERO; self.nnz()];
         let mut next = col_ptr.clone();
@@ -570,6 +562,22 @@ impl<T: Scalar> Csr<T> {
 #[inline]
 fn row_ptr_u32(nnz: usize) -> u32 {
     u32::try_from(nnz).unwrap_or_else(|_| panic!("{nnz} non-zeros overflow the u32 row pointers"))
+}
+
+/// The counting-sort pointer array of `nnz` entries over `lines` lines:
+/// `ptr[l + 1] - ptr[l]` is how many of `line_of` are `l`. `nnz` is
+/// checked against the `u32` pointer width once, before the counting
+/// pass, so no count can wrap.
+fn counted_ptr(lines: usize, nnz: usize, line_of: impl Iterator<Item = usize>) -> Vec<u32> {
+    row_ptr_u32(nnz);
+    let mut ptr = vec![0u32; lines + 1];
+    for l in line_of {
+        ptr[l + 1] += 1;
+    }
+    for l in 0..lines {
+        ptr[l + 1] += ptr[l];
+    }
+    ptr
 }
 
 /// Incremental row-by-row CSR constructor for kernels that emit their
@@ -975,6 +983,23 @@ mod tests {
     #[should_panic(expected = "4294967296 non-zeros overflow")]
     fn row_pointers_past_u32_panic_instead_of_wrapping() {
         row_ptr_u32(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967296 non-zeros overflow")]
+    fn counted_pointers_check_nnz_before_counting() {
+        // The width check runs on the declared count before any line is
+        // counted, so an empty walk stands in for 2^32 entries.
+        counted_ptr(3, u32::MAX as usize + 1, std::iter::empty());
+    }
+
+    #[test]
+    fn counted_pointers_are_the_prefix_sum_of_line_counts() {
+        assert_eq!(
+            counted_ptr(4, 5, [2, 0, 2, 3, 2].into_iter()),
+            vec![0, 1, 1, 4, 5]
+        );
+        assert_eq!(counted_ptr(2, 0, std::iter::empty()), vec![0, 0, 0]);
     }
 
     #[test]

@@ -64,7 +64,10 @@
 //! column index produces the ordinary slice-index panic instead of an
 //! out-of-bounds read. The SSE4.2 paths gather through safe slice indexing.
 //! All raw-pointer loads/stores are within bounds proven by the preceding
-//! slice operations.
+//! slice operations. Debug builds also assert those bounds in the gather
+//! and tile bodies themselves (`cols`/`vals` cover every vector load,
+//! each B row slice `base + w ≤ bdata.len()`, each tile
+//! `j0 + w ≤ out.len()`); the assertions compile out of release.
 
 use core::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -617,6 +620,7 @@ mod x86 {
         let mut vacc = _mm256_setzero_ps();
         let mut k = 0usize;
         while k + 8 <= n {
+            debug_assert!(k + 8 <= cols.len() && k + 8 <= vals.len());
             let idx = _mm256_loadu_si256(cols.as_ptr().add(k).cast());
             let ok = _mm256_cmpgt_epi32(lim, _mm256_xor_si256(idx, bias));
             if _mm256_movemask_epi8(ok) != -1 {
@@ -650,6 +654,7 @@ mod x86 {
         let mut vacc = _mm256_setzero_pd();
         let mut k = 0usize;
         while k + 4 <= n {
+            debug_assert!(k + 4 <= cols.len() && k + 4 <= vals.len());
             let idx = _mm_loadu_si128(cols.as_ptr().add(k).cast());
             let ok = _mm_cmpgt_epi32(lim, _mm_xor_si128(idx, bias));
             if _mm_movemask_epi8(ok) != 0xFFFF {
@@ -682,6 +687,7 @@ mod x86 {
         let mut acc1 = _mm_setzero_ps();
         let mut k = 0usize;
         while k + 8 <= n {
+            debug_assert!(k + 8 <= cols.len() && k + 8 <= vals.len());
             let g0 = [
                 x[cols[k] as usize],
                 x[cols[k + 1] as usize],
@@ -722,6 +728,7 @@ mod x86 {
         let mut acc1 = _mm_setzero_pd();
         let mut k = 0usize;
         while k + 4 <= n {
+            debug_assert!(k + 4 <= cols.len() && k + 4 <= vals.len());
             let g0 = [x[cols[k] as usize], x[cols[k + 1] as usize]];
             let g1 = [x[cols[k + 2] as usize], x[cols[k + 3] as usize]];
             let v0 = _mm_loadu_pd(vals.as_ptr().add(k));
@@ -868,6 +875,7 @@ mod x86 {
         out: &mut [f32],
     ) {
         let n = cols.len().min(vals.len());
+        debug_assert!(j0 + 8 <= out.len(), "tile {j0}+8 past out ({})", out.len());
         let mut a0 = _mm256_setzero_ps();
         let mut a1 = _mm256_setzero_ps();
         let mut a2 = _mm256_setzero_ps();
@@ -880,6 +888,11 @@ mod x86 {
             ($acc:ident, $kk:expr) => {{
                 let kk = $kk;
                 let base = cols[kk] as usize * stride + j0;
+                debug_assert!(
+                    kk < n && base + 8 <= bdata.len(),
+                    "B row {base}+8 past {}",
+                    bdata.len()
+                );
                 let brow = &bdata[base..base + 8];
                 let vv = _mm256_set1_ps(vals[kk]);
                 $acc = _mm256_add_ps($acc, _mm256_mul_ps(vv, _mm256_loadu_ps(brow.as_ptr())));
@@ -946,6 +959,7 @@ mod x86 {
         out: &mut [f32],
     ) {
         let n = vals.len();
+        debug_assert!(j0 + 8 <= out.len(), "tile {j0}+8 past out ({})", out.len());
         let mut a0 = _mm256_setzero_ps();
         let mut a1 = _mm256_setzero_ps();
         let mut a2 = _mm256_setzero_ps();
@@ -958,6 +972,11 @@ mod x86 {
             ($acc:ident, $kk:expr) => {{
                 let kk = $kk;
                 let base = (cbase + kk) * stride + j0;
+                debug_assert!(
+                    kk < n && base + 8 <= bdata.len(),
+                    "B row {base}+8 past {}",
+                    bdata.len()
+                );
                 let brow = &bdata[base..base + 8];
                 let vv = _mm256_set1_ps(vals[kk]);
                 $acc = _mm256_add_ps($acc, _mm256_mul_ps(vv, _mm256_loadu_ps(brow.as_ptr())));
@@ -1026,6 +1045,7 @@ mod x86 {
         out: &mut [f64],
     ) {
         let n = cols.len().min(vals.len());
+        debug_assert!(j0 + 8 <= out.len(), "tile {j0}+8 past out ({})", out.len());
         let mut s0l = _mm256_setzero_pd();
         let mut s0h = _mm256_setzero_pd();
         let mut s1l = _mm256_setzero_pd();
@@ -1038,6 +1058,11 @@ mod x86 {
             ($lo:ident, $hi:ident, $kk:expr) => {{
                 let kk = $kk;
                 let base = cols[kk] as usize * stride + j0;
+                debug_assert!(
+                    kk < n && base + 8 <= bdata.len(),
+                    "B row {base}+8 past {}",
+                    bdata.len()
+                );
                 let brow = &bdata[base..base + 8];
                 let vv = _mm256_set1_pd(vals[kk]);
                 $lo = _mm256_add_pd($lo, _mm256_mul_pd(vv, _mm256_loadu_pd(brow.as_ptr())));
@@ -1092,6 +1117,7 @@ mod x86 {
         out: &mut [f64],
     ) {
         let n = vals.len();
+        debug_assert!(j0 + 8 <= out.len(), "tile {j0}+8 past out ({})", out.len());
         let mut s0l = _mm256_setzero_pd();
         let mut s0h = _mm256_setzero_pd();
         let mut s1l = _mm256_setzero_pd();
@@ -1104,6 +1130,11 @@ mod x86 {
             ($lo:ident, $hi:ident, $kk:expr) => {{
                 let kk = $kk;
                 let base = (cbase + kk) * stride + j0;
+                debug_assert!(
+                    kk < n && base + 8 <= bdata.len(),
+                    "B row {base}+8 past {}",
+                    bdata.len()
+                );
                 let brow = &bdata[base..base + 8];
                 let vv = _mm256_set1_pd(vals[kk]);
                 $lo = _mm256_add_pd($lo, _mm256_mul_pd(vv, _mm256_loadu_pd(brow.as_ptr())));
@@ -1162,6 +1193,7 @@ mod x86 {
         out: &mut [f32],
     ) {
         let n = cols.len().min(vals.len());
+        debug_assert!(j0 + 4 <= out.len(), "tile {j0}+4 past out ({})", out.len());
         let mut a0 = _mm_setzero_ps();
         let mut a1 = _mm_setzero_ps();
         let mut a2 = _mm_setzero_ps();
@@ -1174,6 +1206,11 @@ mod x86 {
             ($acc:ident, $kk:expr) => {{
                 let kk = $kk;
                 let base = cols[kk] as usize * stride + j0;
+                debug_assert!(
+                    kk < n && base + 4 <= bdata.len(),
+                    "B row {base}+4 past {}",
+                    bdata.len()
+                );
                 let brow = &bdata[base..base + 4];
                 let vv = _mm_set1_ps(vals[kk]);
                 $acc = _mm_add_ps($acc, _mm_mul_ps(vv, _mm_loadu_ps(brow.as_ptr())));
@@ -1239,6 +1276,7 @@ mod x86 {
         out: &mut [f32],
     ) {
         let n = vals.len();
+        debug_assert!(j0 + 4 <= out.len(), "tile {j0}+4 past out ({})", out.len());
         let mut a0 = _mm_setzero_ps();
         let mut a1 = _mm_setzero_ps();
         let mut a2 = _mm_setzero_ps();
@@ -1251,6 +1289,11 @@ mod x86 {
             ($acc:ident, $kk:expr) => {{
                 let kk = $kk;
                 let base = (cbase + kk) * stride + j0;
+                debug_assert!(
+                    kk < n && base + 4 <= bdata.len(),
+                    "B row {base}+4 past {}",
+                    bdata.len()
+                );
                 let brow = &bdata[base..base + 4];
                 let vv = _mm_set1_ps(vals[kk]);
                 $acc = _mm_add_ps($acc, _mm_mul_ps(vv, _mm_loadu_ps(brow.as_ptr())));
@@ -1319,6 +1362,7 @@ mod x86 {
         out: &mut [f64],
     ) {
         let n = cols.len().min(vals.len());
+        debug_assert!(j0 + 4 <= out.len(), "tile {j0}+4 past out ({})", out.len());
         let mut s0l = _mm_setzero_pd();
         let mut s0h = _mm_setzero_pd();
         let mut s1l = _mm_setzero_pd();
@@ -1331,6 +1375,11 @@ mod x86 {
             ($lo:ident, $hi:ident, $kk:expr) => {{
                 let kk = $kk;
                 let base = cols[kk] as usize * stride + j0;
+                debug_assert!(
+                    kk < n && base + 4 <= bdata.len(),
+                    "B row {base}+4 past {}",
+                    bdata.len()
+                );
                 let brow = &bdata[base..base + 4];
                 let vv = _mm_set1_pd(vals[kk]);
                 $lo = _mm_add_pd($lo, _mm_mul_pd(vv, _mm_loadu_pd(brow.as_ptr())));
@@ -1382,6 +1431,7 @@ mod x86 {
         out: &mut [f64],
     ) {
         let n = vals.len();
+        debug_assert!(j0 + 4 <= out.len(), "tile {j0}+4 past out ({})", out.len());
         let mut s0l = _mm_setzero_pd();
         let mut s0h = _mm_setzero_pd();
         let mut s1l = _mm_setzero_pd();
@@ -1394,6 +1444,11 @@ mod x86 {
             ($lo:ident, $hi:ident, $kk:expr) => {{
                 let kk = $kk;
                 let base = (cbase + kk) * stride + j0;
+                debug_assert!(
+                    kk < n && base + 4 <= bdata.len(),
+                    "B row {base}+4 past {}",
+                    bdata.len()
+                );
                 let brow = &bdata[base..base + 4];
                 let vv = _mm_set1_pd(vals[kk]);
                 $lo = _mm_add_pd($lo, _mm_mul_pd(vv, _mm_loadu_pd(brow.as_ptr())));

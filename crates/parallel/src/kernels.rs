@@ -1,9 +1,8 @@
 //! Parallel drivers and kernels of the native hot paths.
 //!
 //! Every function here is **bit-identical** to its serial counterpart
-//! (`smash_matrix::spmv_rows` / `spmm_dense_rows` for the drivers,
-//! `SmashMatrix::encode` for the compressor) at every thread count. Two
-//! properties make that hold:
+//! (`smash_matrix::spmv_rows` / `spmm_dense_rows`) at every thread count.
+//! Two properties make that hold:
 //!
 //! 1. the matrix is split into *contiguous* line ranges (see
 //!    [`partition_by_weight`](crate::partition_by_weight)), balanced by
@@ -18,8 +17,7 @@
 
 use crate::partition::partition_by_weight;
 use crate::pool::ThreadPool;
-use smash_core::{for_each_line_block, Layout, SmashConfig, SmashMatrix};
-use smash_matrix::{Csr, Dense, RowRead, Scalar};
+use smash_matrix::{Dense, RowRead, Scalar};
 
 /// Parallel `y = A·x` over any [`RowRead`] operand — *the* parallel SpMV
 /// driver of the kernel stack, for every format.
@@ -101,82 +99,11 @@ pub fn par_spmm_dense_rows<T: Scalar, R: RowRead<T> + ?Sized>(
     });
 }
 
-/// Parallel CSR → SMASH compression; the produced matrix is `==` to
-/// `SmashMatrix::encode(a, config)` (same bitmap hierarchy, same NZA
-/// block order and padding) at any thread count.
-///
-/// Workers discover the occupied blocks and materialize the NZA values
-/// for disjoint line ranges; the main thread splices the per-range
-/// results in line order and builds the upper bitmap levels once.
-pub fn par_csr_to_smash<T: Scalar>(
-    pool: &ThreadPool,
-    a: &Csr<T>,
-    config: SmashConfig,
-) -> SmashMatrix<T> {
-    match config.layout() {
-        Layout::RowMajor => par_encode_lines(pool, a.rows(), a.cols(), config, |l| a.row(l)),
-        Layout::ColMajor => {
-            // Column-major encoding walks the CSC transpose-view, exactly
-            // like the serial encoder.
-            let csc = a.to_csc();
-            par_encode_lines(pool, a.rows(), a.cols(), config, |l| csc.col(l))
-        }
-    }
-}
-
-/// Shared parallel encoder over an abstract "line" accessor (CSR rows or
-/// CSC columns), mirroring `SmashMatrix::encode_lines`.
-fn par_encode_lines<'m, T: Scalar, F>(
-    pool: &ThreadPool,
-    rows: usize,
-    cols: usize,
-    config: SmashConfig,
-    line_entries: F,
-) -> SmashMatrix<T>
-where
-    F: Fn(usize) -> (&'m [u32], &'m [T]) + Sync,
-{
-    let b0 = config.block_size();
-    let (lines, line_len) = match config.layout() {
-        Layout::RowMajor => (rows, cols),
-        Layout::ColMajor => (cols, rows),
-    };
-    let bpl = line_len.div_ceil(b0);
-    let ranges = partition_by_weight(lines, pool.threads(), |l| line_entries(l).0.len() as u64);
-    // Per range: the logical Bitmap-0 indices of occupied blocks plus the
-    // flattened (zero-padded) block values, both in bit order.
-    let mut parts: Vec<(Vec<usize>, Vec<T>)> = vec![Default::default(); ranges.len()];
-    pool.scoped(|s| {
-        for (range, slot) in ranges.iter().cloned().zip(parts.iter_mut()) {
-            let line_entries = &line_entries;
-            s.execute(move || {
-                let mut bits = Vec::new();
-                let mut vals = Vec::new();
-                let mut block = vec![T::ZERO; b0];
-                for line in range {
-                    let (offsets, values) = line_entries(line);
-                    let base = line * bpl;
-                    // The same per-line routine the serial encoder uses —
-                    // sharing it keeps the two bit-identical.
-                    for_each_line_block(offsets, values, &mut block, |blk, block_vals| {
-                        bits.push(base + blk);
-                        vals.extend_from_slice(block_vals);
-                    });
-                }
-                *slot = (bits, vals);
-            });
-        }
-    });
-    // Bit order across the parts is line order, so one shared assembly
-    // routine builds the bitmap hierarchy and NZA.
-    SmashMatrix::from_bit_blocks(rows, cols, config, &parts)
-        .expect("parallel encoder preserves all invariants")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Coo};
+    use smash_core::{SmashConfig, SmashMatrix};
+    use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Coo, Csr};
 
     fn test_vector(n: usize) -> Vec<f64> {
         (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect()
@@ -224,30 +151,6 @@ mod tests {
             let mut y = vec![-3.0; 90];
             par_spmv_rows(&pool, &sm, &x, &mut y);
             assert_eq!(y, want, "threads = {}", pool.threads());
-        }
-    }
-
-    #[test]
-    fn par_compression_equals_serial_encode() {
-        let a = generators::clustered(64, 72, 600, 4, 21);
-        for ratios in [&[2u32][..], &[4, 4], &[2, 4, 16]] {
-            let cfg = SmashConfig::row_major(ratios).unwrap();
-            let want = SmashMatrix::encode(&a, cfg.clone());
-            for pool in pools() {
-                let got = par_csr_to_smash(&pool, &a, cfg.clone());
-                assert_eq!(got, want, "ratios {ratios:?}, threads {}", pool.threads());
-            }
-        }
-    }
-
-    #[test]
-    fn par_compression_handles_col_major() {
-        let a = generators::uniform(37, 53, 400, 9);
-        let cfg = SmashConfig::col_major(&[2, 4]).unwrap();
-        let want = SmashMatrix::encode(&a, cfg.clone());
-        for pool in pools() {
-            let got = par_csr_to_smash(&pool, &a, cfg.clone());
-            assert_eq!(got, want, "threads {}", pool.threads());
         }
     }
 
@@ -309,10 +212,9 @@ mod tests {
         let mut y = vec![5.0; 16];
         par_spmv_rows(&pool, &a, &test_vector(16), &mut y);
         assert!(y.iter().all(|&v| v == 0.0));
-        let sm = par_csr_to_smash(&pool, &a, SmashConfig::row_major(&[2, 4]).unwrap());
-        assert_eq!(
-            sm,
-            SmashMatrix::encode(&a, SmashConfig::row_major(&[2, 4]).unwrap())
-        );
+        let mut c = Dense::zeros(16, 3);
+        c.as_mut_slice().fill(5.0);
+        par_spmm_dense_rows(&pool, &a, &test_batch(16, 3), &mut c);
+        assert!(c.as_slice().iter().all(|&v| v == 0.0));
     }
 }

@@ -12,10 +12,10 @@
 //!   contiguous range partitioning;
 //! * [`par_spmv_rows`], [`par_spmm_dense_rows`] — the parallel SpMV and
 //!   dense-SpMM drivers over any `RowRead` operand (CSR, BCSR, SMASH,
-//!   dynamic) — plus the parallel encoder [`par_csr_to_smash`]: all
-//!   **bit-identical** to their serial counterparts at every thread
-//!   count, because workers own disjoint contiguous output ranges and
-//!   each line is computed by the serial loop body in serial order.
+//!   dynamic), both **bit-identical** to their serial counterparts at
+//!   every thread count, because workers own disjoint contiguous output
+//!   ranges and each line is computed by the serial loop body in serial
+//!   order.
 //!
 //! # Example
 //!
@@ -43,7 +43,7 @@ mod kernels;
 mod partition;
 mod pool;
 
-pub use kernels::{par_csr_to_smash, par_spmm_dense_rows, par_spmv_rows};
+pub use kernels::{par_spmm_dense_rows, par_spmv_rows};
 pub use partition::partition_by_weight;
 pub use pool::{
     default_threads, threads_from_env, Scope, ThreadPool, ThreadsEnvError, THREADS_ENV,

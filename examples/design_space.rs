@@ -6,18 +6,15 @@
 //!
 //! Run with: `cargo run --release --example design_space`
 
-use smash::encoding::{storage, SmashConfig};
+use smash::encoding::{storage, SmashConfig, SmashMatrix};
 use smash::kernels::planner::{Op, PlanRequest, Planner};
 use smash::kernels::{harness, MatrixProfile, Mechanism};
 use smash::matrix::locality::with_locality;
+use smash::parallel::default_threads;
 use smash::sim::SystemConfig;
-use smash::Executor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sys = SystemConfig::paper_table2_scaled(16);
-    // Compression runs through the executor (parallel when the matrix is
-    // big enough; the result is `==` to the serial encoder either way).
-    let exec = Executor::auto();
     println!("Bitmap-0 ratio sweep at two localities (1024x1024, 20k non-zeros):\n");
     for (name, locality) in [
         ("scattered (25% locality@8)", 0.25),
@@ -29,10 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // this structure — the block-fill feature is what separates the
         // two localities in its cost model.
         let profile = MatrixProfile::of_csr(&a).with_block_fill(&a);
-        let plan = Planner::built_in().plan(
-            &profile,
-            &PlanRequest::free(Op::Spmv, exec.threads().max(1)),
-        );
+        let plan =
+            Planner::built_in().plan(&profile, &PlanRequest::free(Op::Spmv, default_threads()));
         println!("  planner: {}", plan.rationale.replace('\n', "\n  "));
         println!(
             "  {:<6} {:>12} {:>12} {:>14} {:>10}",
@@ -41,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut base = None;
         for b0 in [2u32, 4, 8] {
             let cfg = SmashConfig::row_major(&[b0, 4, 16])?;
-            let sm = exec.encode(&a, cfg.clone());
+            let sm = SmashMatrix::encode(&a, cfg.clone());
             let rep = storage::compare(&a, &cfg);
             let cycles = harness::sim_spmv(Mechanism::Smash, &a, &cfg, &sys).cycles;
             let b = *base.get_or_insert(cycles);

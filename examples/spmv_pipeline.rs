@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example spmv_pipeline`
 
 use smash::bmu::Instruction;
-use smash::encoding::SmashConfig;
+use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::kernels::harness::{self, BCSR_BLOCK};
 use smash::kernels::{test_vector, Mechanism, SpmvOperand};
 use smash::matrix::{suite::paper_suite, Bcsr};
@@ -112,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let want = a.spmv(&x);
     let mut y = vec![0.0f64; a.rows()];
     let bcsr = Bcsr::from_csr(&a, BCSR_BLOCK, BCSR_BLOCK)?;
-    let sm = exec.encode(&a, cfg.clone());
+    let sm = SmashMatrix::encode(&a, cfg.clone());
     let operands: [(&str, SpmvOperand<'_, f64>); 3] = [
         ("csr", (&a).into()),
         ("bcsr", (&bcsr).into()),

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example triangle_2hop`
 
+use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::graph::{generators, triangles};
 use smash::Executor;
 use std::time::Instant;
@@ -73,8 +74,8 @@ fn main() {
     println!("two-hop neighbourhoods: avg {avg:.1}, max {max}");
 
     // The same A², compressed into the SMASH encoding.
-    let cfg = smash::encoding::SmashConfig::row_major(&[2, 4]).expect("valid ratios");
-    let sm = parallel.encode(&paths, cfg);
+    let cfg = SmashConfig::row_major(&[2, 4]).expect("valid ratios");
+    let sm = SmashMatrix::encode(&paths, cfg);
     println!(
         "A² compressed: {} stored blocks, {:.2}x storage vs CSR",
         sm.num_blocks(),

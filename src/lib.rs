@@ -18,10 +18,11 @@
 //!   evaluates, all generic over [`matrix::Scalar`] (`f64` and `f32`),
 //!   plus the [`Executor`]: one entry point per operation (`spmv`,
 //!   `spmm_dense` — column-tiled so one pass serves many right-hand
-//!   sides — `spgemm`, `encode`) over *format × precision ×
-//!   serial/parallel*,
+//!   sides — `spgemm`) over *format × precision × serial/parallel*;
+//!   CSR → SMASH compression has the one serial encoder
+//!   `SmashMatrix::encode`,
 //! * [`parallel`] — a scoped thread pool plus the parallel drivers
-//!   (`par_spmv_rows`, `par_spmm_dense_rows`) and compressor,
+//!   (`par_spmv_rows`, `par_spmm_dense_rows`),
 //!   bit-identical to the serial ones at every thread count
 //!   (`SMASH_THREADS` overrides the worker count),
 //! * [`graph`] — PageRank and Betweenness Centrality built on the
@@ -36,7 +37,7 @@
 //! pending `set`/`add`/`delete` mutations. Kernels read the merged view
 //! directly (the overlay is a first-class executor operand,
 //! bit-identical to a from-scratch rebuild), explicit
-//! [`Executor::compact`] folds the overlay back into a fresh base, and
+//! [`DynamicMatrix::compact`] folds the overlay back into a fresh base, and
 //! `graph::IncrementalPageRank` builds warm-started dynamic-graph
 //! PageRank on top.
 //!

@@ -15,7 +15,7 @@ use smash::graph::{generators, pagerank_power, uniform_ranks, Graph, Incremental
 use smash::kernels::native;
 use smash::matrix::{spmm_dense_rows, spmv_rows, Coo, Csr, CsrBuilder, Dense, RowRead};
 use smash::parallel::{par_spmm_dense_rows, par_spmv_rows, ThreadPool};
-use smash::{Delta, DynamicBase, DynamicMatrix, Executor};
+use smash::{Delta, DynamicBase, DynamicMatrix};
 
 /// One overlay mutation, drawn by proptest.
 #[derive(Debug, Clone, Copy)]
@@ -189,24 +189,20 @@ proptest! {
     }
 
     /// Compaction folds the overlay into the base without changing any
-    /// merged triplet, and the compacted base matches the parallel
-    /// encoder exactly.
+    /// merged triplet, and a compacted SMASH base is `==` to a
+    /// from-scratch encode of the merged matrix.
     #[test]
     fn compaction_round_trips_exactly(case in arb_case()) {
         let (base, muts) = case;
         for mut dm in both_bases(&base) {
             apply(&mut dm, &base, &muts);
             let before = dm.merged_csr();
-            let mut via_exec = dm.clone();
             dm.compact();
             prop_assert!(dm.overlay().is_empty());
             prop_assert_eq!(&dm.merged_csr(), &before);
-
-            // The executor's compact (which may route through the
-            // parallel encoder) lands on the same base.
-            Executor::auto().compact(&mut via_exec);
-            prop_assert!(via_exec.overlay().is_empty());
-            prop_assert_eq!(&via_exec.merged_csr(), &before);
+            if let DynamicBase::Smash(sm) = dm.base() {
+                prop_assert_eq!(sm, &SmashMatrix::encode(&before, sm.config().clone()));
+            }
         }
     }
 

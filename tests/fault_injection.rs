@@ -8,7 +8,7 @@
 #![cfg(feature = "fault-injection")]
 
 use proptest::prelude::*;
-use smash::encoding::SmashConfig;
+use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::matrix::{generators, Csr, Dense};
 use smash::parallel::faultinject::{arm, FaultPlan, Site, INJECTED_PANIC};
 use smash::{Degradation, Executor, MemoryBudget, SmashError};
@@ -142,7 +142,7 @@ proptest! {
         let mut want_c = Dense::zeros(96, 5);
         Executor::serial().spmm_dense(&a, &b, &mut want_c);
         let want_p = Executor::serial().spgemm(&a, &a);
-        let want_sm = Executor::serial().encode(&a, cfg.clone());
+        let want_sm = SmashMatrix::encode(&a, cfg.clone());
 
         let session = arm(FaultPlan::seeded(
             seed,

@@ -233,9 +233,10 @@ fn executor_auto_is_bit_identical_to_explicit_kernels() {
             "spgemm auto != serial"
         );
         let cfg = SmashConfig::row_major(&[2, 4]).expect("valid");
+        let (sm_try, _) = exec.try_encode(a, cfg.clone()).expect("clean input");
         assert!(
-            exec.encode(a, cfg.clone()) == SmashMatrix::encode(a, cfg),
-            "encode auto != serial"
+            sm_try == SmashMatrix::encode(a, cfg),
+            "try_encode auto != serial"
         );
     }
     // Both a small (serial-dispatch) and a large (parallel-dispatch)

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::kernels::native;
 use smash::matrix::{generators, spmv_rows, Bcsr, Coo, Csr};
-use smash::parallel::{par_csr_to_smash, par_spmv_rows, ThreadPool};
+use smash::parallel::{par_spmv_rows, ThreadPool};
 use smash::Executor;
 
 /// The thread counts every equivalence assertion runs under.
@@ -88,9 +88,6 @@ fn assert_all_kernels_equivalent(a: &Csr<f64>) {
         for ((cfg, sm), want) in smash.iter().zip(&want_smash) {
             par_spmv_rows(&pool, sm, &x, &mut got);
             assert_eq!(&got, want, "smash {cfg:?} spmv, threads = {label}");
-
-            let got_sm = par_csr_to_smash(&pool, a, cfg.clone());
-            assert_eq!(&got_sm, sm, "csr_to_smash {cfg:?}, threads = {label}");
         }
 
         let got_spmm = exec.spgemm(a, &bt).to_coo();
@@ -131,7 +128,7 @@ fn assert_f32_parallel_bit_identical(a64: &Csr<f64>) {
     let x: Vec<f32> = vector(a.cols()).iter().map(|&v| v as f32).collect();
     let bcsr = Bcsr::from_csr(&a, 2, 2).expect("valid 2x2 blocking");
     let cfg = SmashConfig::row_major(&[2, 4]).expect("valid config");
-    let sm = SmashMatrix::encode(&a, cfg.clone());
+    let sm = SmashMatrix::encode(&a, cfg);
     let bt = a.transpose();
     let bc = bt.to_csc();
 
@@ -158,11 +155,6 @@ fn assert_f32_parallel_bit_identical(a64: &Csr<f64>) {
             exec.spgemm(&a, &bt).to_coo().entries(),
             want_spmm.entries(),
             "f32 spgemm, threads = {threads}"
-        );
-        assert_eq!(
-            par_csr_to_smash(&pool, &a, cfg.clone()),
-            sm,
-            "f32 csr_to_smash, threads = {threads}"
         );
     }
 }

@@ -170,18 +170,19 @@ fn empty_table_reproduces_the_threshold_dispatch_exactly() {
                 && rows >= AUTO_MIN_ROWS_PER_THREAD * threads
         };
 
-        // SpMV and encode weigh the operand's own work.
-        for (op, want) in [(Op::Spmv, legacy(work)), (Op::Encode, legacy(profile.nnz))] {
-            let plan = planner.plan(&profile, &PlanRequest::pinned(op, Format::Csr, threads));
-            assert!(!plan.calibrated);
-            assert!(plan.score.is_nan(), "fallback predicts nothing");
-            assert_eq!(
-                plan.choice.parallel(),
-                want,
-                "{op} rows={rows} work={work} threads={threads}: {}",
-                plan.rationale
-            );
-        }
+        // SpMV weighs the operand's own work.
+        let plan = planner.plan(
+            &profile,
+            &PlanRequest::pinned(Op::Spmv, Format::Csr, threads),
+        );
+        assert!(!plan.calibrated);
+        assert!(plan.score.is_nan(), "fallback predicts nothing");
+        assert_eq!(
+            plan.choice.parallel(),
+            legacy(work),
+            "spmv rows={rows} work={work} threads={threads}: {}",
+            plan.rationale
+        );
         // Batched SpMM scales stored work by the RHS width: a matrix too
         // small to parallelize one SpMV goes wide with enough columns.
         for rhs in [1usize, 4, 64] {
@@ -238,7 +239,7 @@ fn built_in_planner_picks_the_tables_own_fastest_row() {
             z.name
         );
 
-        for op in [Op::Spmv, Op::SpmmDense, Op::Spgemm, Op::Encode] {
+        for op in [Op::Spmv, Op::SpmmDense, Op::Spgemm] {
             // Measured winner straight from the table text: the row with
             // the lowest ns/work among candidates eligible at 4 workers.
             let winner = table
@@ -288,24 +289,5 @@ fn built_in_planner_picks_the_tables_own_fastest_row() {
             checked += 1;
         }
     }
-    assert_eq!(checked, zoo::planner_zoo().len() * 4);
-}
-
-/// `Auto` encode plans under SMASH, the format its calibration rows carry
-/// and its output has, so a zoo matrix meets its own measured rows
-/// instead of falling to the threshold tier.
-#[test]
-fn auto_encode_plans_against_its_calibration_rows() {
-    let exec = Executor::auto();
-    for z in zoo::planner_zoo() {
-        let plan = exec.plan_encode(&z.matrix);
-        assert!(plan.calibrated, "{}: {}", z.name, plan.rationale);
-        assert_eq!(plan.choice.format, Format::Smash, "{}", z.name);
-        assert!(
-            plan.rationale.contains(&format!("'{}'", z.name)),
-            "{}: {}",
-            z.name,
-            plan.rationale
-        );
-    }
+    assert_eq!(checked, zoo::planner_zoo().len() * 3);
 }

@@ -7,7 +7,7 @@
 //! accounting never exceeding the cap.
 
 use proptest::prelude::*;
-use smash::encoding::SmashConfig;
+use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::kernels::spgemm::{estimate_engine_bytes, symbolic_bounds};
 use smash::matrix::{generators, Coo, Csr, Dense};
 use smash::{Degradation, Executor, MemoryBudget, NonFinitePolicy, SmashError};
@@ -54,7 +54,7 @@ fn try_tier_is_bit_identical_to_the_panicking_tier_across_modes() {
     let mut want_c = Dense::zeros(96, 5);
     Executor::serial().spmm_dense(&a, &b, &mut want_c);
     let want_p = Executor::serial().spgemm(&a, &a);
-    let want_sm = Executor::serial().encode(&a, cfg.clone());
+    let want_sm = SmashMatrix::encode(&a, cfg.clone());
 
     for (label, exec) in executors() {
         let mut y = vec![f64::NAN; 96];
