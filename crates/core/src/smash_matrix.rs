@@ -757,6 +757,36 @@ mod tests {
     }
 
     #[test]
+    fn from_parts_reassembles_an_encoding_and_rejects_mismatched_parts() {
+        let a = generators::clustered(50, 41, 300, 6, 5);
+        for config in [cfg(&[2, 4, 16]), SmashConfig::col_major(&[4, 2]).unwrap()] {
+            let sm = SmashMatrix::encode(&a, config.clone());
+            let (rows, cols) = (sm.rows(), sm.cols());
+            let parts = |nza: Nza<f64>| {
+                SmashMatrix::from_parts(rows, cols, config.clone(), sm.hierarchy().clone(), nza)
+            };
+            let back = parts(sm.nza().clone()).expect("an encoding's own parts are consistent");
+            assert_eq!(back, sm);
+            assert!(back.is_verified());
+
+            let b0 = sm.nza().block_size();
+            let mut extra = sm.nza().values().to_vec();
+            extra.extend(std::iter::repeat_n(1.0, b0));
+            match parts(Nza::from_values(b0, extra)) {
+                Err(SmashError::Inconsistent(msg)) => assert!(msg.contains("set bits"), "{msg}"),
+                other => panic!("extra NZA block accepted: {other:?}"),
+            }
+
+            // Same block count, wider blocks.
+            let wide = vec![1.0; sm.num_blocks() * (b0 + 1)];
+            match parts(Nza::from_values(b0 + 1, wide)) {
+                Err(SmashError::Inconsistent(msg)) => assert!(msg.contains("block size"), "{msg}"),
+                other => panic!("wrong block size accepted: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn roundtrip_many_shapes_and_configs() {
         let mats = [
             generators::uniform(33, 57, 200, 3),

@@ -39,11 +39,9 @@ pub fn personalized_pagerank<T: Scalar>(
 ) -> Vec<T> {
     let n = g.vertices();
     assert_eq!(p.len(), n, "personalization length must equal vertices");
-    let m = g.transition_matrix();
+    let m = g.transition();
     let p = Dense::from_vec(n, 1, p.to_vec()).expect("n x 1 matches its data");
-    let r = pagerank_sweep(cfg, &p, |r, y| {
-        exec.spmv(&m, r.as_slice(), y.as_mut_slice())
-    });
+    let r = pagerank_sweep(cfg, &p, |r, y| exec.spmv(m, r.as_slice(), y.as_mut_slice()));
     r.as_slice().to_vec()
 }
 
@@ -66,13 +64,13 @@ pub fn personalized_pagerank_batched<T: Scalar>(
     cfg: &PageRankConfig,
     personalization: &Dense<T>,
 ) -> Dense<T> {
-    let m = g.transition_matrix();
     assert_eq!(
         personalization.rows(),
         g.vertices(),
         "personalization rows must equal vertices"
     );
-    pagerank_sweep(cfg, personalization, |r, y| exec.spmm_dense(&m, r, y))
+    let m = g.transition();
+    pagerank_sweep(cfg, personalization, |r, y| exec.spmm_dense(m, r, y))
 }
 
 /// The one power-iteration loop of both variants: starting from `r = p`,

@@ -1,4 +1,5 @@
 use smash_matrix::{Coo, Csr, Scalar};
+use std::sync::OnceLock;
 
 /// Directed graph stored as a CSR adjacency matrix (`A[u][v] = 1` for an
 /// edge `u -> v`), the representation the paper's Ligra-based workloads
@@ -9,9 +10,25 @@ use smash_matrix::{Coo, Csr, Scalar};
 /// PageRank/BC pipelines at half the memory traffic — the
 /// approximate-analytics regime — and [`Graph::cast`] converts between
 /// precisions without touching the edge structure.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A graph is immutable once built, so the PageRank transition matrix is
+/// built at most once per graph, on first use, and kept
+/// ([`Graph::transition`]).
+#[derive(Debug, Clone)]
 pub struct Graph<T: Scalar = f64> {
     adj: Csr<T>,
+    /// The transition matrix, built on the first [`Graph::transition`]
+    /// call. `adj` never changes after construction, so it cannot go
+    /// stale.
+    transition: OnceLock<Csr<T>>,
+}
+
+/// Two graphs are equal when their edges are: the transition cache is
+/// derived from `adj`, so whether it is filled does not matter.
+impl<T: Scalar> PartialEq for Graph<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.adj == other.adj
+    }
 }
 
 impl<T: Scalar> Graph<T> {
@@ -33,13 +50,14 @@ impl<T: Scalar> Graph<T> {
             }
         }
         coo.compress();
-        // Duplicate edges were summed by compress; clamp back to 1.
-        let mut dedup = Coo::with_capacity(vertices, vertices, coo.nnz());
-        for &(u, v, _) in coo.entries() {
-            dedup.push(u as usize, v as usize, T::ONE);
-        }
+        // Compression summed each duplicate edge into one entry (a sum of
+        // ones, which never cancels), so every edge survives; clamp the
+        // sums back to 1.
+        let mut adj = Csr::from_coo(&coo);
+        adj.values_mut().fill(T::ONE);
         Graph {
-            adj: Csr::from_coo(&dedup),
+            adj,
+            transition: OnceLock::new(),
         }
     }
 
@@ -84,29 +102,49 @@ impl<T: Scalar> Graph<T> {
     /// The same graph with edge weights converted to scalar type `U` —
     /// the edge structure (and therefore every traversal) is unchanged,
     /// only the arithmetic precision of the SpMV-based algorithms moves.
+    /// The result starts with no transition matrix: its weights are
+    /// rounded from `f64` in `U` on first use, not cast from `T`'s.
     pub fn cast<U: Scalar>(&self) -> Graph<U> {
         Graph {
             adj: self.adj.cast(),
+            transition: OnceLock::new(),
         }
     }
 
     /// The column-stochastic PageRank transition matrix `M` with
     /// `M[v][u] = 1 / outdeg(u)` for each edge `u -> v`, so one PageRank
     /// iteration is the SpMV `r' = d·M·r + (1-d)/n`.
+    ///
+    /// Built on the first call and kept for the graph's lifetime, so every
+    /// later call is a lookup. The cost is memory: one more CSR of `edges()`
+    /// entries (`4·(vertices + 1) + (4 + size_of::<T>())·edges()` bytes)
+    /// per graph that has been asked for it. [`Graph::transition_matrix`]
+    /// builds a fresh, owned copy instead.
+    pub fn transition(&self) -> &Csr<T> {
+        self.transition.get_or_init(|| self.transition_matrix())
+    }
+
+    /// The transition matrix if [`Graph::transition`] has built it, without
+    /// building it.
+    #[cfg(test)]
+    pub(crate) fn cached_transition(&self) -> Option<&Csr<T>> {
+        self.transition.get()
+    }
+
+    /// Builds the transition matrix of [`Graph::transition`] anew, as an
+    /// owned matrix: `Aᵀ` by one counting sort, with each entry `(v, u)`
+    /// re-weighted to `T::from_f64(1.0 / outdeg(u))`, the expression
+    /// `IncrementalPageRank::add_edge` re-weights a column with.
     pub fn transition_matrix(&self) -> Csr<T> {
-        let n = self.vertices();
-        let mut coo = Coo::with_capacity(n, n, self.edges());
-        for u in 0..n {
-            let deg = self.out_degree(u);
-            if deg == 0 {
-                continue;
-            }
-            let w = T::from_f64(1.0 / deg as f64);
-            for v in self.neighbours(u) {
-                coo.push(v, u, w);
-            }
-        }
-        Csr::from_coo(&coo)
+        // A sink's weight (1/0) is never read: it has no out-edges.
+        let inv: Vec<T> = (0..self.vertices())
+            .map(|u| T::from_f64(1.0 / self.out_degree(u) as f64))
+            .collect();
+        let mut m = self.adj.transpose();
+        // Row v of `Aᵀ` lists the sources u of v's in-edges.
+        let weights: Vec<T> = m.col_ind().iter().map(|&u| inv[u as usize]).collect();
+        m.values_mut().copy_from_slice(&weights);
+        m
     }
 }
 
@@ -177,6 +215,64 @@ mod tests {
         let r = crate::generators::rmat(256, 2_000, 7);
         assert_transition_exact(&r);
         assert_transition_exact(&r.cast::<f32>());
+    }
+
+    #[test]
+    fn transition_is_built_once_and_equals_a_fresh_build() {
+        let g = crate::generators::rmat(256, 2_000, 7);
+        assert!(g.cached_transition().is_none(), "built lazily");
+        assert_eq!(*g.transition(), g.transition_matrix());
+        assert!(
+            std::ptr::eq(g.transition(), g.transition()),
+            "a second call must return the cached matrix"
+        );
+        let g32 = g.cast::<f32>();
+        assert!(g32.cached_transition().is_none(), "cast starts empty");
+        assert_eq!(*g32.transition(), g32.transition_matrix());
+    }
+
+    #[test]
+    fn cast_transition_is_rounded_in_the_target_precision() {
+        // Built from f32 out-degrees, not cast from the f64 cache.
+        let g = Graph::<f64>::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 2), (3, 0), (3, 4)]);
+        g.transition();
+        let g32 = g.cast::<f32>();
+        let m = g32.transition();
+        for (v, u, w) in m.iter() {
+            assert!(
+                w == f32::from_f64(1.0 / g32.out_degree(u) as f64),
+                "M[{v}][{u}]"
+            );
+        }
+    }
+
+    #[test]
+    fn clone_and_eq_ignore_the_transition_cache() {
+        let empty = diamond();
+        let filled = diamond();
+        filled.transition();
+        assert_eq!(empty, filled);
+        assert_eq!(filled, empty);
+        assert_eq!(empty.clone(), filled.clone());
+        assert!(empty.clone().cached_transition().is_none());
+        let copy = filled.clone();
+        assert_eq!(copy, filled);
+        assert_eq!(copy.cached_transition(), filled.cached_transition());
+        assert_eq!(*copy.transition(), filled.transition_matrix());
+        let other = Graph::<f64>::from_edges(4, &[(0, 1)]);
+        assert_ne!(other, filled);
+    }
+
+    #[test]
+    fn from_edges_keeps_every_distinct_edge_once() {
+        // Triplicated and duplicated edges sum to 3 and 2 in the COO; the
+        // adjacency keeps each one edge at weight 1.
+        let edges = [(2, 0), (0, 1), (2, 0), (0, 1), (2, 0), (1, 0), (0, 0)];
+        let g = Graph::<f32>::from_edges(3, &edges);
+        assert_eq!(g.adjacency().row_ptr(), &[0, 1, 2, 3]);
+        assert_eq!(g.adjacency().col_ind(), &[1, 0, 0]);
+        assert_eq!(g.adjacency().values(), &[1.0, 1.0, 1.0]);
+        assert!(g.adjacency().is_verified());
     }
 
     #[test]

@@ -234,6 +234,22 @@ mod tests {
     }
 
     #[test]
+    fn new_solves_the_same_with_the_transition_cache_filled_or_empty() {
+        let g = generators::rmat(128, 768, 9);
+        let mut empty = IncrementalPageRank::new(&g, 0.85, 1e-12, 500);
+        assert!(
+            g.cached_transition().is_none(),
+            "new must not fill the cache"
+        );
+        g.transition();
+        let mut filled = IncrementalPageRank::new(&g, 0.85, 1e-12, 500);
+        assert_eq!(empty.matrix().merged_csr(), filled.matrix().merged_csr());
+        assert_eq!(empty.solve(), filled.solve());
+        assert!(empty.add_edge(3, 77) && filled.add_edge(3, 77));
+        assert_eq!(empty.solve(), filled.solve());
+    }
+
+    #[test]
     fn a_tolerance_below_f32_resolution_reports_no_convergence() {
         let g64 = generators::rmat(512, 4096, 17);
         let g32 = g64.cast::<f32>();

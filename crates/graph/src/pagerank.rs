@@ -58,7 +58,7 @@ const S_RANK: StreamId = StreamId(40);
 /// Reference (uninstrumented) PageRank, generic over the rank precision.
 pub fn pagerank_reference<T: Scalar>(g: &Graph<T>, cfg: &PageRankConfig) -> Vec<T> {
     let n = g.vertices();
-    let m = g.transition_matrix();
+    let m = g.transition();
     let mut r = vec![T::from_f64(1.0 / n as f64); n];
     let teleport = T::from_f64((1.0 - cfg.damping) / n as f64);
     let damping = T::from_f64(cfg.damping);
@@ -80,9 +80,9 @@ pub fn pagerank<E: Engine, T: Scalar>(
     cfg: &PageRankConfig,
 ) -> Vec<T> {
     let n = g.vertices();
-    let m = g.transition_matrix();
+    let m = g.transition();
     let sm = match mech {
-        GraphMechanism::Smash => Some(SmashMatrix::encode(&m, cfg.smash.clone())),
+        GraphMechanism::Smash => Some(SmashMatrix::encode(m, cfg.smash.clone())),
         GraphMechanism::Csr => None,
     };
     let mut bmu = Bmu::new();
@@ -94,7 +94,7 @@ pub fn pagerank<E: Engine, T: Scalar>(
     let damping = T::from_f64(cfg.damping);
     for _ in 0..cfg.iterations {
         let y = match mech {
-            GraphMechanism::Csr => spmv::spmv_csr(e, &m, &r),
+            GraphMechanism::Csr => spmv::spmv_csr(e, m, &r),
             GraphMechanism::Smash => {
                 spmv::spmv_hw_smash(e, &mut bmu, 0, sm.as_ref().expect("encoded above"), &r)
             }

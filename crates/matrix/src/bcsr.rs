@@ -77,7 +77,8 @@ impl<T: Scalar> Bcsr<T> {
     /// # Errors
     ///
     /// Returns [`MatrixError::InvalidStructure`] if either block dimension
-    /// is zero.
+    /// is zero, if a block's element count overflows `usize`, or if the
+    /// stored block count overflows the `u32` block pointers.
     pub fn from_csr(csr: &Csr<T>, block_rows: usize, block_cols: usize) -> Result<Self> {
         if block_rows == 0 || block_cols == 0 {
             return Err(MatrixError::InvalidStructure(
@@ -87,7 +88,11 @@ impl<T: Scalar> Bcsr<T> {
         let rows = csr.rows();
         let cols = csr.cols();
         let n_block_rows = rows.div_ceil(block_rows);
-        let block_size = block_rows * block_cols;
+        let block_size = block_rows.checked_mul(block_cols).ok_or_else(|| {
+            MatrixError::InvalidStructure(format!(
+                "{block_rows}x{block_cols} blocks overflow the element count"
+            ))
+        })?;
 
         let mut block_row_ptr = Vec::with_capacity(n_block_rows + 1);
         block_row_ptr.push(0u32);
@@ -106,7 +111,7 @@ impl<T: Scalar> Bcsr<T> {
             for r in r_lo..r_hi {
                 let (row_cols, _) = csr.row(r);
                 for &c in row_cols {
-                    occupied.push(c / block_cols as u32);
+                    occupied.push(block_col_of(c, block_cols));
                 }
             }
             occupied.sort_unstable();
@@ -121,7 +126,7 @@ impl<T: Scalar> Bcsr<T> {
             for r in r_lo..r_hi {
                 let (row_cols, row_vals) = csr.row(r);
                 for (&c, &v) in row_cols.iter().zip(row_vals) {
-                    let bc = c / block_cols as u32;
+                    let bc = block_col_of(c, block_cols);
                     let tile_base = tile_of_block_col
                         .iter()
                         .find(|&&(b, _)| b == bc)
@@ -131,7 +136,7 @@ impl<T: Scalar> Bcsr<T> {
                     values[tile_base + local] = v;
                 }
             }
-            block_row_ptr.push(block_col_ind.len() as u32);
+            block_row_ptr.push(block_ptr_u32(block_col_ind.len())?);
         }
 
         Ok(Bcsr {
@@ -544,6 +549,22 @@ impl<T: Scalar> Bcsr<T> {
     }
 }
 
+/// Converts a running stored-block count for the `u32` block row
+/// pointers, returning [`MatrixError::InvalidStructure`] instead of
+/// wrapping past `u32::MAX` blocks.
+fn block_ptr_u32(blocks: usize) -> Result<u32> {
+    u32::try_from(blocks).map_err(|_| {
+        MatrixError::InvalidStructure(format!("{blocks} blocks overflow the u32 block pointers"))
+    })
+}
+
+/// Block column of element column `c`. The division runs in `usize`, so a
+/// `block_cols` of 2³² or more cannot truncate to a wrong (or zero)
+/// divisor; the quotient is at most `c`, so narrowing it back is exact.
+fn block_col_of(c: u32, block_cols: usize) -> u32 {
+    (c as usize / block_cols) as u32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,6 +630,29 @@ mod tests {
     fn rejects_zero_block() {
         assert!(Bcsr::from_csr(&sample(), 0, 2).is_err());
         assert!(Bcsr::from_csr(&sample(), 2, 0).is_err());
+    }
+
+    #[test]
+    fn block_shapes_past_the_index_width_error_instead_of_wrapping() {
+        // The element count of one block is checked before any tile is
+        // allocated.
+        assert!(matches!(
+            Bcsr::from_csr(&sample(), usize::MAX, 2),
+            Err(MatrixError::InvalidStructure(_))
+        ));
+        assert_eq!(block_ptr_u32(u32::MAX as usize).unwrap(), u32::MAX);
+        assert!(matches!(
+            block_ptr_u32(u32::MAX as usize + 1),
+            Err(MatrixError::InvalidStructure(_))
+        ));
+        assert_eq!(block_col_of(7, 2), 3);
+        assert_eq!(block_col_of(u32::MAX, 1), u32::MAX);
+        // `block_cols as u32` would have truncated 2^32 to a zero divisor
+        // and 2^32 + 2 to 2.
+        if let Some(wide) = 1usize.checked_shl(32) {
+            assert_eq!(block_col_of(u32::MAX, wide), 0);
+            assert_eq!(block_col_of(u32::MAX, wide + 2), 0);
+        }
     }
 
     #[test]

@@ -264,6 +264,36 @@ impl<T: Scalar> Csr<T> {
 
     /// Converts to compressed sparse column.
     pub fn to_csc(&self) -> Csc<T> {
+        let (col_ptr, row_ind, values) = self.column_sort();
+        Csc::from_raw_unchecked(self.rows, self.cols, col_ptr, row_ind, values)
+    }
+
+    /// Transposed copy (also a CSR matrix).
+    pub fn transpose(&self) -> Csr<T> {
+        let (row_ptr, col_ind, values) = self.column_sort();
+        let t = Csr {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_ind,
+            values,
+            // The counting sort emits each column's rows in ascending
+            // order, which is exactly the transposed CSR's row invariant.
+            verified: AtomicBool::new(true),
+        };
+        debug_assert!(
+            t.check_structure().is_ok(),
+            "transpose emitted an invalid CSR: {:?}",
+            t.check_structure().err()
+        );
+        t
+    }
+
+    /// The column-major arrays `(col_ptr, row_ind, values)` by one
+    /// counting sort over the rows: the one pass behind both
+    /// [`to_csc`](Csr::to_csc) and [`transpose`](Csr::transpose), which
+    /// take the arrays by move.
+    fn column_sort(&self) -> (Vec<u32>, Vec<u32>, Vec<T>) {
         let col_ptr = counted_ptr(
             self.cols,
             self.nnz(),
@@ -281,22 +311,7 @@ impl<T: Scalar> Csr<T> {
                 next[c as usize] += 1;
             }
         }
-        Csc::from_raw_unchecked(self.rows, self.cols, col_ptr, row_ind, values)
-    }
-
-    /// Transposed copy (also a CSR matrix).
-    pub fn transpose(&self) -> Csr<T> {
-        let csc = self.to_csc();
-        Csr {
-            rows: self.cols,
-            cols: self.rows,
-            row_ptr: csc.col_ptr().to_vec(),
-            col_ind: csc.row_ind().to_vec(),
-            values: csc.values().to_vec(),
-            // The CSC counting sort emits each column's rows in ascending
-            // order, which is exactly the transposed CSR's row invariant.
-            verified: AtomicBool::new(true),
-        }
+        (col_ptr, row_ind, values)
     }
 
     /// Number of rows.
@@ -336,6 +351,14 @@ impl<T: Scalar> Csr<T> {
     /// Stored non-zero values, row-major.
     pub fn values(&self) -> &[T] {
         &self.values
+    }
+
+    /// The stored values, row-major, for in-place rewriting. The sparsity
+    /// structure cannot change through it, so the `verified` marker (which
+    /// covers structure only) stays valid; finiteness is not part of that
+    /// marker and is checked per call by the executor's `try_*` tier.
+    pub fn values_mut(&mut self) -> &mut [T] {
+        &mut self.values
     }
 
     /// Column indices and values of row `i`.
@@ -881,6 +904,16 @@ mod tests {
             a.values().to_vec(),
         );
         assert_eq!(fresh, parts, "equality must not consult the marker");
+    }
+
+    #[test]
+    fn values_mut_rewrites_values_and_keeps_structure_and_marker() {
+        let mut a = fig1();
+        a.values_mut().fill(1.0);
+        assert!(a.is_verified());
+        assert_eq!(a.row_ptr(), fig1().row_ptr());
+        assert_eq!(a.col_ind(), fig1().col_ind());
+        assert_eq!(a.values(), &[1.0; 6]);
     }
 
     #[test]
