@@ -124,11 +124,6 @@ impl BmuGroup {
         self.armed = true;
     }
 
-    /// Whether [`BmuGroup::reset_scan`] has armed the scan.
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
     /// Ensures stored bit `bit` of `level` is buffered; records a refill
     /// into `refills` if the window must move.
     fn touch(&mut self, level: usize, bit: usize, refills: &mut Vec<(usize, usize)>) {

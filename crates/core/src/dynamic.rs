@@ -101,11 +101,19 @@ impl<T: Scalar> DeltaOverlay<T> {
     }
 
     /// Pending mutations of row `r`, sorted by column, if any.
+    ///
+    /// # Panics
+    ///
+    /// If `r` exceeds the `u32` key range.
     pub fn row(&self, r: usize) -> Option<&BTreeMap<u32, Delta<T>>> {
-        self.rows.get(&(r as u32))
+        self.rows.get(&overlay_key(r))
     }
 
     /// Number of pending mutations in row `r`.
+    ///
+    /// # Panics
+    ///
+    /// If `r` exceeds the `u32` key range.
     pub fn row_len(&self, r: usize) -> usize {
         self.row(r).map_or(0, BTreeMap::len)
     }
@@ -117,37 +125,53 @@ impl<T: Scalar> DeltaOverlay<T> {
             .flat_map(|(&r, row)| row.iter().map(move |(&c, d)| (r as usize, c as usize, d)))
     }
 
-    fn entry(&mut self, r: usize) -> &mut BTreeMap<u32, Delta<T>> {
-        self.rows.entry(r as u32).or_default()
+    /// The pending mutations of row `r` (created empty if absent) and the
+    /// key of column `c`. Both keys are converted before the row is
+    /// created, so an out-of-range index leaves the overlay unchanged.
+    fn entry(&mut self, r: usize, c: usize) -> (&mut BTreeMap<u32, Delta<T>>, u32) {
+        let (r, c) = (overlay_key(r), overlay_key(c));
+        (self.rows.entry(r).or_default(), c)
     }
 
     /// Records `set(r, c, v)`: the merged cell becomes exactly `v`.
+    ///
+    /// # Panics
+    ///
+    /// If `r` or `c` exceeds the `u32` key range.
     pub fn set(&mut self, r: usize, c: usize, v: T) {
-        let row = self.entry(r);
-        if row.insert(c as u32, Delta::Set(v)).is_none() {
+        let (row, c) = self.entry(r, c);
+        if row.insert(c, Delta::Set(v)).is_none() {
             self.len += 1;
         }
     }
 
     /// Records `delete(r, c)`: the merged cell disappears.
+    ///
+    /// # Panics
+    ///
+    /// If `r` or `c` exceeds the `u32` key range.
     pub fn delete(&mut self, r: usize, c: usize) {
-        let row = self.entry(r);
-        if row.insert(c as u32, Delta::Delete).is_none() {
+        let (row, c) = self.entry(r, c);
+        if row.insert(c, Delta::Delete).is_none() {
             self.len += 1;
         }
     }
 
     /// Records `add(r, c, d)`: the merged cell becomes `base + d` (or the
     /// folded equivalent per the table in the type docs).
+    ///
+    /// # Panics
+    ///
+    /// If `r` or `c` exceeds the `u32` key range.
     pub fn add(&mut self, r: usize, c: usize, d: T) {
-        let row = self.entry(r);
-        let folded = match row.get(&(c as u32)) {
+        let (row, c) = self.entry(r, c);
+        let folded = match row.get(&c) {
             None => Delta::Add(d),
             Some(Delta::Set(u)) => Delta::Set(*u + d),
             Some(Delta::Add(u)) => Delta::Add(*u + d),
             Some(Delta::Delete) => Delta::Set(d),
         };
-        if row.insert(c as u32, folded).is_none() {
+        if row.insert(c, folded).is_none() {
             self.len += 1;
         }
     }
@@ -157,6 +181,12 @@ impl<T: Scalar> DeltaOverlay<T> {
         self.rows.clear();
         self.len = 0;
     }
+}
+
+/// Converts a row or column index to the overlay's `u32` key, panicking
+/// instead of truncating past `u32::MAX`.
+fn overlay_key(i: usize) -> u32 {
+    u32::try_from(i).unwrap_or_else(|_| panic!("overlay index {i} exceeds the u32 key range"))
 }
 
 /// Merges one sorted base row with one overlay row into `(out_cols,
@@ -757,6 +787,53 @@ mod tests {
         spmm_dense_rows(&dm, &b, &mut c);
         spmm_dense_rows(&rebuilt, &b, &mut cw);
         assert_eq!(c, cw);
+    }
+
+    #[test]
+    fn overlay_keys_past_u32_panic_instead_of_wrapping() {
+        const BIG: usize = 1 << 32;
+        type Call = fn(&mut DeltaOverlay<f64>);
+        let max = u32::MAX as usize;
+        assert_eq!(overlay_key(max), u32::MAX);
+        let calls: [(&str, Call); 8] = [
+            ("set row", |o| o.set(BIG, 0, 1.0)),
+            ("set col", |o| o.set(0, BIG, 1.0)),
+            ("add row", |o| o.add(BIG, 0, 1.0)),
+            ("add col", |o| o.add(0, BIG, 1.0)),
+            ("delete row", |o| o.delete(BIG, 0)),
+            ("delete col", |o| o.delete(0, BIG)),
+            ("row", |o| {
+                let _ = o.row(BIG);
+            }),
+            ("row_len", |o| {
+                let _ = o.row_len(BIG);
+            }),
+        ];
+        for (what, call) in calls {
+            let mut o = DeltaOverlay::new();
+            let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&mut o)));
+            let msg = hit
+                .expect_err(what)
+                .downcast::<String>()
+                .expect("formatted panic");
+            assert_eq!(
+                *msg, "overlay index 4294967296 exceeds the u32 key range",
+                "{what}"
+            );
+            assert_eq!(
+                o,
+                DeltaOverlay::new(),
+                "{what} must leave the overlay untouched"
+            );
+        }
+        let mut o = DeltaOverlay::new();
+        o.set(max, max, 2.0);
+        o.add(max, max, 0.5);
+        assert_eq!(o.row_len(max), 1);
+        assert_eq!(
+            o.deltas().collect::<Vec<_>>(),
+            [(max, max, &Delta::Set(2.5))]
+        );
     }
 
     #[test]

@@ -79,11 +79,6 @@ pub fn r2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Formats a ratio with three decimals.
-pub fn r3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
 /// Geometric mean of a non-empty slice.
 ///
 /// # Panics

@@ -4,10 +4,10 @@
 //! engine.
 
 use crate::common::{test_vector, Mechanism};
-use crate::{spmdm, spmm, spmv};
+use crate::{spmm, spmv};
 use smash_bmu::Bmu;
 use smash_core::{SmashConfig, SmashMatrix};
-use smash_matrix::{Bcsr, Coo, Csr, Dense, Scalar};
+use smash_matrix::{Bcsr, Coo, Csr, Scalar};
 use smash_sim::{CountEngine, Engine, SimEngine, SimStats, SystemConfig};
 
 /// Block shape of the TACO-BCSR baseline (see DESIGN.md).
@@ -75,36 +75,6 @@ pub fn run_spmm<E: Engine, T: Scalar>(
     }
 }
 
-/// Runs the instrumented batched sparse × dense SpMM of `mech` on the
-/// given engine and returns the product. `cfg` selects the bitmap
-/// hierarchy for the SMASH mechanisms. The result is bit-identical to the
-/// native `spmm_dense_rows` driver over the mechanism's operand.
-pub fn run_spmm_dense<E: Engine, T: Scalar>(
-    e: &mut E,
-    mech: Mechanism,
-    a: &Csr<T>,
-    b: &Dense<T>,
-    cfg: &SmashConfig,
-) -> Dense<T> {
-    match mech {
-        Mechanism::TacoCsr => spmdm::spmm_dense_csr(e, a, b),
-        Mechanism::IdealCsr => spmdm::spmm_dense_ideal(e, a, b),
-        Mechanism::TacoBcsr => {
-            let blocked = Bcsr::from_csr(a, BCSR_BLOCK, BCSR_BLOCK).expect("non-zero block");
-            spmdm::spmm_dense_bcsr(e, &blocked, b)
-        }
-        Mechanism::SwSmash => {
-            let sm = SmashMatrix::encode(a, cfg.clone());
-            spmdm::spmm_dense_sw_smash(e, &sm, b)
-        }
-        Mechanism::Smash => {
-            let sm = SmashMatrix::encode(a, cfg.clone());
-            let mut bmu = Bmu::new();
-            spmdm::spmm_dense_hw_smash(e, &mut bmu, 0, &sm, b)
-        }
-    }
-}
-
 /// Full timing simulation of one SpMV (returns the statistics).
 pub fn sim_spmv<T: Scalar>(
     mech: Mechanism,
@@ -152,7 +122,7 @@ pub fn count_spmm<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smash_matrix::{generators, spmm_dense_rows};
+    use smash_matrix::generators;
 
     #[test]
     fn all_spmv_mechanisms_agree_through_harness() {
@@ -185,41 +155,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn all_spmm_dense_mechanisms_agree_through_harness() {
-        let a = generators::uniform(48, 48, 300, 3);
-        let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
-        let mut b = Dense::zeros(48, 9);
-        for (i, v) in test_vector::<f64>(48 * 9).into_iter().enumerate() {
-            b.set(i / 9, i % 9, v);
-        }
-        let want = a.to_dense().matmul(&b).unwrap();
-        let bcsr = Bcsr::from_csr(&a, BCSR_BLOCK, BCSR_BLOCK).unwrap();
-        let sm = SmashMatrix::encode(&a, cfg.clone());
-        for mech in Mechanism::ALL {
-            let mut e = CountEngine::new();
-            let c = run_spmm_dense(&mut e, mech, &a, &b, &cfg);
-            let mut cn = Dense::zeros(48, 9);
-            match mech {
-                Mechanism::TacoCsr | Mechanism::IdealCsr => spmm_dense_rows(&a, &b, &mut cn),
-                Mechanism::TacoBcsr => spmm_dense_rows(&bcsr, &b, &mut cn),
-                Mechanism::SwSmash | Mechanism::Smash => spmm_dense_rows(&sm, &b, &mut cn),
-            }
-            // Instrumented and native paths share their loop bodies:
-            // exact equality.
-            assert_eq!(c, cn, "{mech}");
-            for i in 0..48 {
-                for j in 0..9 {
-                    assert!(
-                        (c.get(i, j) - want.get(i, j)).abs() < 1e-9,
-                        "{mech} ({i},{j})"
-                    );
-                }
-            }
-            assert!(e.finish().instructions() > 0, "{mech}");
         }
     }
 

@@ -2,8 +2,7 @@
 //!
 //! Two families:
 //!
-//! * **Instrumented kernels** ([`spmv`], [`spmm`], [`spmdm`], [`spadd`],
-//!   [`convert`]) —
+//! * **Instrumented kernels** ([`spmv`], [`spmm`], [`spadd`], [`convert`]) —
 //!   compute the real result *and* describe their instruction stream
 //!   (with data dependencies) to a `smash-sim` [`Engine`](smash_sim::Engine),
 //!   so the simulator can time them on the Table 2 machine. These power the
@@ -64,7 +63,6 @@ pub mod operand;
 pub mod planner;
 pub mod spadd;
 pub mod spgemm;
-pub mod spmdm;
 pub mod spmm;
 pub mod spmv;
 

@@ -95,17 +95,10 @@ impl<T: Scalar> Csc<T> {
 
     /// Converts to CSR.
     pub fn to_csr(&self) -> Csr<T> {
-        // A CSC matrix is the transpose of the CSR matrix with the same raw
-        // arrays; transposing that view back yields the CSR form of `self`.
-        let view = Csr::from_parts(
-            self.cols,
-            self.rows,
-            self.col_ptr.clone(),
-            self.row_ind.clone(),
-            self.values.clone(),
-        )
-        .expect("CSC invariants imply valid transposed CSR view");
-        view.transpose()
+        // The CSC arrays are the compressed rows of the transpose, so one
+        // counting sort over them yields the CSR form of `self` directly.
+        let sorted = crate::csr::column_sort(self.rows, &self.col_ptr, &self.row_ind, &self.values);
+        Csr::from_column_sort(self.rows, self.cols, sorted)
     }
 
     /// Expands to a dense matrix.
@@ -200,6 +193,7 @@ impl<T: Scalar> Csc<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators;
 
     fn sample() -> Csr<f64> {
         let mut coo = Coo::new(3, 4);
@@ -219,6 +213,46 @@ mod tests {
     fn csr_csc_roundtrip() {
         let a = sample();
         assert_eq!(a.to_csc().to_csr(), a);
+    }
+
+    #[test]
+    fn to_csr_equals_the_transposed_csr_view() {
+        // Random, empty, all-empty-columns and ragged (one dense row or
+        // column among empties, skinny and short) shapes.
+        let mut one_row = Coo::new(9, 40);
+        let mut one_col = Coo::new(40, 9);
+        for k in 0..40 {
+            one_row.push(4, k, k as f64 + 0.5);
+            one_col.push(k, 7, -(k as f64) - 0.25);
+        }
+        let cases = [
+            generators::uniform(48, 48, 300, 3),
+            generators::power_law(57, 23, 200, 1.8, 4),
+            Csr::from_coo(&Coo::new(0, 0)),
+            Csr::from_coo(&Coo::new(0, 5)),
+            Csr::from_coo(&Coo::new(6, 0)),
+            Csr::from_coo(&Coo::new(33, 17)),
+            Csr::from_coo(&one_row),
+            Csr::from_coo(&one_col),
+            generators::uniform(200, 3, 150, 5),
+            generators::uniform(3, 200, 150, 9),
+        ];
+        for a in cases {
+            let csc = a.to_csc();
+            let old = Csr::from_parts(
+                csc.cols(),
+                csc.rows(),
+                csc.col_ptr().to_vec(),
+                csc.row_ind().to_vec(),
+                csc.values().to_vec(),
+            )
+            .unwrap()
+            .transpose();
+            let got = csc.to_csr();
+            assert_eq!(got, old, "{}x{}", a.rows(), a.cols());
+            assert_eq!(got, a, "{}x{} round trip", a.rows(), a.cols());
+            assert!(got.is_verified());
+        }
     }
 
     #[test]

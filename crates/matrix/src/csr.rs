@@ -264,54 +264,41 @@ impl<T: Scalar> Csr<T> {
 
     /// Converts to compressed sparse column.
     pub fn to_csc(&self) -> Csc<T> {
-        let (col_ptr, row_ind, values) = self.column_sort();
+        let (col_ptr, row_ind, values) =
+            column_sort(self.cols, &self.row_ptr, &self.col_ind, &self.values);
         Csc::from_raw_unchecked(self.rows, self.cols, col_ptr, row_ind, values)
     }
 
     /// Transposed copy (also a CSR matrix).
     pub fn transpose(&self) -> Csr<T> {
-        let (row_ptr, col_ind, values) = self.column_sort();
+        let sorted = column_sort(self.cols, &self.row_ptr, &self.col_ind, &self.values);
+        Csr::from_column_sort(self.cols, self.rows, sorted)
+    }
+
+    /// The `rows × cols` CSR whose arrays are the output of
+    /// [`column_sort`] over its transpose. The counting sort emits each
+    /// column's rows in ascending order, which is exactly this CSR's row
+    /// invariant, so the matrix is marked verified; builds with debug
+    /// assertions re-check the structure.
+    pub(crate) fn from_column_sort(
+        rows: usize,
+        cols: usize,
+        (row_ptr, col_ind, values): (Vec<u32>, Vec<u32>, Vec<T>),
+    ) -> Csr<T> {
         let t = Csr {
-            rows: self.cols,
-            cols: self.rows,
+            rows,
+            cols,
             row_ptr,
             col_ind,
             values,
-            // The counting sort emits each column's rows in ascending
-            // order, which is exactly the transposed CSR's row invariant.
             verified: AtomicBool::new(true),
         };
         debug_assert!(
             t.check_structure().is_ok(),
-            "transpose emitted an invalid CSR: {:?}",
+            "column sort emitted an invalid CSR: {:?}",
             t.check_structure().err()
         );
         t
-    }
-
-    /// The column-major arrays `(col_ptr, row_ind, values)` by one
-    /// counting sort over the rows: the one pass behind both
-    /// [`to_csc`](Csr::to_csc) and [`transpose`](Csr::transpose), which
-    /// take the arrays by move.
-    fn column_sort(&self) -> (Vec<u32>, Vec<u32>, Vec<T>) {
-        let col_ptr = counted_ptr(
-            self.cols,
-            self.nnz(),
-            self.col_ind.iter().map(|&c| c as usize),
-        );
-        let mut row_ind = vec![0u32; self.nnz()];
-        let mut values = vec![T::ZERO; self.nnz()];
-        let mut next = col_ptr.clone();
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let slot = next[c as usize] as usize;
-                row_ind[slot] = i as u32;
-                values[slot] = v;
-                next[c as usize] += 1;
-            }
-        }
-        (col_ptr, row_ind, values)
     }
 
     /// Number of rows.
@@ -601,6 +588,35 @@ fn counted_ptr(lines: usize, nnz: usize, line_of: impl Iterator<Item = usize>) -
         ptr[l + 1] += ptr[l];
     }
     ptr
+}
+
+/// Re-sorts the compressed-row arrays `(row_ptr, col_ind, values)` of a
+/// matrix with `cols` columns into its column-major arrays
+/// `(col_ptr, row_ind, values)` by one counting sort over the rows; each
+/// column's rows come out ascending. Shared by [`Csr::to_csc`],
+/// [`Csr::transpose`] and `Csc::to_csr` (which passes its own arrays as
+/// the compressed rows of its transpose).
+pub(crate) fn column_sort<T: Scalar>(
+    cols: usize,
+    row_ptr: &[u32],
+    col_ind: &[u32],
+    values: &[T],
+) -> (Vec<u32>, Vec<u32>, Vec<T>) {
+    let nnz = values.len();
+    let col_ptr = counted_ptr(cols, nnz, col_ind.iter().map(|&c| c as usize));
+    let mut row_ind = vec![0u32; nnz];
+    let mut out = vec![T::ZERO; nnz];
+    let mut next = col_ptr.clone();
+    for (i, w) in row_ptr.windows(2).enumerate() {
+        let (lo, hi) = (w[0] as usize, w[1] as usize);
+        for (&c, &v) in col_ind[lo..hi].iter().zip(&values[lo..hi]) {
+            let slot = next[c as usize] as usize;
+            row_ind[slot] = i as u32;
+            out[slot] = v;
+            next[c as usize] += 1;
+        }
+    }
+    (col_ptr, row_ind, out)
 }
 
 /// Incremental row-by-row CSR constructor for kernels that emit their

@@ -6,10 +6,8 @@ use crate::{MatrixError, Result, Scalar};
 /// then **4**, then **1**, covering `0..n` exactly once.
 ///
 /// This is the single definition of the tiling — `Csr::row_spmm_dense`,
-/// `Bcsr::block_row_spmm_dense`, `smash_core::block_axpy_dense` and the
-/// instrumented `smash_kernels::spmdm` models all drive their tile loops
-/// through it, so the instruction streams the instrumented kernels charge
-/// can never diverge from the arithmetic the native kernels perform.
+/// `Bcsr::block_row_spmm_dense` and `smash_core::block_axpy_dense` all
+/// drive their tile loops through it.
 pub fn for_each_rhs_tile(n: usize, mut f: impl FnMut(usize, usize)) {
     let mut j0 = 0usize;
     while n - j0 >= 8 {

@@ -86,20 +86,6 @@ impl SimStats {
             self.instructions() as f64 / self.cycles as f64
         }
     }
-
-    /// DRAM accesses (L3 misses serviced by memory).
-    pub fn dram_accesses(&self) -> u64 {
-        self.dram_row_hits + self.dram_row_misses
-    }
-
-    /// Branch misprediction ratio (0 if no branches).
-    pub fn mispredict_ratio(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.branches as f64
-        }
-    }
 }
 
 #[cfg(test)]

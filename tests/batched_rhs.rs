@@ -1,6 +1,7 @@
 //! The batched sparse × dense SpMM ("SpMDM") subsystem must be exactly a
 //! batch of SpMVs: column `j` of every `spmm_dense_*` kernel is pinned to
-//! the per-column SpMV oracle with exact `==`, a one-column batch equals
+//! the per-column SpMV oracle with exact `==` (and the whole product to
+//! the dense `matmul` oracle within tolerance), a one-column batch equals
 //! the SpMV drivers on CSR, BCSR, SMASH and overlaid operands, parallel
 //! output is bit-identical to serial at threads {1, 2, 8}, the `f32`
 //! pipeline tracks the `f64` oracle within `f32::TOLERANCE`, and the
@@ -41,19 +42,36 @@ fn batch<T: Scalar>(rows: usize, cols: usize) -> Dense<T> {
     generators::dense_batch(rows, cols, 5)
 }
 
+/// `c` (the product of format `what`) must equal the dense product `want`
+/// entry by entry within `f64::TOLERANCE`.
+fn assert_near_dense(c: &Dense<f64>, want: &Dense<f64>, what: &str) {
+    let n = c.cols();
+    assert_eq!((c.rows(), n), (want.rows(), want.cols()), "{what}");
+    for (k, (g, w)) in c.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert!(
+            g.approx_eq_default(*w),
+            "{what} vs matmul, {n} rhs, entry {k}: {g} vs {w}"
+        );
+    }
+}
+
 /// Pins all three `spmm_dense_*` kernels to the per-column SpMV oracle
-/// (exact `==`) and their parallel twins to the serial output (exact `==`)
-/// at every [`THREADS`] count, across batch widths that exercise the
-/// 8-tile, 4-tile and scalar remainders.
+/// (exact `==`) and to the dense `matmul` oracle (within tolerance), and
+/// their parallel twins to the serial output (exact `==`) at every
+/// [`THREADS`] count, across batch widths that exercise the 8-tile,
+/// 4-tile and scalar remainders.
 fn assert_spmdm_equals_spmv_batch(a: &Csr<f64>) {
     let bcsr = Bcsr::from_csr(a, 2, 2).expect("valid 2x2 blocking");
     let sm = SmashMatrix::encode(a, SmashConfig::row_major(&[2, 4]).expect("valid config"));
+    let dense_a = a.to_dense();
     for n in [1usize, 5, 8, 11] {
         let b = batch::<f64>(a.cols(), n);
+        let oracle = dense_a.matmul(&b).expect("inner dimensions agree");
         let mut c = Dense::zeros(a.rows(), n);
         let mut y = vec![0.0; a.rows()];
 
         spmm_dense_rows(a, &b, &mut c);
+        assert_near_dense(&c, &oracle, "csr");
         for j in 0..n {
             spmv_rows(a, &b.col(j), &mut y);
             assert_eq!(c.col(j), y, "csr column {j} of {n}");
@@ -66,6 +84,7 @@ fn assert_spmdm_equals_spmv_batch(a: &Csr<f64>) {
         }
 
         spmm_dense_rows(&bcsr, &b, &mut c);
+        assert_near_dense(&c, &oracle, "bcsr");
         for j in 0..n {
             spmv_rows(&bcsr, &b.col(j), &mut y);
             assert_eq!(c.col(j), y, "bcsr column {j} of {n}");
@@ -78,6 +97,7 @@ fn assert_spmdm_equals_spmv_batch(a: &Csr<f64>) {
         }
 
         spmm_dense_rows(&sm, &b, &mut c);
+        assert_near_dense(&c, &oracle, "smash");
         for j in 0..n {
             spmv_rows(&sm, &b.col(j), &mut y);
             assert_eq!(c.col(j), y, "smash column {j} of {n}");
