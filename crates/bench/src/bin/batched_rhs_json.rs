@@ -16,28 +16,11 @@
 //! (`smash_matrix::simd`), so the snapshot separates what column tiling
 //! buys from what vectorizing the tile bodies buys on top.
 
+use smash_bench::zoo;
 use smash_core::{SmashConfig, SmashMatrix};
 use smash_matrix::simd::{self, Isa};
 use smash_matrix::{generators, spmm_dense_rows, spmv_rows, Dense};
 use smash_parallel::{par_spmm_dense_rows, ThreadPool};
-use std::time::Instant;
-
-/// Median-of-5 wall-clock nanoseconds for `f`, amortized over `reps`
-/// inner repetitions.
-fn time_ns<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
-    let mut samples = Vec::with_capacity(5);
-    let mut sink = 0usize;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..reps {
-            sink = sink.wrapping_add(f());
-        }
-        samples.push(t.elapsed().as_nanos() as f64 / reps as f64);
-    }
-    std::hint::black_box(sink);
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[2]
-}
 
 fn test_batch(rows: usize, cols: usize) -> Dense<f64> {
     generators::dense_batch(rows, cols, 5)
@@ -66,29 +49,29 @@ fn main() {
         let mut y = vec![0.0f64; a.rows()];
         let mut c = Dense::zeros(a.rows(), n);
 
-        let per_column_ns = time_ns(3, || {
+        let per_column_ns = zoo::time_ns(5, 3, || {
             for x in &cols {
                 spmv_rows(&a, x, &mut y);
             }
             y.len()
         });
-        let blocked_ns = time_ns(3, || {
+        let blocked_ns = zoo::time_ns(5, 3, || {
             spmm_dense_rows(&a, &b, &mut c);
             c.cols()
         });
         // The same tiled kernel with the dispatch layer pinned to the
         // scalar lane-order emulation: isolates the vector-body win.
         simd::set_override(Some(Isa::Scalar));
-        let blocked_scalar_isa_ns = time_ns(3, || {
+        let blocked_scalar_isa_ns = zoo::time_ns(5, 3, || {
             spmm_dense_rows(&a, &b, &mut c);
             c.cols()
         });
         simd::set_override(None);
-        let smash_ns = time_ns(3, || {
+        let smash_ns = zoo::time_ns(5, 3, || {
             spmm_dense_rows(&sm, &b, &mut c);
             c.cols()
         });
-        let parallel_ns = time_ns(3, || {
+        let parallel_ns = zoo::time_ns(5, 3, || {
             par_spmm_dense_rows(&pool, &a, &b, &mut c);
             c.cols()
         });

@@ -18,27 +18,10 @@
 //! gated by `tests/dynamic.rs::warm_restart_needs_no_more_iterations_than_cold`
 //! on the same graph.
 
+use smash_bench::zoo;
 use smash_core::DynamicMatrix;
 use smash_graph::{pagerank_power, uniform_ranks, Graph, IncrementalPageRank};
 use smash_matrix::{generators, spmv_rows, Csr};
-use std::time::Instant;
-
-/// Median-of-5 wall-clock nanoseconds for `f`, amortized over `reps`
-/// inner repetitions.
-fn time_ns<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
-    let mut samples = Vec::with_capacity(5);
-    let mut sink = 0usize;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..reps {
-            sink = sink.wrapping_add(f());
-        }
-        samples.push(t.elapsed().as_nanos() as f64 / reps as f64);
-    }
-    std::hint::black_box(sink);
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[2]
-}
 
 /// Deterministic update batch: `k` overwrites spread over the matrix.
 fn batch(a: &Csr<f64>, k: usize) -> Vec<(usize, usize, f64)> {
@@ -81,7 +64,7 @@ fn main() {
         // Overlay path: absorb the batch into the overlay, one merged
         // read. The rebuild path pays the same applies plus the full
         // O(nnz) merge before its (cheaper) plain read.
-        let overlay_ns = time_ns(3, || {
+        let overlay_ns = zoo::time_ns(5, 3, || {
             let mut m = DynamicMatrix::from_csr(a.clone());
             for &(r, c, v) in &muts {
                 m.set(r, c, v);
@@ -89,7 +72,7 @@ fn main() {
             spmv_rows(&m, &x, &mut y);
             y.len()
         });
-        let rebuild_ns = time_ns(3, || {
+        let rebuild_ns = zoo::time_ns(5, 3, || {
             let mut m = DynamicMatrix::from_csr(a.clone());
             for &(r, c, v) in &muts {
                 m.set(r, c, v);

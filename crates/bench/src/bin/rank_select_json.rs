@@ -14,6 +14,7 @@
 //! The host-independent auxiliary-memory bounds of the directory are
 //! deterministic and live in `tests/rank_select.rs`.
 
+use smash_bench::zoo;
 use smash_core::{SmashConfig, SmashMatrix};
 use smash_kernels::native::spmm_smash;
 use smash_kernels::test_vector;
@@ -25,23 +26,6 @@ use std::time::Instant;
 /// measures (about 7–8 on a 2-core AVX-512 Xeon; the per-group `select`
 /// cursor it replaced measured about 26 there).
 const MAX_CURSOR_WALK_OVER_SCAN: f64 = 16.0;
-
-/// Median-of-5 wall-clock nanoseconds for `f`, amortized over `reps`
-/// inner repetitions.
-fn time_ns<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
-    let mut samples = Vec::with_capacity(5);
-    let mut sink = 0usize;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..reps {
-            sink = sink.wrapping_add(f());
-        }
-        samples.push(t.elapsed().as_nanos() as f64 / reps as f64);
-    }
-    std::hint::black_box(sink);
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[2]
-}
 
 fn main() {
     let out_path = std::env::args()
@@ -56,12 +40,12 @@ fn main() {
     );
     let bpl = sm.blocks_per_line();
     let rows: Vec<usize> = (0..16).map(|i| (i * 509) % 4096).collect();
-    let seek_directory_ns = time_ns(50, || {
+    let seek_directory_ns = zoo::time_ns(5, 50, || {
         rows.iter()
             .map(|&r| sm.line_cursor(r).map(|(o, l)| o + l).sum::<usize>())
             .sum()
     });
-    let seek_expand_ns = time_ns(2, || {
+    let seek_expand_ns = zoo::time_ns(5, 2, || {
         rows.iter()
             .map(|&r| {
                 let full = sm.full_bitmap0();
@@ -81,7 +65,7 @@ fn main() {
         &locality::with_locality(16_384, 16_384, 1 << 20, 8, 1.0, 1),
         SmashConfig::row_major(&[2, 4]).expect("valid config"),
     );
-    let cursor_walk_ns = time_ns(3, || {
+    let cursor_walk_ns = zoo::time_ns(5, 3, || {
         let mut acc = 0usize;
         for line in 0..blocky.line_count() {
             for (ordinal, logical) in blocky.line_cursor(line) {
@@ -91,7 +75,7 @@ fn main() {
         acc
     });
     let h = blocky.hierarchy();
-    let bitmap_scan_ns = time_ns(20, || {
+    let bitmap_scan_ns = zoo::time_ns(5, 20, || {
         (0..h.num_levels())
             .flat_map(|l| h.stored_level(l).words())
             .map(|w| w.count_ones() as usize)
@@ -117,7 +101,7 @@ fn main() {
     let x = test_vector(sm.cols());
     let mut y = vec![0.0f64; sm.rows()];
     let pool = ThreadPool::new(4);
-    let spmv_ns = time_ns(10, || {
+    let spmv_ns = zoo::time_ns(5, 10, || {
         par_spmv_rows(&pool, &sm, &x, &mut y);
         y.len()
     });

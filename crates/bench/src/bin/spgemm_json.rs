@@ -16,27 +16,10 @@
 //! `Csr::spmm_inner` oracle exactly — the determinism guarantee the
 //! speedup must never trade away.
 
+use smash_bench::zoo;
 use smash_kernels::{native, spgemm};
 use smash_matrix::{generators, Csr};
 use smash_parallel::ThreadPool;
-use std::time::Instant;
-
-/// Median-of-5 wall-clock nanoseconds for `f`, amortized over `reps`
-/// inner repetitions.
-fn time_ns<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
-    let mut samples = Vec::with_capacity(5);
-    let mut sink = 0usize;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..reps {
-            sink = sink.wrapping_add(f());
-        }
-        samples.push(t.elapsed().as_nanos() as f64 / reps as f64);
-    }
-    std::hint::black_box(sink);
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[2]
-}
 
 fn zoo() -> Vec<(String, Csr<f64>)> {
     [
@@ -82,11 +65,11 @@ fn main() {
             "Gustavson diverged from the inner-product oracle on {label}"
         );
 
-        let gustavson_ns = time_ns(3, || spgemm::spgemm(&a, &a, None).nnz());
-        let gustavson_par_ns = time_ns(3, || spgemm::par_spgemm(&pool, &a, &a, None).nnz());
-        let csr_opt_ns = time_ns(3, || native::spmm_csr_opt(&a, &a_csc).nnz());
-        let aat_gustavson_ns = time_ns(3, || spgemm::spgemm(&a, &at, None).nnz());
-        let aat_csr_opt_ns = time_ns(3, || native::spmm_csr_opt(&a, &at_csc).nnz());
+        let gustavson_ns = zoo::time_ns(5, 3, || spgemm::spgemm(&a, &a, None).nnz());
+        let gustavson_par_ns = zoo::time_ns(5, 3, || spgemm::par_spgemm(&pool, &a, &a, None).nnz());
+        let csr_opt_ns = zoo::time_ns(5, 3, || native::spmm_csr_opt(&a, &a_csc).nnz());
+        let aat_gustavson_ns = zoo::time_ns(5, 3, || spgemm::spgemm(&a, &at, None).nnz());
+        let aat_csr_opt_ns = zoo::time_ns(5, 3, || native::spmm_csr_opt(&a, &at_csc).nnz());
 
         let speedup = csr_opt_ns / gustavson_ns;
         min_speedup = min_speedup.min(speedup);

@@ -36,8 +36,8 @@ pub(crate) fn for_each_line_block<T: Scalar>(
 
 /// Dot product of one NZA block against `n` contiguous elements of `x`
 /// starting at `col`, accumulated in the lane-striped order of
-/// `smash_matrix::simd` by whichever ISA body is active (AVX2, SSE4.2, or
-/// the scalar emulation of the same order).
+/// `smash_matrix::simd` by whichever ISA body is active (AVX2 or the
+/// scalar emulation of the same order).
 ///
 /// This is the per-block body of every SMASH SpMV path — the single-level
 /// word scan and multi-level cursor walk of the matrix's `RowRead` body,

@@ -710,7 +710,6 @@ impl Executor {
                 tile: 1,
             },
             score: f64::NAN,
-            alternatives: Vec::new(),
             calibrated: false,
             rationale: "encode: the serial encoder; not profiled".into(),
         });
@@ -1171,7 +1170,6 @@ mod tests {
                     let plan = report.plan;
                     assert_eq!(plan.choice.threads, *threads, "{what} via {mode}");
                     assert!(!plan.calibrated, "{what} via {mode}");
-                    assert!(plan.alternatives.is_empty(), "{what} via {mode}");
                 }
             };
             for (fmt, op) in operands {
@@ -1354,6 +1352,19 @@ mod tests {
         let b = generators::uniform(7, 7, 10, 2);
         let err = Executor::serial().try_spgemm(&a, &b).unwrap_err();
         assert!(matches!(err, SmashError::DimensionMismatch { .. }));
+        // `plan_spgemm` explains exactly the plan an unbudgeted product
+        // acts on.
+        for (mode, exec) in [
+            ("serial", Executor::serial()),
+            ("threads2", Executor::with_threads(2)),
+            ("auto", Executor::auto()),
+        ] {
+            let plan = exec.plan_spgemm(&a, &a);
+            let (_, report) = exec.try_spgemm(&a, &a).unwrap();
+            assert_eq!(plan.choice, report.plan.choice, "{mode}");
+            assert_eq!(plan.calibrated, report.plan.calibrated, "{mode}");
+            assert_eq!(plan.rationale, report.plan.rationale, "{mode}");
+        }
     }
 
     #[test]

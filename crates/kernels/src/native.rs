@@ -20,8 +20,8 @@
 //!
 //! Every kernel is generic over [`Scalar`], so the same loop bodies serve
 //! `f64` and `f32` (and any future precision). The hot reductions all run
-//! through the lane-striped `smash_matrix::simd` dispatch layer (AVX2 /
-//! SSE4.2 / scalar, chosen at runtime), whose fixed accumulation order is
+//! through the lane-striped `smash_matrix::simd` dispatch layer (AVX2 or
+//! scalar, chosen at runtime), whose fixed accumulation order is
 //! identical at every precision *and* ISA tier — which is what lets the
 //! parallel drivers in `smash-parallel` stay bit-identical for all of
 //! them. See `docs/SIMD.md`.

@@ -505,8 +505,8 @@ impl fmt::Display for Choice {
     }
 }
 
-/// The planner's answer: the winning [`Choice`], its predicted cost,
-/// scored alternatives, and a human-readable rationale.
+/// The planner's answer: the winning [`Choice`], its predicted cost, and
+/// a human-readable rationale that names the runner-up.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// The winning candidate.
@@ -515,8 +515,6 @@ pub struct Plan {
     /// threshold tier decided — it predicts nothing, it compares
     /// against a constant).
     pub score: f64,
-    /// Every scored candidate, best first (empty in the fallback tier).
-    pub alternatives: Vec<(Choice, f64)>,
     /// `true` when a calibration row decided; `false` when the legacy
     /// threshold tier or a fixed executor mode did.
     pub calibrated: bool,
@@ -528,7 +526,7 @@ pub struct Plan {
 impl Plan {
     /// A plan that runs `req` on all of its `threads` without consulting
     /// any cost model: what the fixed `Serial`/`Parallel` executor modes
-    /// act on. It predicts nothing and scores no alternatives.
+    /// act on. It predicts nothing and scores no candidates.
     pub(crate) fn fixed(req: &PlanRequest, rationale: &str) -> Plan {
         Plan {
             choice: Choice {
@@ -537,7 +535,6 @@ impl Plan {
                 tile: lead_tile(req),
             },
             score: f64::NAN,
-            alternatives: Vec::new(),
             calibrated: false,
             rationale: rationale.to_string(),
         }
@@ -616,7 +613,10 @@ impl Planner {
                 if k != key {
                     return Err(err(&format!("want {key}=, got {k}=")));
                 }
-                v.parse::<f64>().map_err(|_| err("bad number"))
+                v.parse::<f64>()
+                    .ok()
+                    .filter(|x| x.is_finite())
+                    .ok_or_else(|| err("bad number"))
             };
             match kind {
                 "matrix" => {
@@ -753,7 +753,7 @@ impl Planner {
 
         if let Some((mi, mname, dist)) = matched {
             let work = req.predict_work(profile);
-            let mut scored: Vec<(Choice, f64)> = self
+            let scored = self
                 .rows
                 .iter()
                 .filter(|r| {
@@ -771,11 +771,26 @@ impl Planner {
                         },
                         r.ns_per_work * work,
                     )
-                })
-                .collect();
-            scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-            if let Some(&(choice, score)) = scored.first() {
-                let runner_up = scored.get(1).map(|&(c, s)| {
+                });
+            // Winner and runner-up in one pass, in the order a stable sort
+            // by score would give them: ties go to the earlier row.
+            let mut best: Option<(Choice, f64)> = None;
+            let mut second: Option<(Choice, f64)> = None;
+            for cand in scored {
+                match best {
+                    Some(b) if cand.1.total_cmp(&b.1).is_ge() => {
+                        if second.is_none_or(|s| cand.1.total_cmp(&s.1).is_lt()) {
+                            second = Some(cand);
+                        }
+                    }
+                    _ => {
+                        second = best;
+                        best = Some(cand);
+                    }
+                }
+            }
+            if let Some((choice, score)) = best {
+                let runner_up = second.map(|(c, s)| {
                     format!(
                         "\n  runner-up {c}: predicted {} ({:.2}x slower)",
                         fmt_ns(s),
@@ -794,7 +809,6 @@ impl Planner {
                 return Plan {
                     choice,
                     score,
-                    alternatives: scored,
                     calibrated: true,
                     rationale,
                 };
@@ -866,7 +880,6 @@ impl Planner {
         Plan {
             choice,
             score: f64::NAN,
-            alternatives: Vec::new(),
             calibrated: false,
             rationale: format!(
                 "{} over {}:\n  threshold tier ({why})\n  -> {rule}{}",
@@ -983,7 +996,11 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
             &PlanRequest::free(Op::Spmv, 4),
         );
         assert_eq!(plan.choice.format, Format::Csr);
-        assert_eq!(plan.alternatives.len(), 3);
+        assert!(
+            plan.rationale.contains("runner-up smash serial"),
+            "{}",
+            plan.rationale
+        );
 
         // With one worker the parallel rows are ineligible.
         let plan = p.plan(
@@ -1201,6 +1218,10 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
             "row ghost op=spmv format=csr threads=1 tile=1 work=1 ns=1",
             "matrix a rows=1 cols=1 nnz=1 row_mean=1 row_cv=0 row_max=1 fill8=0.5\nrow a op=nope format=csr threads=1 tile=1 work=1 ns=1",
             "frobnicate a b c",
+            "matrix a rows=inf cols=1 nnz=1 row_mean=1 row_cv=0 row_max=1 fill8=0.5",
+            "matrix a rows=1 cols=1 nnz=1 row_mean=1 row_cv=0 row_max=1 fill8=0.5\nrow a op=spmv format=csr threads=1 tile=1 work=1 ns=-nan",
+            "matrix a rows=1 cols=1 nnz=1 row_mean=1 row_cv=0 row_max=1 fill8=0.5\nrow a op=spmv format=csr threads=1 tile=1 work=1 ns=nan",
+            "matrix a rows=1 cols=1 nnz=1 row_mean=1 row_cv=0 row_max=1 fill8=0.5\nrow a op=spmv format=csr threads=1 tile=1 work=inf ns=1",
         ] {
             assert!(Planner::from_table(bad).is_err(), "{bad}");
         }

@@ -409,9 +409,9 @@ impl<T: Scalar> Csr<T> {
     /// Dot product of row `i` against the dense vector `x`, accumulated in
     /// the lane-striped order of [`crate::simd`] (stripe `k % LANES`, then
     /// a pairwise fold) by whichever ISA body [`crate::simd::active`]
-    /// dispatches — AVX2, SSE4.2, or the scalar emulation of the same
-    /// order. This is *the* per-row body of the plain CSR SpMV: both the
-    /// serial driver [`crate::spmv_rows`] and the parallel
+    /// dispatches — AVX2 or the scalar emulation of the same order. This
+    /// is *the* per-row body of the plain CSR SpMV: both the serial driver
+    /// [`crate::spmv_rows`] and the parallel
     /// `smash_parallel::par_spmv_rows` call it, and because every ISA body
     /// realizes the same accumulation order the results stay bit-identical
     /// across ISAs *and* thread counts.

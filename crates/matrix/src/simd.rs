@@ -3,10 +3,10 @@
 //! This module is the **single definition** of the accumulation order used by
 //! every hot kernel loop in the workspace: [`crate::Csr::row_dot`], the BCSR
 //! block dots, `smash_core::block_dot`, and the 8/4/1-wide RHS column tiles
-//! driven by [`crate::for_each_rhs_tile`]. Three implementations of that one
-//! order exist — AVX2, SSE4.2, and a portable scalar emulation — selected at
-//! runtime by [`active`] from CPU feature detection, the `SMASH_SIMD`
-//! environment variable, and an in-process test override.
+//! driven by [`crate::for_each_rhs_tile`]. Two implementations of that one
+//! order exist — AVX2 and a portable scalar emulation — selected at runtime
+//! by [`active`] from CPU feature detection, the `SMASH_SIMD` environment
+//! variable, and an in-process test override.
 //!
 //! # The lane-striped contract
 //!
@@ -26,14 +26,15 @@
 //! 3. **No FMA.** Every body uses a separate multiply and add. The `avx2`
 //!    tier requires the FMA feature (it is the natural "AVX2-class CPU"
 //!    marker and leaves headroom for fused variants behind a future opt-in),
-//!    but fusing today would make AVX2 results differ from SSE4.2/scalar in
-//!    the last ulp and break the cross-ISA `==` guarantee.
+//!    but fusing today would make AVX2 results differ from scalar in the
+//!    last ulp and break the cross-ISA `==` guarantee.
 //!
 //! For the column tiles the same contract applies per output column: stripe
 //! `l` holds a vector of `w` column partial sums, and the fold adds whole
 //! stripes lane-wise, so every output column sees exactly the striped-dot
-//! order. A `w = 8` tile computed as two `w = 4` halves (the SSE4.2 path)
-//! is bit-identical because columns never interact.
+//! order. Columns never interact, so the AVX2 tier's 4-wide (128-bit)
+//! tile bodies for `w = 4` follow the same per-column order as its 8-wide
+//! ones.
 //!
 //! Because the *scalar* body emulates the same stripe/fold order, any
 //! supported ISA can be compared against any other with exact `==` at any
@@ -48,12 +49,12 @@
 //! [`active`] resolves, in priority order:
 //!
 //! 1. the in-process override set by [`set_override`] (tests and benches),
-//! 2. the `SMASH_SIMD` environment variable (`auto` / `avx2` / `sse42` /
-//!    `scalar`), read once per process; an unknown or unsupported value
-//!    panics rather than silently falling back,
+//! 2. the `SMASH_SIMD` environment variable (`auto` / `avx2` / `scalar`),
+//!    read once per process; an unknown or unsupported value panics rather
+//!    than silently falling back,
 //! 3. cached CPU feature detection: `avx2 && fma` → [`Isa::Avx2`], else
-//!    `sse4.2` → [`Isa::Sse42`], else [`Isa::Scalar`]. Non-x86_64 targets
-//!    always resolve to [`Isa::Scalar`].
+//!    [`Isa::Scalar`]. Non-x86_64 targets always resolve to
+//!    [`Isa::Scalar`].
 //!
 //! # Safety and bounds
 //!
@@ -62,8 +63,7 @@
 //! against `x.len()` *before* issuing the gather and fall back to the
 //! scalar striped continuation when any lane fails, so an out-of-range
 //! column index produces the ordinary slice-index panic instead of an
-//! out-of-bounds read. The SSE4.2 paths gather through safe slice indexing.
-//! All raw-pointer loads/stores are within bounds proven by the preceding
+//! out-of-bounds read. All raw-pointer loads/stores are within bounds proven by the preceding
 //! slice operations. Debug builds also assert those bounds in the gather
 //! and tile bodies themselves (`cols`/`vals` cover every vector load,
 //! each B row slice `base + w ≤ bdata.len()`, each tile
@@ -74,8 +74,8 @@ use std::sync::OnceLock;
 
 /// An instruction-set tier the kernel bodies can execute under.
 ///
-/// Tiers are ordered from widest to narrowest; [`detected`] picks the first
-/// supported one. Every tier computes bit-identical results (see the module
+/// [`detected`] picks [`Isa::Avx2`] when the CPU supports it, else
+/// [`Isa::Scalar`]. Every tier computes bit-identical results (see the module
 /// docs for the lane-striped contract that makes this true).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -83,24 +83,21 @@ pub enum Isa {
     /// 256-bit AVX2 bodies (requires the `avx2` **and** `fma` CPU features;
     /// see the module docs for why the bodies still use unfused mul+add).
     Avx2 = 1,
-    /// 128-bit SSE4.2 bodies.
-    Sse42 = 2,
     /// Portable scalar emulation of the same lane-striped order; the only
     /// tier on non-x86_64 targets.
-    Scalar = 3,
+    Scalar = 2,
 }
 
 impl Isa {
-    /// Every tier, widest first — the order [`detected`] probes them in.
-    pub const ALL: [Isa; 3] = [Isa::Avx2, Isa::Sse42, Isa::Scalar];
+    /// Every tier, widest first.
+    pub const ALL: [Isa; 2] = [Isa::Avx2, Isa::Scalar];
 
-    /// Stable lowercase name (`"avx2"` / `"sse42"` / `"scalar"`), as used by
+    /// Stable lowercase name (`"avx2"` / `"scalar"`), as used by
     /// `SMASH_SIMD`, plan rationales, and the calibration-table `meta`
     /// record.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Avx2 => "avx2",
-            Isa::Sse42 => "sse42",
             Isa::Scalar => "scalar",
         }
     }
@@ -110,7 +107,6 @@ impl Isa {
     pub fn parse(s: &str) -> Option<Isa> {
         match s {
             "avx2" => Some(Isa::Avx2),
-            "sse42" => Some(Isa::Sse42),
             "scalar" => Some(Isa::Scalar),
             _ => None,
         }
@@ -118,8 +114,8 @@ impl Isa {
 
     /// Whether the running CPU can execute this tier.
     ///
-    /// [`Isa::Scalar`] is supported everywhere. The vector tiers probe CPU
-    /// features at runtime (cached by the standard library) and are never
+    /// [`Isa::Scalar`] is supported everywhere. [`Isa::Avx2`] probes CPU
+    /// features at runtime (cached by the standard library) and is never
     /// supported on non-x86_64 targets.
     pub fn is_supported(self) -> bool {
         match self {
@@ -129,8 +125,6 @@ impl Isa {
                 std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
             }
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse42 => std::arch::is_x86_feature_detected!("sse4.2"),
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -141,12 +135,11 @@ impl Isa {
 pub fn detected() -> Isa {
     static DET: OnceLock<Isa> = OnceLock::new();
     *DET.get_or_init(|| {
-        for isa in Isa::ALL {
-            if isa.is_supported() {
-                return isa;
-            }
+        if Isa::Avx2.is_supported() {
+            Isa::Avx2
+        } else {
+            Isa::Scalar
         }
-        Isa::Scalar
     })
 }
 
@@ -164,7 +157,7 @@ fn resolved() -> Isa {
         Ok(v) if v == "auto" => detected(),
         Ok(v) => {
             let isa = Isa::parse(&v).unwrap_or_else(|| {
-                panic!("SMASH_SIMD: unknown value '{v}' (expected auto|avx2|sse42|scalar)")
+                panic!("SMASH_SIMD: unknown value '{v}' (expected auto|avx2|scalar)")
             });
             assert!(
                 isa.is_supported(),
@@ -210,8 +203,7 @@ pub fn set_override(isa: Option<Isa>) {
 pub fn active() -> Isa {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => Isa::Avx2,
-        2 => Isa::Sse42,
-        3 => Isa::Scalar,
+        2 => Isa::Scalar,
         _ => resolved(),
     }
 }
@@ -416,10 +408,9 @@ fn axpy_tile_striped<T: Lane, const L: usize>(
 
 macro_rules! impl_simd_elem {
     ($t:ty, $lanes:expr,
-     $dot_idx_avx2:ident, $dot_idx_sse42:ident,
-     $dot_seq_avx2:ident, $dot_seq_sse42:ident,
-     $row8_avx2:ident, $row4_sse42:ident,
-     $axpy8_avx2:ident, $axpy4_sse42:ident) => {
+     $dot_idx_avx2:ident, $dot_seq_avx2:ident,
+     $row8_avx2:ident, $row4:ident,
+     $axpy8_avx2:ident, $axpy4:ident) => {
         impl SimdElem for $t {
             const LANES: usize = $lanes;
 
@@ -430,15 +421,10 @@ macro_rules! impl_simd_elem {
                 // perf routing — length is data-independent and every tier
                 // produces the same bits, so determinism is unaffected.
                 #[cfg(target_arch = "x86_64")]
-                if vals.len() >= 2 * $lanes {
-                    match active() {
-                        // SAFETY: the tier was feature-checked by `active()`'s
-                        // resolution chain (detection / validated override).
-                        Isa::Avx2 => return unsafe { x86::$dot_idx_avx2(cols, vals, x) },
-                        // SAFETY: as above.
-                        Isa::Sse42 => return unsafe { x86::$dot_idx_sse42(cols, vals, x) },
-                        Isa::Scalar => {}
-                    }
+                if vals.len() >= 2 * $lanes && active() == Isa::Avx2 {
+                    // SAFETY: the tier was feature-checked by `active()`'s
+                    // resolution chain (detection / validated override).
+                    return unsafe { x86::$dot_idx_avx2(cols, vals, x) };
                 }
                 dot_indexed_striped::<$t, $lanes>(cols, vals, x)
             }
@@ -456,12 +442,9 @@ macro_rules! impl_simd_elem {
                 #[inline(never)]
                 fn long(a: &[$t], b: &[$t]) -> $t {
                     #[cfg(target_arch = "x86_64")]
-                    match active() {
+                    if active() == Isa::Avx2 {
                         // SAFETY: tier feature-checked by `active()`.
-                        Isa::Avx2 => return unsafe { x86::$dot_seq_avx2(a, b) },
-                        // SAFETY: as above.
-                        Isa::Sse42 => return unsafe { x86::$dot_seq_sse42(a, b) },
-                        Isa::Scalar => {}
+                        return unsafe { x86::$dot_seq_avx2(a, b) };
                     }
                     dot_seq_striped::<$t, $lanes>(a, b)
                 }
@@ -481,34 +464,15 @@ macro_rules! impl_simd_elem {
                 out: &mut [Self],
             ) {
                 #[cfg(target_arch = "x86_64")]
-                match active() {
-                    Isa::Avx2 => {
-                        if w == 8 {
-                            // SAFETY: tier feature-checked by `active()`.
-                            return unsafe { x86::$row8_avx2(cols, vals, bdata, stride, j0, out) };
-                        }
-                        if w == 4 {
-                            // SAFETY: avx2 implies sse4.2.
-                            return unsafe { x86::$row4_sse42(cols, vals, bdata, stride, j0, out) };
-                        }
+                if active() == Isa::Avx2 {
+                    if w == 8 {
+                        // SAFETY: tier feature-checked by `active()`.
+                        return unsafe { x86::$row8_avx2(cols, vals, bdata, stride, j0, out) };
                     }
-                    Isa::Sse42 => {
-                        if w == 8 {
-                            // Two w = 4 halves: columns never interact, so
-                            // the per-column order is unchanged.
-                            // SAFETY: tier feature-checked by `active()`.
-                            unsafe {
-                                x86::$row4_sse42(cols, vals, bdata, stride, j0, out);
-                                x86::$row4_sse42(cols, vals, bdata, stride, j0 + 4, out);
-                            }
-                            return;
-                        }
-                        if w == 4 {
-                            // SAFETY: tier feature-checked by `active()`.
-                            return unsafe { x86::$row4_sse42(cols, vals, bdata, stride, j0, out) };
-                        }
+                    if w == 4 {
+                        // SAFETY: avx2 implies sse4.2.
+                        return unsafe { x86::$row4(cols, vals, bdata, stride, j0, out) };
                     }
-                    Isa::Scalar => {}
                 }
                 row_tile_striped::<$t, $lanes>(cols, vals, bdata, stride, j0, w, out)
             }
@@ -523,38 +487,15 @@ macro_rules! impl_simd_elem {
                 out: &mut [Self],
             ) {
                 #[cfg(target_arch = "x86_64")]
-                match active() {
-                    Isa::Avx2 => {
-                        if w == 8 {
-                            // SAFETY: tier feature-checked by `active()`.
-                            return unsafe {
-                                x86::$axpy8_avx2(vals, bdata, stride, cbase, j0, out)
-                            };
-                        }
-                        if w == 4 {
-                            // SAFETY: avx2 implies sse4.2.
-                            return unsafe {
-                                x86::$axpy4_sse42(vals, bdata, stride, cbase, j0, out)
-                            };
-                        }
+                if active() == Isa::Avx2 {
+                    if w == 8 {
+                        // SAFETY: tier feature-checked by `active()`.
+                        return unsafe { x86::$axpy8_avx2(vals, bdata, stride, cbase, j0, out) };
                     }
-                    Isa::Sse42 => {
-                        if w == 8 {
-                            // SAFETY: tier feature-checked by `active()`.
-                            unsafe {
-                                x86::$axpy4_sse42(vals, bdata, stride, cbase, j0, out);
-                                x86::$axpy4_sse42(vals, bdata, stride, cbase, j0 + 4, out);
-                            }
-                            return;
-                        }
-                        if w == 4 {
-                            // SAFETY: tier feature-checked by `active()`.
-                            return unsafe {
-                                x86::$axpy4_sse42(vals, bdata, stride, cbase, j0, out)
-                            };
-                        }
+                    if w == 4 {
+                        // SAFETY: avx2 implies sse4.2.
+                        return unsafe { x86::$axpy4(vals, bdata, stride, cbase, j0, out) };
                     }
-                    Isa::Scalar => {}
                 }
                 axpy_tile_striped::<$t, $lanes>(vals, bdata, stride, cbase, j0, w, out)
             }
@@ -566,25 +507,21 @@ impl_simd_elem!(
     f32,
     8,
     dot_idx_f32_avx2,
-    dot_idx_f32_sse42,
     dot_seq_f32_avx2,
-    dot_seq_f32_sse42,
     row_tile8_f32_avx2,
-    row_tile4_f32_sse42,
+    row_tile4_f32,
     axpy_tile8_f32_avx2,
-    axpy_tile4_f32_sse42
+    axpy_tile4_f32
 );
 impl_simd_elem!(
     f64,
     4,
     dot_idx_f64_avx2,
-    dot_idx_f64_sse42,
     dot_seq_f64_avx2,
-    dot_seq_f64_sse42,
     row_tile8_f64_avx2,
-    row_tile4_f64_sse42,
+    row_tile4_f64,
     axpy_tile8_f64_avx2,
-    axpy_tile4_f64_sse42
+    axpy_tile4_f64
 );
 
 #[cfg(target_arch = "x86_64")]
@@ -673,79 +610,6 @@ mod x86 {
         fold(s)
     }
 
-    /// `Σ vals[k] * x[cols[k]]`, f32, SSE4.2: safe scalar gathers into two
-    /// xmm stripe registers (stripes 0–3 / 4–7).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports `sse4.2`. Gathers use safe slice
-    /// indexing, so out-of-range columns panic exactly like the scalar body.
-    #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn dot_idx_f32_sse42(cols: &[u32], vals: &[f32], x: &[f32]) -> f32 {
-        let n = cols.len().min(vals.len());
-        let mut acc0 = _mm_setzero_ps();
-        let mut acc1 = _mm_setzero_ps();
-        let mut k = 0usize;
-        while k + 8 <= n {
-            debug_assert!(k + 8 <= cols.len() && k + 8 <= vals.len());
-            let g0 = [
-                x[cols[k] as usize],
-                x[cols[k + 1] as usize],
-                x[cols[k + 2] as usize],
-                x[cols[k + 3] as usize],
-            ];
-            let g1 = [
-                x[cols[k + 4] as usize],
-                x[cols[k + 5] as usize],
-                x[cols[k + 6] as usize],
-                x[cols[k + 7] as usize],
-            ];
-            let v0 = _mm_loadu_ps(vals.as_ptr().add(k));
-            let v1 = _mm_loadu_ps(vals.as_ptr().add(k + 4));
-            acc0 = _mm_add_ps(acc0, _mm_mul_ps(v0, _mm_loadu_ps(g0.as_ptr())));
-            acc1 = _mm_add_ps(acc1, _mm_mul_ps(v1, _mm_loadu_ps(g1.as_ptr())));
-            k += 8;
-        }
-        let mut s = [0.0f32; 8];
-        _mm_storeu_ps(s.as_mut_ptr(), acc0);
-        _mm_storeu_ps(s.as_mut_ptr().add(4), acc1);
-        for (i, (&c, &v)) in cols[k..n].iter().zip(&vals[k..n]).enumerate() {
-            s[(k + i) % 8] += v * x[c as usize];
-        }
-        fold(s)
-    }
-
-    /// `Σ vals[k] * x[cols[k]]`, f64, SSE4.2 (stripes 0–1 / 2–3).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports `sse4.2`; gathers use safe slice
-    /// indexing.
-    #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn dot_idx_f64_sse42(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-        let n = cols.len().min(vals.len());
-        let mut acc0 = _mm_setzero_pd();
-        let mut acc1 = _mm_setzero_pd();
-        let mut k = 0usize;
-        while k + 4 <= n {
-            debug_assert!(k + 4 <= cols.len() && k + 4 <= vals.len());
-            let g0 = [x[cols[k] as usize], x[cols[k + 1] as usize]];
-            let g1 = [x[cols[k + 2] as usize], x[cols[k + 3] as usize]];
-            let v0 = _mm_loadu_pd(vals.as_ptr().add(k));
-            let v1 = _mm_loadu_pd(vals.as_ptr().add(k + 2));
-            acc0 = _mm_add_pd(acc0, _mm_mul_pd(v0, _mm_loadu_pd(g0.as_ptr())));
-            acc1 = _mm_add_pd(acc1, _mm_mul_pd(v1, _mm_loadu_pd(g1.as_ptr())));
-            k += 4;
-        }
-        let mut s = [0.0f64; 4];
-        _mm_storeu_pd(s.as_mut_ptr(), acc0);
-        _mm_storeu_pd(s.as_mut_ptr().add(2), acc1);
-        for (i, (&c, &v)) in cols[k..n].iter().zip(&vals[k..n]).enumerate() {
-            s[(k + i) % 4] += v * x[c as usize];
-        }
-        fold(s)
-    }
-
     /// Contiguous `Σ a[k] * b[k]`, f32, AVX2.
     ///
     /// # Safety
@@ -790,66 +654,6 @@ mod x86 {
         }
         let mut s = [0.0f64; 4];
         _mm256_storeu_pd(s.as_mut_ptr(), vacc);
-        for (i, (&av, &bv)) in a[k..n].iter().zip(&b[k..n]).enumerate() {
-            s[(k + i) % 4] += av * bv;
-        }
-        fold(s)
-    }
-
-    /// Contiguous `Σ a[k] * b[k]`, f32, SSE4.2 (stripes 0–3 / 4–7).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports `sse4.2`. All pointer loads are
-    /// within `min(a.len(), b.len())`.
-    #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn dot_seq_f32_sse42(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let mut acc0 = _mm_setzero_ps();
-        let mut acc1 = _mm_setzero_ps();
-        let mut k = 0usize;
-        while k + 8 <= n {
-            let a0 = _mm_loadu_ps(a.as_ptr().add(k));
-            let b0 = _mm_loadu_ps(b.as_ptr().add(k));
-            let a1 = _mm_loadu_ps(a.as_ptr().add(k + 4));
-            let b1 = _mm_loadu_ps(b.as_ptr().add(k + 4));
-            acc0 = _mm_add_ps(acc0, _mm_mul_ps(a0, b0));
-            acc1 = _mm_add_ps(acc1, _mm_mul_ps(a1, b1));
-            k += 8;
-        }
-        let mut s = [0.0f32; 8];
-        _mm_storeu_ps(s.as_mut_ptr(), acc0);
-        _mm_storeu_ps(s.as_mut_ptr().add(4), acc1);
-        for (i, (&av, &bv)) in a[k..n].iter().zip(&b[k..n]).enumerate() {
-            s[(k + i) % 8] += av * bv;
-        }
-        fold(s)
-    }
-
-    /// Contiguous `Σ a[k] * b[k]`, f64, SSE4.2 (stripes 0–1 / 2–3).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports `sse4.2`. All pointer loads are
-    /// within `min(a.len(), b.len())`.
-    #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn dot_seq_f64_sse42(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len().min(b.len());
-        let mut acc0 = _mm_setzero_pd();
-        let mut acc1 = _mm_setzero_pd();
-        let mut k = 0usize;
-        while k + 4 <= n {
-            let a0 = _mm_loadu_pd(a.as_ptr().add(k));
-            let b0 = _mm_loadu_pd(b.as_ptr().add(k));
-            let a1 = _mm_loadu_pd(a.as_ptr().add(k + 2));
-            let b1 = _mm_loadu_pd(b.as_ptr().add(k + 2));
-            acc0 = _mm_add_pd(acc0, _mm_mul_pd(a0, b0));
-            acc1 = _mm_add_pd(acc1, _mm_mul_pd(a1, b1));
-            k += 4;
-        }
-        let mut s = [0.0f64; 4];
-        _mm_storeu_pd(s.as_mut_ptr(), acc0);
-        _mm_storeu_pd(s.as_mut_ptr().add(2), acc1);
         for (i, (&av, &bv)) in a[k..n].iter().zip(&b[k..n]).enumerate() {
             s[(k + i) % 4] += av * bv;
         }
@@ -1175,16 +979,15 @@ mod x86 {
         _mm256_storeu_pd(dst.as_mut_ptr().add(4), hi);
     }
 
-    /// f32 `w = 4` row tile, SSE4.2: one `__m128` per stripe (8 xmm live).
-    /// Also used as the `w = 4` body under AVX2 and twice per `w = 8` tile
-    /// under SSE4.2. Assigns `out[j0..j0+4]`.
+    /// f32 `w = 4` row tile, 128-bit: one `__m128` per stripe (8 xmm
+    /// live). The AVX2 tier's `w = 4` body. Assigns `out[j0..j0+4]`.
     ///
     /// # Safety
     ///
     /// Caller must ensure the CPU supports `sse4.2`; all memory accesses go
     /// through bounds-checked slicing.
     #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn row_tile4_f32_sse42(
+    pub(super) unsafe fn row_tile4_f32(
         cols: &[u32],
         vals: &[f32],
         bdata: &[f32],
@@ -1260,14 +1063,14 @@ mod x86 {
         _mm_storeu_ps(out[j0..j0 + 4].as_mut_ptr(), a0);
     }
 
-    /// f32 `w = 4` axpy tile, SSE4.2 (accumulates; B rows are `cbase + k`).
+    /// f32 `w = 4` axpy tile, 128-bit (accumulates; B rows are `cbase + k`).
     ///
     /// # Safety
     ///
     /// Caller must ensure the CPU supports `sse4.2`; all memory accesses go
     /// through bounds-checked slicing.
     #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn axpy_tile4_f32_sse42(
+    pub(super) unsafe fn axpy_tile4_f32(
         vals: &[f32],
         bdata: &[f32],
         stride: usize,
@@ -1345,7 +1148,7 @@ mod x86 {
         _mm_storeu_ps(dst.as_mut_ptr(), sum);
     }
 
-    /// f64 `w = 4` row tile, SSE4.2: 4 stripes × 2 `__m128d` halves
+    /// f64 `w = 4` row tile, 128-bit: 4 stripes × 2 `__m128d` halves
     /// (columns `j0..j0+2` / `j0+2..j0+4`). Assigns `out[j0..j0+4]`.
     ///
     /// # Safety
@@ -1353,7 +1156,7 @@ mod x86 {
     /// Caller must ensure the CPU supports `sse4.2`; all memory accesses go
     /// through bounds-checked slicing.
     #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn row_tile4_f64_sse42(
+    pub(super) unsafe fn row_tile4_f64(
         cols: &[u32],
         vals: &[f64],
         bdata: &[f64],
@@ -1415,14 +1218,14 @@ mod x86 {
         _mm_storeu_pd(dst.as_mut_ptr().add(2), s0h);
     }
 
-    /// f64 `w = 4` axpy tile, SSE4.2 (accumulates; B rows are `cbase + k`).
+    /// f64 `w = 4` axpy tile, 128-bit (accumulates; B rows are `cbase + k`).
     ///
     /// # Safety
     ///
     /// Caller must ensure the CPU supports `sse4.2`; all memory accesses go
     /// through bounds-checked slicing.
     #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn axpy_tile4_f64_sse42(
+    pub(super) unsafe fn axpy_tile4_f64(
         vals: &[f64],
         bdata: &[f64],
         stride: usize,
@@ -1498,6 +1301,7 @@ mod tests {
         }
         assert_eq!(Isa::parse("auto"), None);
         assert_eq!(Isa::parse("neon"), None);
+        assert_eq!(Isa::parse("sse42"), None);
     }
 
     #[test]

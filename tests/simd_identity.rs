@@ -1,7 +1,7 @@
 //! SIMD ↔ scalar exact bit-identity across the kernel stack.
 //!
-//! The `smash_matrix::simd` dispatch layer promises that every ISA tier —
-//! AVX2, SSE4.2, and the portable scalar emulation — realizes one
+//! The `smash_matrix::simd` dispatch layer promises that both ISA tiers —
+//! AVX2 and the portable scalar emulation — realize one
 //! lane-striped accumulation order, so the *same bits* come out of every
 //! kernel whichever tier executes it, at every thread count. This suite
 //! pins that promise with exact `==` for `f32` and `f64` across CSR, BCSR
