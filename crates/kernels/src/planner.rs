@@ -541,6 +541,17 @@ impl Plan {
     }
 }
 
+/// The value of the next field of a calibration line, which must read
+/// `key=value`; the error says what is wrong with the field.
+fn next_value<'a>(parts: &mut dyn Iterator<Item = &'a str>, key: &str) -> Result<&'a str, String> {
+    let field = parts.next().ok_or("truncated")?;
+    let (k, v) = field.split_once('=').ok_or("want key=value")?;
+    if k != key {
+        return Err(format!("want {key}=, got {k}="));
+    }
+    Ok(v)
+}
+
 /// One parsed calibration measurement: candidate × zoo matrix →
 /// ns-per-unit-of-work.
 #[derive(Debug, Clone)]
@@ -549,8 +560,6 @@ struct CalRow {
     op: Op,
     format: Format,
     threads: usize,
-    #[allow(dead_code)]
-    tile: usize,
     ns_per_work: f64,
 }
 
@@ -607,25 +616,31 @@ impl Planner {
             let mut parts = line.split_whitespace();
             let kind = parts.next().unwrap_or_default();
             let name = parts.next().ok_or_else(|| err("missing name"))?.to_string();
+            // Measurements are finite reals; counts are plain integers, so
+            // `-3`, `2.7` and `1e3` fail rather than truncate.
             let kv = |key: &str, parts: &mut dyn Iterator<Item = &str>| -> Result<f64, String> {
-                let field = parts.next().ok_or_else(|| err("truncated"))?;
-                let (k, v) = field.split_once('=').ok_or_else(|| err("want key=value"))?;
-                if k != key {
-                    return Err(err(&format!("want {key}=, got {k}=")));
-                }
-                v.parse::<f64>()
+                next_value(parts, key)
+                    .map_err(|what| err(&what))?
+                    .parse::<f64>()
                     .ok()
                     .filter(|x| x.is_finite())
                     .ok_or_else(|| err("bad number"))
             };
+            let count =
+                |key: &str, parts: &mut dyn Iterator<Item = &str>| -> Result<usize, String> {
+                    next_value(parts, key)
+                        .map_err(|what| err(&what))?
+                        .parse::<usize>()
+                        .map_err(|_| err("bad number"))
+                };
             match kind {
                 "matrix" => {
-                    let rows = kv("rows", &mut parts)? as usize;
-                    let cols = kv("cols", &mut parts)? as usize;
-                    let nnz = kv("nnz", &mut parts)? as usize;
+                    let rows = count("rows", &mut parts)?;
+                    let cols = count("cols", &mut parts)?;
+                    let nnz = count("nnz", &mut parts)?;
                     let row_mean = kv("row_mean", &mut parts)?;
                     let row_cv = kv("row_cv", &mut parts)?;
-                    let row_max = kv("row_max", &mut parts)? as usize;
+                    let row_max = count("row_max", &mut parts)?;
                     let fill = kv("fill8", &mut parts)?;
                     planner.matrices.push((
                         name,
@@ -657,8 +672,9 @@ impl Planner {
                         .strip_prefix("format=")
                         .and_then(Format::parse)
                         .ok_or_else(|| err("bad format"))?;
-                    let threads = kv("threads", &mut parts)? as usize;
-                    let tile = kv("tile", &mut parts)? as usize;
+                    let threads = count("threads", &mut parts)?;
+                    // A candidate key only: the cost model never reads it.
+                    count("tile", &mut parts)?;
                     let work = kv("work", &mut parts)?;
                     let ns = kv("ns", &mut parts)?;
                     if work <= 0.0 || ns <= 0.0 || threads == 0 {
@@ -669,7 +685,6 @@ impl Planner {
                         op,
                         format,
                         threads,
-                        tile,
                         ns_per_work: ns / work,
                     });
                 }
@@ -1209,6 +1224,44 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
         assert_eq!(p.density_class(), DensityClass::Moderate);
         p.nnz = 500_000;
         assert_eq!(p.density_class(), DensityClass::Dense);
+    }
+
+    #[test]
+    fn count_fields_parse_as_plain_integers() {
+        let matrix = "matrix a rows=1 cols=1 nnz=1 row_mean=1 row_cv=0 row_max=1 fill8=0.5";
+        let row = "row a op=spmv format=csr threads=1 tile=1 work=1 ns=1";
+        assert!(Planner::from_table(&format!("{matrix}\n{row}")).is_ok());
+        for (line, key) in [
+            (matrix, "rows"),
+            (matrix, "cols"),
+            (matrix, "nnz"),
+            (matrix, "row_max"),
+            (row, "threads"),
+            (row, "tile"),
+        ] {
+            for bad in ["-3", "2.7", "1e3"] {
+                let line = line.replace(&format!(" {key}=1 "), &format!(" {key}={bad} "));
+                let table = if line.starts_with("row") {
+                    format!("{matrix}\n{line}")
+                } else {
+                    line
+                };
+                let e = Planner::from_table(&table).unwrap_err();
+                assert!(
+                    e.contains("bad number") && e.contains(bad),
+                    "{key}={bad}: {e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn built_in_table_loads_every_row() {
+        let text = include_str!("planner_calibration.tsv");
+        let p = Planner::built_in();
+        let count = |kind: &str| text.lines().filter(|l| l.starts_with(kind)).count();
+        assert_eq!(p.rows.len(), count("row "));
+        assert_eq!(p.matrices.len(), count("matrix "));
     }
 
     #[test]

@@ -353,6 +353,7 @@ impl<T: Scalar> Csr<T> {
     /// # Panics
     ///
     /// Panics if `i >= rows`.
+    #[inline]
     pub fn row(&self, i: usize) -> (&[u32], &[T]) {
         assert!(i < self.rows, "row out of bounds");
         let (lo, hi) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
@@ -410,11 +411,13 @@ impl<T: Scalar> Csr<T> {
     /// the lane-striped order of [`crate::simd`] (stripe `k % LANES`, then
     /// a pairwise fold) by whichever ISA body [`crate::simd::active`]
     /// dispatches — AVX2 or the scalar emulation of the same order. This
-    /// is *the* per-row body of the plain CSR SpMV: both the serial driver
-    /// [`crate::spmv_rows`] and the parallel
-    /// `smash_parallel::par_spmv_rows` call it, and because every ISA body
-    /// realizes the same accumulation order the results stay bit-identical
-    /// across ISAs *and* thread counts.
+    /// is *the* per-row result of the plain CSR SpMV: both the serial
+    /// driver [`crate::spmv_rows`] and the parallel
+    /// `smash_parallel::par_spmv_rows` compute every row as this same
+    /// `simd_dot_indexed` call (walking `row_ptr` directly rather than
+    /// through [`Csr::row`]), and because every ISA body realizes the same
+    /// accumulation order the results stay bit-identical across ISAs *and*
+    /// thread counts.
     ///
     /// # Panics
     ///

@@ -8,6 +8,7 @@ use crate::{MatrixError, Result, Scalar};
 /// This is the single definition of the tiling — `Csr::row_spmm_dense`,
 /// `Bcsr::block_row_spmm_dense` and `smash_core::block_axpy_dense` all
 /// drive their tile loops through it.
+#[inline]
 pub fn for_each_rhs_tile(n: usize, mut f: impl FnMut(usize, usize)) {
     let mut j0 = 0usize;
     while n - j0 >= 8 {

@@ -137,9 +137,14 @@ impl<T: Scalar> RowRead<T> for Csr<T> {
     }
 
     fn spmv_granules(&self, g: Range<usize>, x: &[T], y: &mut [T]) {
-        let lo = g.start;
-        for i in g {
-            y[i - lo] = self.row_dot(i, x);
+        // `row_dot` for each row, walking the `row_ptr` windows directly
+        // so the loop pays no per-row `row(i)` assert and inlines down to
+        // the short dot.
+        let (cols, vals) = (self.col_ind(), self.values());
+        let ptr = &self.row_ptr()[g.start..=g.end];
+        for (out, w) in y[..g.len()].iter_mut().zip(ptr.windows(2)) {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            *out = T::simd_dot_indexed(&cols[lo..hi], &vals[lo..hi], x);
         }
     }
 

@@ -279,39 +279,45 @@ fn fold<T: Lane, const L: usize>(mut s: [T; L]) -> T {
     s[0]
 }
 
-/// Scalar emulation of the striped indexed dot.
-fn dot_indexed_striped<T: Lane, const L: usize>(cols: &[u32], vals: &[T], x: &[T]) -> T {
+/// Scalar emulation of the striped dot of `n` terms, term `k` given by
+/// `term(k)`: the one looped body behind both dot shapes.
+#[inline]
+fn dot_striped<T: Lane, const L: usize>(n: usize, term: impl Fn(usize) -> T) -> T {
     let mut s = [T::default(); L];
-    for (k, (&c, &v)) in cols.iter().zip(vals).enumerate() {
-        s[k % L] += v * x[c as usize];
+    for k in 0..n {
+        s[k % L] += term(k);
     }
     fold(s)
+}
+
+/// Scalar emulation of the striped indexed dot.
+fn dot_indexed_striped<T: Lane, const L: usize>(cols: &[u32], vals: &[T], x: &[T]) -> T {
+    let n = cols.len().min(vals.len());
+    let (cols, vals) = (&cols[..n], &vals[..n]);
+    dot_striped::<T, L>(n, |k| vals[k] * x[cols[k] as usize])
 }
 
 /// Scalar emulation of the striped contiguous dot.
 fn dot_seq_striped<T: Lane, const L: usize>(a: &[T], b: &[T]) -> T {
-    let mut s = [T::default(); L];
-    for (k, (&av, &bv)) in a.iter().zip(b).enumerate() {
-        s[k % L] += av * bv;
-    }
-    fold(s)
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    dot_striped::<T, L>(n, |k| a[k] * b[k])
 }
 
-/// Striped contiguous dot of exactly `N` terms (zip semantics beyond),
-/// with `N` a compile-time constant so the stripe loop and the fold fully
-/// unroll. It performs the same additions as [`dot_seq_striped`] in the
-/// same order, minus the fold steps that add a stripe no term reached.
-/// Those steps add `+0.0`, which leaves every value it can meet unchanged:
-/// each reached stripe starts as `+0.0 + product`, which is never `-0.0`,
-/// and a sum of two values that are not `-0.0` is not `-0.0` either. So
-/// the result is bit-identical to the looped body, `-0.0` products, `±inf`
+/// Striped dot of exactly `N` terms, term `k` given by `term(k)`, with
+/// `N` a compile-time constant so the stripe loop and the fold fully
+/// unroll. It performs the same additions as [`dot_striped`] in the same
+/// order, minus the fold steps that add a stripe no term reached. Those
+/// steps add `+0.0`, which leaves every value it can meet unchanged: each
+/// reached stripe starts as `+0.0 + product`, which is never `-0.0`, and
+/// a sum of two values that are not `-0.0` is not `-0.0` either. So the
+/// result is bit-identical to the looped body, `-0.0` products, `±inf`
 /// and NaN included.
 #[inline(always)]
-fn dot_short_n<T: Lane, const L: usize, const N: usize>(a: &[T], b: &[T]) -> T {
-    let (a, b) = (&a[..N], &b[..N]);
+fn dot_short_n<T: Lane, const L: usize, const N: usize>(term: impl Fn(usize) -> T) -> T {
     let mut s = [T::default(); L];
     for k in 0..N {
-        s[k % L] += a[k] * b[k];
+        s[k % L] += term(k);
     }
     // Stripes `0..live` hold terms; the rest are still `+0.0`.
     let mut live = N.min(L);
@@ -327,17 +333,19 @@ fn dot_short_n<T: Lane, const L: usize, const N: usize>(a: &[T], b: &[T]) -> T {
     s[0]
 }
 
-/// The striped contiguous dot for short inputs: dispatches on the length
-/// to a fully unrolled [`dot_short_n`] body. Lengths from 16 up (no
-/// caller sends them: `simd_dot_contiguous` routes only dots shorter than
-/// `2 * LANES ≤ 16` here) fall back to the looped body.
-#[inline]
-fn dot_short<T: Lane, const L: usize>(a: &[T], b: &[T]) -> T {
+/// The striped dot of `n` short terms, shared by both dot shapes:
+/// dispatches on `n` to a fully unrolled [`dot_short_n`] body. Callers
+/// pass `term` over slices already cut to `n`, so each arm knows their
+/// length and drops the bounds checks it can prove. Lengths from 16 up
+/// (no caller sends them: both dots route only `n < 2 * LANES ≤ 16`
+/// here) fall back to the looped body.
+#[inline(always)]
+fn dot_short<T: Lane, const L: usize>(n: usize, term: impl Fn(usize) -> T) -> T {
     macro_rules! by_len {
         ($($n:literal)*) => {
-            match a.len().min(b.len()) {
-                $($n => dot_short_n::<T, L, $n>(a, b),)*
-                _ => dot_seq_striped::<T, L>(a, b),
+            match n {
+                $($n => dot_short_n::<T, L, $n>(&term),)*
+                _ => dot_striped::<T, L>(n, term),
             }
         };
     }
@@ -414,31 +422,45 @@ macro_rules! impl_simd_elem {
         impl SimdElem for $t {
             const LANES: usize = $lanes;
 
+            #[inline]
             fn simd_dot_indexed(cols: &[u32], vals: &[Self], x: &[Self]) -> Self {
-                // Dots shorter than two full vector chunks go straight to
-                // the scalar striped body: vector setup + the stack spill
-                // cost more than they save there, and the cutoff is pure
-                // perf routing — length is data-independent and every tier
-                // produces the same bits, so determinism is unaffected.
-                #[cfg(target_arch = "x86_64")]
-                if vals.len() >= 2 * $lanes && active() == Isa::Avx2 {
-                    // SAFETY: the tier was feature-checked by `active()`'s
-                    // resolution chain (detection / validated override).
-                    return unsafe { x86::$dot_idx_avx2(cols, vals, x) };
+                // Dots shorter than two full vector chunks take the
+                // length-dispatched unrolled body on every tier: vector
+                // setup and the stack spill cost more than they save
+                // there, and on short CSR rows (4 entries on a road
+                // network) the looped body's stripe indexing costs more
+                // than the arithmetic. The cutoff is pure perf routing:
+                // length is data-independent and every tier produces the
+                // same bits. The vector bodies sit behind a call that is
+                // kept out of line, so a caller's row loop inlines only
+                // the short path.
+                #[inline(never)]
+                fn long(cols: &[u32], vals: &[$t], x: &[$t]) -> $t {
+                    #[cfg(target_arch = "x86_64")]
+                    if active() == Isa::Avx2 {
+                        // SAFETY: the tier was feature-checked by
+                        // `active()`'s resolution chain (detection /
+                        // validated override).
+                        return unsafe { x86::$dot_idx_avx2(cols, vals, x) };
+                    }
+                    dot_indexed_striped::<$t, $lanes>(cols, vals, x)
                 }
-                dot_indexed_striped::<$t, $lanes>(cols, vals, x)
+                let n = cols.len().min(vals.len());
+                if n < 2 * $lanes {
+                    let (cols, vals) = (&cols[..n], &vals[..n]);
+                    return dot_short::<$t, $lanes>(n, |k| vals[k] * x[cols[k] as usize]);
+                }
+                long(cols, vals, x)
             }
 
             #[inline]
             fn simd_dot_contiguous(a: &[Self], b: &[Self]) -> Self {
-                // Same short-dot cutoff as `simd_dot_indexed`, but short
-                // dots take the length-dispatched unrolled body: SMASH and
-                // BCSR block dots are often only a few elements long, and
-                // the looped body's stripe indexing costs more than the
-                // arithmetic there. Every tier routes them the same way.
-                // The vector bodies sit behind a call that is kept out of
-                // line, so a caller's block loop holds its accumulators in
-                // registers across the short path.
+                // Same short-dot cutoff and unrolled body as
+                // `simd_dot_indexed`: SMASH and BCSR block dots are often
+                // only a few elements long. The vector bodies sit behind
+                // a call that is kept out of line, so a caller's block
+                // loop holds its accumulators in registers across the
+                // short path.
                 #[inline(never)]
                 fn long(a: &[$t], b: &[$t]) -> $t {
                     #[cfg(target_arch = "x86_64")]
@@ -448,8 +470,10 @@ macro_rules! impl_simd_elem {
                     }
                     dot_seq_striped::<$t, $lanes>(a, b)
                 }
-                if a.len().min(b.len()) < 2 * $lanes {
-                    return dot_short::<$t, $lanes>(a, b);
+                let n = a.len().min(b.len());
+                if n < 2 * $lanes {
+                    let (a, b) = (&a[..n], &b[..n]);
+                    return dot_short::<$t, $lanes>(n, |k| a[k] * b[k]);
                 }
                 long(a, b)
             }
@@ -1349,15 +1373,44 @@ mod tests {
                 .unzip();
             for n in 0..=len {
                 let (got, want) = (
-                    dot_short::<f64, 4>(&a[..n], &b),
+                    dot_short::<f64, 4>(n, |k| a[k] * b[k]),
                     dot_seq_striped::<f64, 4>(&a[..n], &b),
                 );
                 assert_eq!(got.to_bits(), want.to_bits(), "f64 len {n}");
                 let (got, want) = (
-                    dot_short::<f32, 8>(&a32[..n], &b32),
+                    dot_short::<f32, 8>(n, |k| a32[k] * b32[k]),
                     dot_seq_striped::<f32, 8>(&a32[..n], &b32),
                 );
                 assert_eq!(got.to_bits(), want.to_bits(), "f32 len {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn unrolled_short_indexed_dot_matches_looped_body() {
+        // The indexed twin: every length below `2 * LANES`, columns
+        // permuted and repeated (and reaching the last column), `-0.0`
+        // products among inexact ones, under every supported tier.
+        let x = vec![1.0 / 3.0, 0.45, 2.5, 0.1, -1.75, 0.3, 7.0 / 9.0];
+        let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+        for n in 0..16 {
+            let cols: Vec<u32> = (0..n as u32).map(|k| (k * 5 + 6) % 7).collect();
+            let vals: Vec<f64> = (0..n)
+                .map(|k| match k % 5 {
+                    4 => -0.0,
+                    r => [1.0, -3.0, 0.7, 1.9][r] * (k as f64 + 0.1) / 3.0,
+                })
+                .collect();
+            let vals32: Vec<f32> = vals.iter().map(|&v| v as f32).collect();
+            let want = dot_indexed_striped::<f64, 4>(&cols, &vals, &x);
+            let want32 = dot_indexed_striped::<f32, 8>(&cols, &vals32, &x32);
+            for isa in Isa::ALL.into_iter().filter(|i| i.is_supported()) {
+                set_override(Some(isa));
+                let got = f64::simd_dot_indexed(&cols, &vals, &x);
+                assert_eq!(got.to_bits(), want.to_bits(), "f64 len {n} {isa:?}");
+                let got = f32::simd_dot_indexed(&cols, &vals32, &x32);
+                assert_eq!(got.to_bits(), want32.to_bits(), "f32 len {n} {isa:?}");
+                set_override(None);
             }
         }
     }

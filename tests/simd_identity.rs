@@ -8,9 +8,9 @@
 //! and SMASH SpMV and the batched SpMDM, driven through the process-global
 //! override (`smash::matrix::simd::set_override`, the in-process twin of
 //! `SMASH_SIMD`), including ragged row lengths and every RHS tile
-//! remainder `n % 8 ∈ {1..7}`. Every contiguous dot shorter than two
-//! vectors, which takes the unrolled short body, is pinned to the looped
-//! striped order on its own.
+//! remainder `n % 8 ∈ {1..7}`. Every contiguous and indexed dot shorter
+//! than two vectors, which takes the unrolled short body, is pinned to the
+//! looped striped order on its own.
 //!
 //! The override is process-global, so every test serializes through one
 //! poison-tolerant mutex and restores `None` before releasing it.
@@ -207,21 +207,32 @@ fn looped_striped_dot<T: Scalar>(a: &[T], b: &[T]) -> T {
     s[0]
 }
 
+/// The looped lane-striped indexed dot: the contiguous order over the
+/// gathered terms `vals[k] * x[cols[k]]`. The test-side twin of the
+/// library's `dot_indexed_striped` emulation.
+fn looped_striped_indexed_dot<T: Scalar>(cols: &[u32], vals: &[T], x: &[T]) -> T {
+    let gathered: Vec<T> = cols.iter().map(|&c| x[c as usize]).collect();
+    looped_striped_dot(vals, &gathered)
+}
+
 /// Pins every dot shorter than `2 * LANES` — the lengths the unrolled
 /// short body serves — to the looped emulation, bit for bit, under every
-/// supported ISA override. The inputs mix ordinary values with `-0.0`
-/// products (where a plain left fold and the striped `+0.0` start
-/// disagree), `±inf` (whose sums give NaN) and NaN. A NaN result must be
-/// NaN on both sides; its sign and payload are not compared, because Rust
-/// leaves them unspecified for arithmetic results and the optimizer may
-/// commute an addition of two NaNs.
+/// supported ISA override, for both the contiguous and the indexed dot.
+/// The inputs mix inexact values whose sums round with `-0.0` products (where a plain
+/// left fold and the striped `+0.0` start disagree), `±inf` (whose sums
+/// give NaN) and NaN. The indexed dot reads each case's second operand
+/// (plus one extra entry) as `x` through permuted, repeated and
+/// last-column index patterns. A NaN result must be NaN on both sides;
+/// its sign and payload are not compared, because Rust leaves them
+/// unspecified for arithmetic results and the optimizer may commute an
+/// addition of two NaNs.
 fn assert_short_dots_match_looped<T: Scalar>(pool: &[T], bits: fn(T) -> u64) {
     let mut cases: Vec<(Vec<T>, Vec<T>)> = Vec::new();
     for len in 0..2 * T::LANES {
         // Every product `-0.0`: `-0.0 * 1` and `0 * -1`.
         let neg_zero = T::ZERO * (T::ZERO - T::ONE);
-        cases.push((vec![neg_zero; len], vec![T::ONE; len]));
-        cases.push((vec![T::ZERO; len], vec![T::ZERO - T::ONE; len]));
+        cases.push((vec![neg_zero; len], vec![T::ONE; len + 1]));
+        cases.push((vec![T::ZERO; len], vec![T::ZERO - T::ONE; len + 1]));
         // Pseudo-random picks from the pool, so each length meets zeros,
         // infinities and NaN in many stripe positions.
         let mut state = len as u64 * 0x9E37_79B9 + 1;
@@ -233,34 +244,93 @@ fn assert_short_dots_match_looped<T: Scalar>(pool: &[T], bits: fn(T) -> u64) {
                 pool[(state >> 33) as usize % pool.len()]
             };
             let a: Vec<T> = (0..len).map(|_| pick()).collect();
-            let b: Vec<T> = (0..len).map(|_| pick()).collect();
+            let b: Vec<T> = (0..len + 1).map(|_| pick()).collect();
+            cases.push((a, b));
+        }
+        // Inexact values of mixed sign and magnitude, whose sums round, so
+        // a term added into the wrong stripe or fold step changes the bits.
+        for case in 0..8 {
+            let term = |k: usize| {
+                let v = 1.0 / (3.0 + (k * 7 + case) as f64) * [1.0, 1e4, -1e-3][(k + case) % 3];
+                T::from_f64(if k.is_multiple_of(2) { v } else { -v })
+            };
+            let a: Vec<T> = (0..len).map(term).collect();
+            let b: Vec<T> = (0..len + 1).map(|k| term(k + len)).collect();
             cases.push((a, b));
         }
     }
+    let same = |got: T, want: T| {
+        let nan = |v: T| v.to_f64().is_nan();
+        if nan(want) {
+            nan(got)
+        } else {
+            bits(got) == bits(want)
+        }
+    };
     for isa in Isa::ALL.into_iter().filter(|i| i.is_supported()) {
         with_isa(isa, || {
             for (a, b) in &cases {
-                let got = T::simd_dot_contiguous(a, b);
-                let want = looped_striped_dot(a, b);
-                let nan = |v: T| v.to_f64().is_nan();
-                let same = if nan(want) {
-                    nan(got)
-                } else {
-                    bits(got) == bits(want)
-                };
+                let (got, want) = (T::simd_dot_contiguous(a, b), looped_striped_dot(a, b));
                 assert!(
-                    same,
+                    same(got, want),
                     "{}: len {}, {a:?} . {b:?}: {got} vs {want}",
                     isa.name(),
                     a.len()
                 );
+                // `x` is `b`; its last entry only the last-column pattern
+                // reaches.
+                let (n, last) = (a.len() as u32, b.len() as u32 - 1);
+                let patterns: [Vec<u32>; 3] = [
+                    (0..n).map(|k| (k * 5 + 3) % (n + 1)).rev().collect(),
+                    (0..n).map(|k| k / 2).collect(),
+                    (0..n)
+                        .map(|k| if k.is_multiple_of(3) { last } else { k })
+                        .collect(),
+                ];
+                for cols in &patterns {
+                    let got = T::simd_dot_indexed(cols, a, b);
+                    let want = looped_striped_indexed_dot(cols, a, b);
+                    assert!(
+                        same(got, want),
+                        "{}: len {}, cols {cols:?}, {a:?} . {b:?}: {got} vs {want}",
+                        isa.name(),
+                        a.len()
+                    );
+                }
+            }
+        });
+    }
+}
+
+/// An out-of-range column on the short indexed path is an ordinary slice
+/// panic under every tier, at every short length and stripe position.
+fn assert_short_indexed_dot_panics_out_of_range<T: Scalar>() {
+    for isa in Isa::ALL.into_iter().filter(|i| i.is_supported()) {
+        with_isa(isa, || {
+            for len in 1..2 * T::LANES {
+                let x = vec![T::ONE; len];
+                let vals = vec![T::ONE; len];
+                for bad in 0..len {
+                    let cols: Vec<u32> = (0..len as u32)
+                        .map(|k| if k as usize == bad { len as u32 } else { k })
+                        .collect();
+                    let dot = || T::simd_dot_indexed(&cols, &vals, &x);
+                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(dot));
+                    assert!(r.is_err(), "{}: len {len}, bad {bad}", isa.name());
+                }
             }
         });
     }
 }
 
 #[test]
-fn short_contiguous_dots_match_the_looped_striped_body() {
+fn short_indexed_dot_panics_on_an_out_of_range_column() {
+    assert_short_indexed_dot_panics_out_of_range::<f64>();
+    assert_short_indexed_dot_panics_out_of_range::<f32>();
+}
+
+#[test]
+fn short_dots_match_the_looped_striped_body() {
     let pool64 = [
         1.5,
         -2.25,
