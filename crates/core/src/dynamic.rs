@@ -1,4 +1,4 @@
-//! Dynamic matrices: an immutable base tier plus a mutable delta overlay,
+//! Dynamic matrices: an immutable CSR base plus a mutable delta overlay,
 //! frozen into merged rows once per write batch and compacted explicitly.
 //!
 //! Every format in this workspace is immutable — good for kernels, bad
@@ -6,7 +6,7 @@
 //! shape of the SMASH hierarchy itself (and SpArch's partial-matrix
 //! merging), [`DynamicMatrix`] presents one logical matrix as two tiers:
 //!
-//! * the **base**: a [`Csr`] or row-major [`SmashMatrix`], untouched;
+//! * the **base**: a [`Csr`], untouched;
 //! * the **overlay**: a [`DeltaOverlay`] write log absorbing point
 //!   mutations — `set` (insert/update), `add` (accumulate, SpAdd
 //!   semantics) and `delete`.
@@ -18,11 +18,11 @@
 //! never stored) as the native `spadd` kernel — into a sorted list of
 //! touched rows plus their merged rows in CSR layout. Kernels run
 //! through the [`RowRead`] operand layer and walk that list in step with
-//! their row range: each run of untouched rows goes to the base format's
-//! own serial body in one call, and each touched row runs the rebuilt
-//! format's row body over its frozen merged row. The result is
-//! **bit-identical** to rebuilding the merged matrix from scratch and
-//! running the base format's kernel over it, at every thread count.
+//! their row range: each run of untouched rows goes to the CSR serial
+//! body in one call, and each touched row runs the CSR row body over its
+//! frozen merged row. The result is **bit-identical** to rebuilding the
+//! merged matrix from scratch and running the CSR kernel over it, at
+//! every thread count.
 //!
 //! Cost model: a write is one write-log insert and drops the frozen view;
 //! the next read pays one merge pass over the touched rows; every read
@@ -30,16 +30,14 @@
 //! body per touched row. The frozen view holds the merged touched rows
 //! and nothing else.
 //!
-//! [`DynamicMatrix::compact`] absorbs the overlay into a fresh base via
-//! the same per-line encoder routine as a from-scratch build, so a
-//! compacted matrix is `==` to one encoded from the merged triplets.
+//! [`DynamicMatrix::compact`] absorbs the overlay into a fresh base, `==`
+//! to the CSR built from the merged triplets.
 //!
 //! See `docs/DYNAMIC.md` for the tier model and the full contracts.
 
-use crate::smash_matrix::for_each_line_block;
-use crate::{block_axpy_dense, block_dot, Layout, SmashMatrix};
 use smash_matrix::{for_each_rhs_tile, Csr, CsrBuilder, Dense, RowRead, Scalar};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -253,25 +251,17 @@ pub fn merge_row<T: Scalar>(
     }
 }
 
-/// The immutable tier under a [`DynamicMatrix`]: plain CSR or the
-/// row-major SMASH compressed form.
+/// The immutable tier under a [`DynamicMatrix`]: always a [`Csr`].
+///
+/// The `Smash` variant is uninhabited, so no value of it exists. It is
+/// kept only so that two-arm matches on the enum (the repository
+/// benchmark's among them) still compile; such an arm is unreachable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DynamicBase<T> {
     /// Compressed sparse row.
     Csr(Csr<T>),
-    /// SMASH-compressed, row-major.
-    Smash(SmashMatrix<T>),
-}
-
-impl<T: Scalar> DynamicBase<T> {
-    /// Copies logical row `i` (decode semantics for a SMASH base:
-    /// explicit padding zeros are skipped).
-    fn row_into(&self, i: usize, cols: &mut Vec<u32>, vals: &mut Vec<T>) {
-        match self {
-            DynamicBase::Csr(a) => RowRead::row_into(a, i, cols, vals),
-            DynamicBase::Smash(a) => RowRead::row_into(a, i, cols, vals),
-        }
-    }
+    /// Uninhabited: kept only for existing matches on the enum.
+    Smash(Infallible),
 }
 
 /// The overlay frozen into read form: the touched rows in increasing
@@ -300,7 +290,7 @@ enum Segment<'a, T> {
 impl<T: Scalar> FrozenRows<T> {
     /// Merges every touched row of `overlay` against `base` — the only
     /// place [`merge_row`] runs.
-    fn build(base: &DynamicBase<T>, overlay: &DeltaOverlay<T>) -> Self {
+    fn build(base: &Csr<T>, overlay: &DeltaOverlay<T>) -> Self {
         let touched = overlay.touched_rows();
         let mut f = FrozenRows {
             rows: Vec::with_capacity(touched),
@@ -310,11 +300,10 @@ impl<T: Scalar> FrozenRows<T> {
             base_entries: 0,
         };
         f.ptr.push(0);
-        let (mut bc, mut bv) = (Vec::new(), Vec::new());
         let (mut mc, mut mv) = (Vec::new(), Vec::new());
         for (&r, delta) in &overlay.rows {
-            base.row_into(r as usize, &mut bc, &mut bv);
-            merge_row(&bc, &bv, delta, &mut mc, &mut mv);
+            let (bc, bv) = base.row(r as usize);
+            merge_row(bc, bv, delta, &mut mc, &mut mv);
             f.rows.push(r);
             f.cols.extend_from_slice(&mc);
             f.vals.extend_from_slice(&mv);
@@ -353,19 +342,17 @@ impl<T: Scalar> FrozenRows<T> {
     }
 }
 
-/// A logically mutable sparse matrix: immutable base tier + delta
-/// overlay write log, read through merged rows frozen once per write
-/// batch.
+/// A logically mutable sparse matrix: immutable CSR base + delta overlay
+/// write log, read through merged rows frozen once per write batch.
 ///
 /// Writes (`set`, `add`, `delete`) go to the overlay and drop the frozen
 /// view. The first read after a write merges each touched row once; reads
 /// until the next write walk the sorted touched rows in step with their
-/// row range, so untouched rows cost exactly what the base's own body
-/// costs. Kernels consume it through [`RowRead`], so the executor's
+/// row range, so untouched rows cost exactly what the CSR body costs.
+/// Kernels consume it through [`RowRead`], so the executor's
 /// `spmv`/`spmm_dense` (serial or parallel) run over it unchanged and
-/// produce results bit-identical to rebuilding the merged matrix from
-/// scratch in the base's format. See the module docs and
-/// `docs/DYNAMIC.md`.
+/// produce results bit-identical to rebuilding the merged CSR from
+/// scratch. See the module docs and `docs/DYNAMIC.md`.
 ///
 /// ```
 /// use smash_core::DynamicMatrix;
@@ -405,37 +392,26 @@ impl<T: Scalar> PartialEq for DynamicMatrix<T> {
 }
 
 impl<T: Scalar> DynamicMatrix<T> {
-    fn with_base(base: DynamicBase<T>) -> Self {
+    /// Wraps a CSR base with an empty overlay.
+    pub fn from_csr(base: Csr<T>) -> Self {
         DynamicMatrix {
-            base,
+            base: DynamicBase::Csr(base),
             overlay: DeltaOverlay::new(),
             frozen: OnceLock::new(),
         }
     }
 
-    /// Wraps a CSR base with an empty overlay.
-    pub fn from_csr(base: Csr<T>) -> Self {
-        DynamicMatrix::with_base(DynamicBase::Csr(base))
-    }
-
-    /// Wraps a row-major SMASH base with an empty overlay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the base is column-major — the kernel stack walks row
-    /// lines.
-    pub fn from_smash(base: SmashMatrix<T>) -> Self {
-        assert_eq!(
-            base.config().layout(),
-            Layout::RowMajor,
-            "dynamic SMASH base must be row-major"
-        );
-        DynamicMatrix::with_base(DynamicBase::Smash(base))
-    }
-
     /// The immutable base tier.
     pub fn base(&self) -> &DynamicBase<T> {
         &self.base
+    }
+
+    /// The base tier's CSR.
+    fn csr(&self) -> &Csr<T> {
+        match &self.base {
+            DynamicBase::Csr(a) => a,
+            DynamicBase::Smash(never) => match *never {},
+        }
     }
 
     /// The pending-mutation overlay tier.
@@ -445,18 +421,12 @@ impl<T: Scalar> DynamicMatrix<T> {
 
     /// Logical rows.
     pub fn rows(&self) -> usize {
-        match &self.base {
-            DynamicBase::Csr(a) => a.rows(),
-            DynamicBase::Smash(a) => a.rows(),
-        }
+        self.csr().rows()
     }
 
     /// Logical columns.
     pub fn cols(&self) -> usize {
-        match &self.base {
-            DynamicBase::Csr(a) => a.cols(),
-            DynamicBase::Smash(a) => a.cols(),
-        }
+        self.csr().cols()
     }
 
     fn check_bounds(&self, r: usize, c: usize) {
@@ -472,7 +442,7 @@ impl<T: Scalar> DynamicMatrix<T> {
     /// Workers racing on that first read share one build.
     fn frozen(&self) -> &FrozenRows<T> {
         self.frozen
-            .get_or_init(|| FrozenRows::build(&self.base, &self.overlay))
+            .get_or_init(|| FrozenRows::build(self.csr(), &self.overlay))
     }
 
     /// Sets cell `(r, c)` to `v` (insert or update).
@@ -513,31 +483,21 @@ impl<T: Scalar> DynamicMatrix<T> {
     /// entries. O(1) once the view is frozen; the first read after a write
     /// pays the one merge pass over the touched rows.
     pub fn nnz(&self) -> usize {
-        let base_nnz = match &self.base {
-            DynamicBase::Csr(a) => a.nnz(),
-            DynamicBase::Smash(a) => a.nnz(),
-        };
         let f = self.frozen();
-        base_nnz - f.base_entries + f.cols.len()
+        self.csr().nnz() - f.base_entries + f.cols.len()
     }
 
     /// Materializes the merged view as a plain CSR — exactly the matrix a
     /// from-scratch rebuild would produce from the merged triplets.
     pub fn merged_csr(&self) -> Csr<T> {
-        let mut b = CsrBuilder::with_capacity(self.cols(), self.rows(), self.nnz());
-        let (mut bc, mut bv) = (Vec::new(), Vec::new());
-        for seg in self.frozen().segments(0..self.rows()) {
+        let a = self.csr();
+        let mut b = CsrBuilder::with_capacity(a.cols(), a.rows(), self.nnz());
+        for seg in self.frozen().segments(0..a.rows()) {
             match seg {
-                Segment::Base(run) => match &self.base {
-                    DynamicBase::Csr(a) => run.for_each(|i| {
-                        let (cols, vals) = a.row(i);
-                        b.push_row(cols, vals);
-                    }),
-                    DynamicBase::Smash(a) => run.for_each(|i| {
-                        RowRead::row_into(a, i, &mut bc, &mut bv);
-                        b.push_row(&bc, &bv);
-                    }),
-                },
+                Segment::Base(run) => run.for_each(|i| {
+                    let (cols, vals) = a.row(i);
+                    b.push_row(cols, vals);
+                }),
                 Segment::Touched(_, cols, vals) => b.push_row(cols, vals),
             }
         }
@@ -545,21 +505,13 @@ impl<T: Scalar> DynamicMatrix<T> {
     }
 
     /// Absorbs the overlay into a fresh base tier and clears it. The new
-    /// base is `==` to a from-scratch build of the merged matrix: `Csr`
-    /// bases become [`merged_csr`](Self::merged_csr), SMASH bases are
-    /// re-encoded with [`SmashMatrix::encode`] under the same
-    /// [`SmashConfig`](crate::SmashConfig).
+    /// base is [`merged_csr`](Self::merged_csr), `==` to a from-scratch
+    /// build of the merged matrix.
     pub fn compact(&mut self) {
         if self.overlay.is_empty() {
             return;
         }
-        let merged = self.merged_csr();
-        self.base = match &self.base {
-            DynamicBase::Csr(_) => DynamicBase::Csr(merged),
-            DynamicBase::Smash(a) => {
-                DynamicBase::Smash(SmashMatrix::encode(&merged, a.config().clone()))
-            }
-        };
+        self.base = DynamicBase::Csr(self.merged_csr());
         self.overlay.clear();
         self.frozen.take();
     }
@@ -575,11 +527,7 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
     }
 
     fn stored_work(&self) -> usize {
-        let base = match &self.base {
-            DynamicBase::Csr(a) => a.nnz(),
-            DynamicBase::Smash(a) => a.nza().len(),
-        };
-        base + self.overlay.len()
+        self.csr().nnz() + self.overlay.len()
     }
 
     fn granules(&self) -> usize {
@@ -587,11 +535,7 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
     }
 
     fn granule_weight(&self, g: usize) -> u64 {
-        let base = match &self.base {
-            DynamicBase::Csr(a) => RowRead::granule_weight(a, g),
-            DynamicBase::Smash(a) => RowRead::granule_weight(a, g),
-        };
-        base + self.overlay.row_len(g) as u64
+        RowRead::granule_weight(self.csr(), g) + self.overlay.row_len(g) as u64
     }
 
     fn granule_row(&self, g: usize) -> usize {
@@ -599,109 +543,52 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
     }
 
     fn row_into(&self, i: usize, cols: &mut Vec<u32>, vals: &mut Vec<T>) {
+        let a = self.csr();
+        // Checked before the `u32` search, which would wrap a larger
+        // index onto a touched row.
+        assert!(i < a.rows(), "row out of bounds");
         let f = self.frozen();
-        match f.rows.binary_search(&(i as u32)) {
-            Ok(k) => {
-                let (rc, rv) = f.row(k);
-                cols.clear();
-                vals.clear();
-                cols.extend_from_slice(rc);
-                vals.extend_from_slice(rv);
-            }
-            Err(_) => self.base.row_into(i, cols, vals),
-        }
+        let (rc, rv) = match f.rows.binary_search(&(i as u32)) {
+            Ok(k) => f.row(k),
+            Err(_) => a.row(i),
+        };
+        cols.clear();
+        vals.clear();
+        cols.extend_from_slice(rc);
+        vals.extend_from_slice(rv);
     }
 
     fn spmv_granules(&self, g: Range<usize>, x: &[T], y: &mut [T]) {
-        let lo = g.start;
-        let segments = self.frozen().segments(g);
-        match &self.base {
-            DynamicBase::Csr(a) => {
-                for seg in segments {
-                    match seg {
-                        // Untouched runs run the exact CSR serial body.
-                        Segment::Base(run) => {
-                            let out = &mut y[run.start - lo..run.end - lo];
-                            a.spmv_granules(run, x, out);
-                        }
-                        // The rebuilt matrix's row_dot over the merged
-                        // entries — the same SIMD body, bit for bit.
-                        Segment::Touched(i, mc, mv) => y[i - lo] = T::simd_dot_indexed(mc, mv, x),
-                    }
+        let (a, lo) = (self.csr(), g.start);
+        for seg in self.frozen().segments(g) {
+            match seg {
+                // Untouched runs run the exact CSR serial body.
+                Segment::Base(run) => {
+                    let out = &mut y[run.start - lo..run.end - lo];
+                    a.spmv_granules(run, x, out);
                 }
-            }
-            DynamicBase::Smash(a) => {
-                let b0 = a.config().block_size();
-                let cols = a.cols();
-                let mut scratch = vec![T::ZERO; b0];
-                for seg in segments {
-                    match seg {
-                        // Untouched runs run the exact SMASH cursor body.
-                        Segment::Base(run) => {
-                            let out = &mut y[run.start - lo..run.end - lo];
-                            a.spmv_granules(run, x, out);
-                        }
-                        // Re-blocked merged row: the same blocks (and the
-                        // same per-block dot) a re-encoded matrix would
-                        // store for this row.
-                        Segment::Touched(i, mc, mv) => {
-                            let mut acc = T::ZERO;
-                            for_each_line_block(mc, mv, &mut scratch, |blk, block| {
-                                let col = blk * b0;
-                                let n = b0.min(cols - col);
-                                acc += block_dot(block, x, col, n);
-                            });
-                            y[i - lo] = acc;
-                        }
-                    }
-                }
+                // The rebuilt matrix's row_dot over the merged entries —
+                // the same SIMD body, bit for bit.
+                Segment::Touched(i, mc, mv) => y[i - lo] = T::simd_dot_indexed(mc, mv, x),
             }
         }
     }
 
     fn spmm_dense_granules(&self, g: Range<usize>, b: &Dense<T>, c: &mut [T]) {
-        let n = b.cols();
-        let lo = g.start;
-        let segments = self.frozen().segments(g);
-        match &self.base {
-            DynamicBase::Csr(a) => {
-                for seg in segments {
-                    match seg {
-                        Segment::Base(run) => {
-                            let out = &mut c[(run.start - lo) * n..(run.end - lo) * n];
-                            a.spmm_dense_granules(run, b, out);
-                        }
-                        // The rebuilt matrix's tiled row body over the
-                        // merged entries.
-                        Segment::Touched(i, mc, mv) => {
-                            let out = &mut c[(i - lo) * n..(i - lo + 1) * n];
-                            for_each_rhs_tile(n, |j0, w| {
-                                T::simd_row_tile(mc, mv, b.as_slice(), n, j0, w, out);
-                            });
-                        }
-                    }
+        let (a, n, lo) = (self.csr(), b.cols(), g.start);
+        for seg in self.frozen().segments(g) {
+            match seg {
+                Segment::Base(run) => {
+                    let out = &mut c[(run.start - lo) * n..(run.end - lo) * n];
+                    a.spmm_dense_granules(run, b, out);
                 }
-            }
-            DynamicBase::Smash(a) => {
-                let b0 = a.config().block_size();
-                let cols = a.cols();
-                let mut scratch = vec![T::ZERO; b0];
-                for seg in segments {
-                    match seg {
-                        Segment::Base(run) => {
-                            let out = &mut c[(run.start - lo) * n..(run.end - lo) * n];
-                            a.spmm_dense_granules(run, b, out);
-                        }
-                        Segment::Touched(i, mc, mv) => {
-                            let out = &mut c[(i - lo) * n..(i - lo + 1) * n];
-                            out.fill(T::ZERO);
-                            for_each_line_block(mc, mv, &mut scratch, |blk, block| {
-                                let col = blk * b0;
-                                let nb = b0.min(cols - col);
-                                block_axpy_dense(block, b, col, nb, out);
-                            });
-                        }
-                    }
+                // The rebuilt matrix's tiled row body over the merged
+                // entries.
+                Segment::Touched(i, mc, mv) => {
+                    let out = &mut c[(i - lo) * n..(i - lo + 1) * n];
+                    for_each_rhs_tile(n, |j0, w| {
+                        T::simd_row_tile(mc, mv, b.as_slice(), n, j0, w, out);
+                    });
                 }
             }
         }
@@ -711,8 +598,7 @@ impl<T: Scalar> RowRead<T> for DynamicMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SmashConfig;
-    use smash_matrix::{generators, spmm_dense_rows, spmv_rows};
+    use smash_matrix::{generators, spmv_rows};
 
     fn base() -> Csr<f64> {
         generators::uniform(48, 40, 300, 17)
@@ -767,29 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_smash_matches_rebuilt_smash_exactly() {
-        let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
-        let sm = SmashMatrix::encode(&base(), cfg.clone());
-        let mut dm = DynamicMatrix::from_smash(sm);
-        dm.set(0, 11, 4.5);
-        dm.delete(5, 3);
-        dm.add(17, 39, -2.0);
-        dm.set(47, 0, 1.0);
-        let rebuilt = SmashMatrix::encode(&dm.merged_csr(), cfg);
-        let xv = x(40);
-        let (mut y, mut want) = (vec![0.0; 48], vec![0.0; 48]);
-        spmv_rows(&dm, &xv, &mut y);
-        spmv_rows(&rebuilt, &xv, &mut want);
-        assert_eq!(y, want);
-
-        let b = generators::dense_batch(40, 6, 9);
-        let (mut c, mut cw) = (Dense::zeros(48, 6), Dense::zeros(48, 6));
-        spmm_dense_rows(&dm, &b, &mut c);
-        spmm_dense_rows(&rebuilt, &b, &mut cw);
-        assert_eq!(c, cw);
-    }
-
-    #[test]
     fn overlay_keys_past_u32_panic_instead_of_wrapping() {
         const BIG: usize = 1 << 32;
         type Call = fn(&mut DeltaOverlay<f64>);
@@ -838,19 +701,22 @@ mod tests {
 
     #[test]
     fn compact_rebuilds_the_base_and_clears_the_overlay() {
-        let cfg = SmashConfig::row_major(&[4, 4]).unwrap();
-        let mut dm = DynamicMatrix::from_smash(SmashMatrix::encode(&base(), cfg.clone()));
+        let mut dm = DynamicMatrix::from_csr(base());
         dm.set(1, 1, 9.0);
         dm.delete(2, 0);
         let merged = dm.merged_csr();
         dm.compact();
         assert!(dm.overlay().is_empty());
-        match dm.base() {
-            DynamicBase::Smash(sm) => {
-                assert_eq!(*sm, SmashMatrix::encode(&merged, cfg));
-            }
-            DynamicBase::Csr(_) => panic!("base format must be preserved"),
-        }
+        assert_eq!(*dm.base(), DynamicBase::Csr(merged.clone()));
         assert_eq!(dm.merged_csr(), merged);
+    }
+
+    #[test]
+    #[should_panic(expected = "row out of bounds")]
+    fn row_into_past_u32_panics_instead_of_wrapping_onto_a_touched_row() {
+        let mut dm = DynamicMatrix::from_csr(generators::uniform(10, 10, 30, 5));
+        dm.set(3, 4, 1.0);
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        RowRead::row_into(&dm, (1 << 32) + 3, &mut cols, &mut vals);
     }
 }

@@ -4,36 +4,6 @@ use crate::{
 use smash_matrix::{Csr, CsrBuilder, Dense, RowRead, Scalar};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Invokes `f(local_block_index, block_values)` for each occupied block of
-/// one line, in block order. `offsets`/`values` are the line's sorted
-/// entries; `block` is a caller-provided scratch buffer of length `b0`
-/// whose contents are the zero-padded block at each invocation.
-///
-/// The encoder ([`SmashMatrix::encode`]) builds its NZA through this
-/// routine, and the dynamic overlay's merged-row walks share it, so both
-/// split a line into blocks identically.
-pub(crate) fn for_each_line_block<T: Scalar>(
-    offsets: &[u32],
-    values: &[T],
-    block: &mut [T],
-    mut f: impl FnMut(usize, &[T]),
-) {
-    let b0 = block.len();
-    let mut k = 0usize;
-    while k < offsets.len() {
-        // Entries are sorted, so each occupied block's elements are
-        // consecutive.
-        let blk = offsets[k] as usize / b0;
-        let block_start = blk * b0;
-        block.iter_mut().for_each(|v| *v = T::ZERO);
-        while k < offsets.len() && (offsets[k] as usize) < block_start + b0 {
-            block[offsets[k] as usize - block_start] = values[k];
-            k += 1;
-        }
-        f(blk, block);
-    }
-}
-
 /// Dot product of one NZA block against `n` contiguous elements of `x`
 /// starting at `col`, accumulated in the lane-striped order of
 /// `smash_matrix::simd` by whichever ISA body is active (AVX2 or the
@@ -200,10 +170,20 @@ impl<T: Scalar> SmashMatrix<T> {
         let mut block = vec![T::ZERO; b0];
         for line in 0..lines {
             let (offsets, values) = line_entries(line);
-            for_each_line_block(offsets, values, &mut block, |blk, vals| {
+            let mut k = 0usize;
+            while k < offsets.len() {
+                // Entries are sorted, so each occupied block's elements
+                // are consecutive.
+                let blk = offsets[k] as usize / b0;
                 debug_assert!(bm0.get(line * blocks_per_line + blk), "pass 1 marked it");
-                nza.push_block(vals);
-            });
+                let block_start = blk * b0;
+                block.fill(T::ZERO);
+                while k < offsets.len() && (offsets[k] as usize) < block_start + b0 {
+                    block[offsets[k] as usize - block_start] = values[k];
+                    k += 1;
+                }
+                nza.push_block(&block);
+            }
         }
 
         Self::assemble(rows, cols, config, hierarchy, nza)

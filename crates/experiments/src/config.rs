@@ -5,7 +5,7 @@ use smash_sim::SystemConfig;
 
 /// Shared knobs of the experiment binaries.
 ///
-/// The defaults follow DESIGN.md's scaled-working-set methodology: matrices
+/// The defaults follow the scaled-working-set methodology: matrices
 /// shrink linearly by `scale` (non-zeros by `scale²`, preserving Table 3's
 /// sparsity) and the cache hierarchy shrinks by the same factor, preserving
 /// the paper's working-set : cache ratio.

@@ -75,7 +75,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         ]);
     }
     t.note(format!(
-        "scale: SpAdd/SpMV 1/{}, SpMM 1/{}; caches scaled to match (DESIGN.md)",
+        "scale: SpAdd/SpMV 1/{}, SpMM 1/{}; caches scaled to match (scaled working set)",
         cfg.scale_spmv, cfg.scale_spmm
     ));
     vec![t]

@@ -105,7 +105,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         ]);
     }
     t.note("host CPU stands in for the paper's Xeon Gold 5118 (Table 5)");
-    t.note("MKL-CSR modelled as branch-light CSR (DESIGN.md substitution)");
+    t.note("MKL-CSR modelled as branch-light CSR (MKL is not linked)");
     t.note(
         "MKL-CSR SpMV shares the CSR row body (the lane-striped SIMD \
          Csr::row_dot), so it reports the CSR time; only its SpMM body differs",
@@ -115,7 +115,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
          tuning of the paper's C implementations, so their wall-clock \
          column falls below CSR on the sparsest matrices; the SpMM column \
          and the simulator experiments (Figs. 10-13) carry the co-design \
-         comparison (see EXPERIMENTS.md)",
+         comparison",
     );
     vec![t]
 }

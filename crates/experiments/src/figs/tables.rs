@@ -86,7 +86,7 @@ pub fn table03(cfg: &ExpConfig) -> Vec<Table> {
         ]);
     }
     t.note(format!(
-        "generated at linear scale 1/{} with seeded synthetic structure (DESIGN.md)",
+        "generated at linear scale 1/{} with seeded synthetic structure (SuiteSparse stand-ins)",
         cfg.scale_spmv
     ));
     vec![t]

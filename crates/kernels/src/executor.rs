@@ -1143,7 +1143,7 @@ mod tests {
         let bcsr = Bcsr::from_csr(&a, 2, 2).unwrap();
         let cfg = SmashConfig::row_major(&[2, 4]).unwrap();
         let sm = SmashMatrix::encode(&a, cfg.clone());
-        let mut dm = DynamicMatrix::from_smash(sm.clone());
+        let mut dm = DynamicMatrix::from_csr(a.clone());
         dm.set(3, 7, 2.5);
         dm.delete(17, 3);
         let operands: [(&str, SpmvOperand<'_, f64>); 4] = [

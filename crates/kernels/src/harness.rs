@@ -10,7 +10,7 @@ use smash_core::{SmashConfig, SmashMatrix};
 use smash_matrix::{Bcsr, Coo, Csr, Scalar};
 use smash_sim::{CountEngine, Engine, SimEngine, SimStats, SystemConfig};
 
-/// Block shape of the TACO-BCSR baseline (see DESIGN.md).
+/// Block side of the TACO-BCSR baseline (square 2×2 blocks).
 pub const BCSR_BLOCK: usize = 2;
 
 /// Runs the instrumented SpMV of `mech` on the given engine and returns the

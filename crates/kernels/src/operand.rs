@@ -131,7 +131,7 @@ impl<'a, T: Scalar> SpmvOperand<'a, T> {
             SpmvOperand::Dynamic(a) => {
                 let base_ok = match a.base() {
                     DynamicBase::Csr(b) => all_finite(b.values()),
-                    DynamicBase::Smash(b) => all_finite(b.nza().values()),
+                    DynamicBase::Smash(never) => match *never {},
                 };
                 base_ok
                     && a.overlay().deltas().all(|(_, _, d)| match d {
@@ -146,7 +146,7 @@ impl<'a, T: Scalar> SpmvOperand<'a, T> {
     /// `validate()` (cached after the first success) and mapped into the
     /// unified taxonomy. Row-major is required of SMASH operands: the
     /// executor's kernels walk row lines. Dynamic operands validate
-    /// their base tier (the overlay is sorted and bounds-checked by
+    /// their CSR base (the overlay is sorted and bounds-checked by
     /// construction).
     pub(crate) fn check(&self, op: &'static str) -> Result<(), SmashError> {
         match self {
@@ -158,7 +158,7 @@ impl<'a, T: Scalar> SpmvOperand<'a, T> {
             SpmvOperand::Smash(a) => check_smash(a, op),
             SpmvOperand::Dynamic(a) => match a.base() {
                 DynamicBase::Csr(b) => check_csr(b),
-                DynamicBase::Smash(b) => check_smash(b, op),
+                DynamicBase::Smash(never) => match *never {},
             },
         }
     }

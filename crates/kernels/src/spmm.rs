@@ -288,7 +288,7 @@ fn smash_lines<T: Scalar>(sm: &SmashMatrix<T>) -> SmashLines {
 ///
 /// The merge advances the group whose current index is smaller (the paper's
 /// pseudocode advances both unconditionally, which would skip matches; we
-/// implement the correct two-cursor merge, see DESIGN.md).
+/// implement the correct two-cursor merge).
 ///
 /// # Panics
 ///

@@ -3,8 +3,8 @@
 //! The SMASH evaluation depends on two workload properties: *sparsity* (the
 //! fraction of non-zeros, Table 3) and the *distribution of the non-zeros*
 //! (§4.1.2, §7.2.3). These generators control both explicitly, standing in
-//! for the SuiteSparse inputs the paper used (see DESIGN.md substitution
-//! table). All generators are deterministic in their `seed`.
+//! for the SuiteSparse inputs the paper used, which this reproduction does
+//! not ship. All generators are deterministic in their `seed`.
 
 use crate::{Coo, Csr, Dense, Scalar};
 use rand::rngs::StdRng;

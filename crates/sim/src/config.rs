@@ -157,9 +157,10 @@ impl SystemConfig {
     ///
     /// The paper's matrices are 10–100x the 1 MB LLC, which is what makes
     /// CSR's index traffic expensive. When experiments scale the matrices
-    /// down (DESIGN.md), shrinking the caches by the same linear factor
-    /// preserves the working-set : cache ratio — the standard scaled-
-    /// working-set methodology. Each level keeps at least one set per way.
+    /// down (`smash_experiments::ExpConfig`), shrinking the caches by the
+    /// same linear factor preserves the working-set : cache ratio — the
+    /// standard scaled-working-set methodology. Each level keeps at least
+    /// one set per way.
     pub fn paper_table2_scaled(divisor: usize) -> Self {
         let mut cfg = SystemConfig::paper_table2();
         let d = divisor.max(1);

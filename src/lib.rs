@@ -33,7 +33,7 @@
 //!   PageRank over any row-readable operand (CSR, SMASH, dynamic).
 //!
 //! Mutating workloads keep their matrix in a [`DynamicMatrix`] — an
-//! immutable base tier (CSR or SMASH-compressed) plus a delta overlay of
+//! immutable CSR base tier plus a delta overlay of
 //! pending `set`/`add`/`delete` mutations. Kernels read the merged view
 //! directly (the overlay is a first-class executor operand,
 //! bit-identical to a from-scratch rebuild), explicit

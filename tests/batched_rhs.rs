@@ -133,8 +133,8 @@ fn assert_one_rhs_is_spmv<R: RowRead<f64>>(a: &R, what: &str) {
 }
 
 /// [`assert_one_rhs_is_spmv`] over every operand kind the drivers take:
-/// CSR, BCSR, SMASH, and an overlay on either base with rows set, added
-/// to and deleted from.
+/// CSR, BCSR, SMASH, and an overlay with rows set, added to and deleted
+/// from.
 fn assert_one_rhs_is_spmv_for_every_operand(a: &Csr<f64>) {
     let cfg = SmashConfig::row_major(&[2, 4]).expect("valid config");
     assert_one_rhs_is_spmv(a, "csr");
@@ -142,17 +142,13 @@ fn assert_one_rhs_is_spmv_for_every_operand(a: &Csr<f64>) {
         &Bcsr::from_csr(a, 2, 2).expect("valid 2x2 blocking"),
         "bcsr",
     );
-    assert_one_rhs_is_spmv(&SmashMatrix::encode(a, cfg.clone()), "smash");
-    for mut dm in [
-        DynamicMatrix::from_csr(a.clone()),
-        DynamicMatrix::from_smash(SmashMatrix::encode(a, cfg.clone())),
-    ] {
-        let (r, c) = (a.rows(), a.cols());
-        dm.set(0, c - 1, 2.5);
-        dm.add(r / 2, c / 2, -0.75);
-        dm.delete(r - 1, 0);
-        assert_one_rhs_is_spmv(&dm, "dynamic");
-    }
+    assert_one_rhs_is_spmv(&SmashMatrix::encode(a, cfg), "smash");
+    let mut dm = DynamicMatrix::from_csr(a.clone());
+    let (r, c) = (a.rows(), a.cols());
+    dm.set(0, c - 1, 2.5);
+    dm.add(r / 2, c / 2, -0.75);
+    dm.delete(r - 1, 0);
+    assert_one_rhs_is_spmv(&dm, "dynamic");
 }
 
 /// The `f32` SpMDM must track the `f64` oracle within `f32::TOLERANCE` —

@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use smash::encoding::{SmashConfig, SmashMatrix};
 use smash::graph::{generators, pagerank_power, uniform_ranks, Graph, IncrementalPageRank};
 use smash::kernels::native;
 use smash::matrix::{spmm_dense_rows, spmv_rows, Coo, Csr, CsrBuilder, Dense, RowRead};
@@ -120,98 +119,74 @@ fn model(base: &Csr<f64>, muts: &[Mutation]) -> Csr<f64> {
     out.finish()
 }
 
-/// The model rebuilt in the dynamic matrix's base format: the operand a
-/// from-scratch rebuild hands the kernels.
-fn rebuilt_like(dm: &DynamicMatrix<f64>, model: &Csr<f64>) -> Box<dyn RowRead<f64>> {
-    match dm.base() {
-        DynamicBase::Csr(_) => Box::new(model.clone()),
-        DynamicBase::Smash(a) => Box::new(SmashMatrix::encode(model, a.config().clone())),
-    }
-}
-
-/// Both base tiers the overlay can sit on.
-fn both_bases(base: &Csr<f64>) -> Vec<DynamicMatrix<f64>> {
-    let cfg = SmashConfig::row_major(&[2, 4]).expect("valid ratios");
-    vec![
-        DynamicMatrix::from_csr(base.clone()),
-        DynamicMatrix::from_smash(SmashMatrix::encode(base, cfg)),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Overlaid SpMV and SpMM results are bit-identical to the rebuilt
-    /// matrix, serial and at thread counts 1, 2, and 8, on both base
-    /// tiers.
+    /// matrix, serial and at thread counts 1, 2, and 8.
     #[test]
     fn overlay_kernels_match_rebuild_at_every_thread_count(
         case in arb_case(),
         seed in 0u64..1000,
     ) {
         let (base, muts) = case;
-        for mut dm in both_bases(&base) {
-            let rebuilt = apply(&mut dm, &base, &muts);
-            prop_assert_eq!(&dm.merged_csr(), &rebuilt);
-            prop_assert_eq!(dm.nnz(), rebuilt.nnz());
+        let mut dm = DynamicMatrix::from_csr(base.clone());
+        let rebuilt = apply(&mut dm, &base, &muts);
+        prop_assert_eq!(&dm.merged_csr(), &rebuilt);
+        prop_assert_eq!(dm.nnz(), rebuilt.nnz());
 
-            let x: Vec<f64> = (0..base.cols())
-                .map(|i| ((i as u64 * 2654435761 + seed) % 17) as f64 - 8.0)
-                .collect();
-            let mut want = vec![0.0; base.rows()];
-            spmv_rows(&rebuilt, &x, &mut want);
-            let mut got = vec![f64::NAN; base.rows()];
-            spmv_rows(&dm, &x, &mut got);
-            prop_assert_eq!(&got, &want);
+        let x: Vec<f64> = (0..base.cols())
+            .map(|i| ((i as u64 * 2654435761 + seed) % 17) as f64 - 8.0)
+            .collect();
+        let mut want = vec![0.0; base.rows()];
+        spmv_rows(&rebuilt, &x, &mut want);
+        let mut got = vec![f64::NAN; base.rows()];
+        spmv_rows(&dm, &x, &mut got);
+        prop_assert_eq!(&got, &want);
 
-            let mut b = Dense::zeros(base.cols(), 3);
-            for i in 0..base.cols() {
-                for j in 0..3 {
-                    b.set(i, j, ((i + 7 * j) % 5) as f64 - 2.0);
-                }
+        let mut b = Dense::zeros(base.cols(), 3);
+        for i in 0..base.cols() {
+            for j in 0..3 {
+                b.set(i, j, ((i + 7 * j) % 5) as f64 - 2.0);
             }
-            let mut cw = Dense::zeros(base.rows(), 3);
-            spmm_dense_rows(&rebuilt, &b, &mut cw);
-            let mut cg = Dense::zeros(base.rows(), 3);
-            spmm_dense_rows(&dm, &b, &mut cg);
-            prop_assert_eq!(&cg, &cw);
+        }
+        let mut cw = Dense::zeros(base.rows(), 3);
+        spmm_dense_rows(&rebuilt, &b, &mut cw);
+        let mut cg = Dense::zeros(base.rows(), 3);
+        spmm_dense_rows(&dm, &b, &mut cg);
+        prop_assert_eq!(&cg, &cw);
 
-            for threads in [1usize, 2, 8] {
-                let pool = ThreadPool::new(threads);
-                got.fill(f64::NAN);
-                par_spmv_rows(&pool, &dm, &x, &mut got);
-                prop_assert_eq!(&got, &want, "spmv diverged at {} threads", threads);
-                let mut cp = Dense::zeros(base.rows(), 3);
-                par_spmm_dense_rows(&pool, &dm, &b, &mut cp);
-                prop_assert_eq!(&cp, &cw, "spmm diverged at {} threads", threads);
-            }
+        for threads in [1usize, 2, 8] {
+            let pool = ThreadPool::new(threads);
+            got.fill(f64::NAN);
+            par_spmv_rows(&pool, &dm, &x, &mut got);
+            prop_assert_eq!(&got, &want, "spmv diverged at {} threads", threads);
+            let mut cp = Dense::zeros(base.rows(), 3);
+            par_spmm_dense_rows(&pool, &dm, &b, &mut cp);
+            prop_assert_eq!(&cp, &cw, "spmm diverged at {} threads", threads);
         }
     }
 
     /// Compaction folds the overlay into the base without changing any
-    /// merged triplet, and a compacted SMASH base is `==` to a
-    /// from-scratch encode of the merged matrix.
+    /// merged triplet, and the compacted base is `==` to the merged CSR.
     #[test]
     fn compaction_round_trips_exactly(case in arb_case()) {
         let (base, muts) = case;
-        for mut dm in both_bases(&base) {
-            apply(&mut dm, &base, &muts);
-            let before = dm.merged_csr();
-            dm.compact();
-            prop_assert!(dm.overlay().is_empty());
-            prop_assert_eq!(&dm.merged_csr(), &before);
-            if let DynamicBase::Smash(sm) = dm.base() {
-                prop_assert_eq!(sm, &SmashMatrix::encode(&before, sm.config().clone()));
-            }
-        }
+        let mut dm = DynamicMatrix::from_csr(base.clone());
+        apply(&mut dm, &base, &muts);
+        let before = dm.merged_csr();
+        dm.compact();
+        prop_assert!(dm.overlay().is_empty());
+        prop_assert_eq!(&dm.merged_csr(), &before);
+        prop_assert_eq!(dm.base(), &DynamicBase::Csr(before));
     }
 
     /// Reads interleaved with chunks of writes: after every chunk each
-    /// read is `==` the model rebuilt at that point, on both base tiers.
-    /// The first read after the writes runs through the parallel driver,
-    /// at 2 threads on the matrix and at 8 on an unread clone. A clone
-    /// taken after a read and then written to leaves the original's reads
-    /// unchanged, and compacting after a read keeps the merged rows.
+    /// read is `==` the model rebuilt at that point. The first read after
+    /// the writes runs through the parallel driver, at 2 threads on the
+    /// matrix and at 8 on an unread clone. A clone taken after a read and
+    /// then written to leaves the original's reads unchanged, and
+    /// compacting after a read keeps the merged rows.
     #[test]
     fn reads_between_write_chunks_match_the_rebuild(
         case in arb_case(),
@@ -230,62 +205,60 @@ proptest! {
             }
         }
         let (pool2, pool8) = (ThreadPool::new(2), ThreadPool::new(8));
-        for mut dm in both_bases(&base) {
-            let mut done = 0;
-            for &end in &ends {
-                write(&mut dm, &muts[done..end]);
-                done = end;
-                let want = model(&base, &muts[..end]);
-                let rebuilt = rebuilt_like(&dm, &want);
-                let mut y_want = vec![0.0; rows];
-                spmv_rows(&*rebuilt, &x, &mut y_want);
+        let mut dm = DynamicMatrix::from_csr(base.clone());
+        let mut done = 0;
+        for &end in &ends {
+            write(&mut dm, &muts[done..end]);
+            done = end;
+            let want = model(&base, &muts[..end]);
+            let mut y_want = vec![0.0; rows];
+            spmv_rows(&want, &x, &mut y_want);
 
-                let twin = dm.clone();
-                let mut got = vec![f64::NAN; rows];
-                par_spmv_rows(&pool2, &dm, &x, &mut got);
-                prop_assert_eq!(&got, &y_want);
-                got.fill(f64::NAN);
-                par_spmv_rows(&pool8, &twin, &x, &mut got);
-                prop_assert_eq!(&got, &y_want);
+            let twin = dm.clone();
+            let mut got = vec![f64::NAN; rows];
+            par_spmv_rows(&pool2, &dm, &x, &mut got);
+            prop_assert_eq!(&got, &y_want);
+            got.fill(f64::NAN);
+            par_spmv_rows(&pool8, &twin, &x, &mut got);
+            prop_assert_eq!(&got, &y_want);
 
-                got.fill(f64::NAN);
-                spmv_rows(&dm, &x, &mut got);
-                prop_assert_eq!(&got, &y_want);
-                let (mut c_want, mut c_got) = (Dense::zeros(rows, 3), Dense::zeros(rows, 3));
-                spmm_dense_rows(&*rebuilt, &b, &mut c_want);
-                spmm_dense_rows(&dm, &b, &mut c_got);
-                prop_assert_eq!(&c_got, &c_want);
-                let (mut rc, mut rv) = (Vec::new(), Vec::new());
-                for i in 0..rows {
-                    dm.row_into(i, &mut rc, &mut rv);
-                    prop_assert_eq!((&rc[..], &rv[..]), want.row(i), "row {}", i);
-                }
-                prop_assert_eq!(dm.nnz(), want.nnz());
-                prop_assert_eq!(&dm.merged_csr(), &want);
-
-                let mut fork = dm.clone();
-                let fork_muts = [
-                    Mutation::Set(0, 0, 1234.0),
-                    Mutation::Delete(rows - 1, cols - 1),
-                ];
-                write(&mut fork, &fork_muts);
-                let fork_want = model(&base, &[&muts[..end], &fork_muts[..]].concat());
-                let mut fork_y = (vec![0.0; rows], vec![f64::NAN; rows]);
-                spmv_rows(&*rebuilt_like(&fork, &fork_want), &x, &mut fork_y.0);
-                spmv_rows(&fork, &x, &mut fork_y.1);
-                prop_assert_eq!(&fork_y.1, &fork_y.0);
-                prop_assert_eq!(&fork.merged_csr(), &fork_want);
-                got.fill(f64::NAN);
-                spmv_rows(&dm, &x, &mut got);
-                prop_assert_eq!(&got, &y_want, "a written clone changed the original");
-                prop_assert_eq!(&dm.merged_csr(), &want);
-
-                let mut compacted = dm.clone();
-                compacted.compact();
-                prop_assert!(compacted.overlay().is_empty());
-                prop_assert_eq!(compacted.nnz(), want.nnz());
-                prop_assert_eq!(&compacted.merged_csr(), &want);
+            got.fill(f64::NAN);
+            spmv_rows(&dm, &x, &mut got);
+            prop_assert_eq!(&got, &y_want);
+            let (mut c_want, mut c_got) = (Dense::zeros(rows, 3), Dense::zeros(rows, 3));
+            spmm_dense_rows(&want, &b, &mut c_want);
+            spmm_dense_rows(&dm, &b, &mut c_got);
+            prop_assert_eq!(&c_got, &c_want);
+            let (mut rc, mut rv) = (Vec::new(), Vec::new());
+            for i in 0..rows {
+                dm.row_into(i, &mut rc, &mut rv);
+                prop_assert_eq!((&rc[..], &rv[..]), want.row(i), "row {}", i);
             }
+            prop_assert_eq!(dm.nnz(), want.nnz());
+            prop_assert_eq!(&dm.merged_csr(), &want);
+
+            let mut fork = dm.clone();
+            let fork_muts = [
+                Mutation::Set(0, 0, 1234.0),
+                Mutation::Delete(rows - 1, cols - 1),
+            ];
+            write(&mut fork, &fork_muts);
+            let fork_want = model(&base, &[&muts[..end], &fork_muts[..]].concat());
+            let mut fork_y = (vec![0.0; rows], vec![f64::NAN; rows]);
+            spmv_rows(&fork_want, &x, &mut fork_y.0);
+            spmv_rows(&fork, &x, &mut fork_y.1);
+            prop_assert_eq!(&fork_y.1, &fork_y.0);
+            prop_assert_eq!(&fork.merged_csr(), &fork_want);
+            got.fill(f64::NAN);
+            spmv_rows(&dm, &x, &mut got);
+            prop_assert_eq!(&got, &y_want, "a written clone changed the original");
+            prop_assert_eq!(&dm.merged_csr(), &want);
+
+            let mut compacted = dm.clone();
+            compacted.compact();
+            prop_assert!(compacted.overlay().is_empty());
+            prop_assert_eq!(compacted.nnz(), want.nnz());
+            prop_assert_eq!(&compacted.merged_csr(), &want);
         }
     }
 
