@@ -40,7 +40,7 @@ fn main() {
     );
     let pool = ThreadPool::new(4);
 
-    let widths = [1usize, 2, 4, 8, 16, 32];
+    let widths = [1usize, 2, 3, 4, 5, 7, 8, 12, 16, 32];
     let mut rows_json = Vec::new();
     let mut speedup_at_8 = 0.0f64;
     for &n in &widths {

@@ -38,10 +38,10 @@ pub fn block_dot<T: Scalar>(block: &[T], x: &[T], col: usize, n: usize) -> T {
 /// serial `smash_matrix::spmm_dense_rows` and the parallel
 /// `smash_parallel::par_spmm_dense_rows` drivers both reach it, so their
 /// arithmetic order can never diverge. The columns of `b` are processed in
-/// register-blocked tiles of width 8/4/1; within a tile each column
-/// follows exactly the lane-striped order of [`block_dot`], so column `j`
-/// of the batched result is bit-identical to a SMASH SpMV against column
-/// `j` alone, under every `smash_matrix::simd` ISA tier.
+/// register-blocked 8-wide tiles plus one tail tile; within a tile each
+/// column follows exactly the lane-striped order of [`block_dot`], so
+/// column `j` of the batched result is bit-identical to a SMASH SpMV
+/// against column `j` alone, under every `smash_matrix::simd` ISA tier.
 ///
 /// # Panics
 ///

@@ -707,7 +707,6 @@ impl Executor {
             choice: Choice {
                 format: Format::Smash,
                 threads: 1,
-                tile: 1,
             },
             score: f64::NAN,
             calibrated: false,

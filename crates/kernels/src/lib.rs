@@ -25,7 +25,7 @@
 //! `smash_parallel::par_spmv_rows`) that stays bit-identical at every
 //! thread count.
 //! Its `Auto` mode delegates to the [`planner`] module — a measured
-//! cost model scoring *(format × kernel × threads × tile)* candidates
+//! cost model scoring *(format × kernel × threads)* candidates
 //! against a checked-in calibration table, with the old shape/nnz
 //! thresholds as its fallback tier. All kernels are generic over
 //! [`smash_matrix::Scalar`] (`f64` and `f32` out of the box).

@@ -420,7 +420,7 @@ mod tests {
     #[test]
     fn spmm_dense_columns_are_bit_identical_to_spmv() {
         let a = generators::clustered(80, 90, 700, 5, 3);
-        // Widths that exercise the 8-tile, 4-tile and scalar remainders.
+        // Widths that exercise the 8-wide tiles and tail tiles of 1 to 7.
         for n in [1usize, 3, 4, 7, 8, 11, 16] {
             let b = test_batch(90, n);
             let mut c = Dense::zeros(80, n);

@@ -1,11 +1,11 @@
-//! The measured cost-model **planner**: format × kernel × threads × tile
+//! The measured cost-model **planner**: format × kernel × threads
 //! dispatch driven by calibration data instead of hand-tuned thresholds.
 //!
 //! [`Executor`](crate::Executor)'s `Auto` mode used to choose serial vs.
 //! parallel from two ad-hoc constants. This module replaces that guess
 //! with a measurement: a [`Planner`] scores every candidate
-//! *(format, kernel, thread count, RHS tile width)* for an operation
-//! against a **checked-in calibration table** — wall-clock numbers taken
+//! *(format, kernel, thread count)* for an operation against a
+//! **checked-in calibration table** — wall-clock numbers taken
 //! by the offline calibrator (`cargo run -p smash-bench --bin
 //! planner_calibrate`) on a zoo of structurally diverse matrices — and
 //! returns an explainable [`Plan`].
@@ -52,7 +52,7 @@
 //! let a = generators::power_law(2048, 2048, 120_000, 1.3, 7);
 //! let profile = MatrixProfile::of_csr(&a).with_block_fill(&a);
 //! let plan = Planner::built_in().plan(&profile, &PlanRequest::free(Op::Spmv, 4));
-//! // The plan names a concrete (format, threads, tile) choice and can
+//! // The plan names a concrete (format, threads) choice and can
 //! // explain itself:
 //! assert!(plan.choice.threads >= 1);
 //! println!("{}", plan.rationale);
@@ -422,7 +422,7 @@ impl PlanRequest {
     }
 
     /// A request pinned to the format of an operand the caller already
-    /// holds — the planner only chooses kernel, threads and tile.
+    /// holds — the planner only chooses kernel and threads.
     pub fn pinned(op: Op, format: Format, threads: usize) -> Self {
         PlanRequest {
             op,
@@ -470,18 +470,14 @@ impl PlanRequest {
     }
 }
 
-/// One concrete dispatch choice: which format, how many threads
-/// (1 = the serial kernel), and the RHS tile width the column-tiled
-/// kernels will lead with.
+/// One concrete dispatch choice: which format and how many threads
+/// (1 = the serial kernel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Choice {
     /// Storage format of the kernel to run.
     pub format: Format,
     /// Worker threads; `1` names the serial kernel.
     pub threads: usize,
-    /// Leading RHS column-tile width (8/4/1 — the head of the
-    /// single-definition tile schedule for the requested batch width).
-    pub tile: usize,
 }
 
 impl Choice {
@@ -494,14 +490,10 @@ impl Choice {
 impl fmt::Display for Choice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.threads > 1 {
-            write!(f, "{} parallel x{}", self.format, self.threads)?;
+            write!(f, "{} parallel x{}", self.format, self.threads)
         } else {
-            write!(f, "{} serial", self.format)?;
+            write!(f, "{} serial", self.format)
         }
-        if self.tile > 1 {
-            write!(f, " tile {}", self.tile)?;
-        }
-        Ok(())
     }
 }
 
@@ -532,7 +524,6 @@ impl Plan {
             choice: Choice {
                 format: req.format.unwrap_or(Format::Csr),
                 threads: req.threads.max(1),
-                tile: lead_tile(req),
             },
             score: f64::NAN,
             calibrated: false,
@@ -756,7 +747,6 @@ impl Planner {
     /// [`MAX_MATCH_DISTANCE`] / no candidate rows for the op): the
     /// legacy `AUTO_PARALLEL_NNZ` + rows-per-worker thresholds.
     pub fn plan(&self, profile: &MatrixProfile, req: &PlanRequest) -> Plan {
-        let lead_tile = lead_tile(req);
         // Nearest calibrated neighbor.
         let neighbor = self
             .matrices
@@ -782,7 +772,6 @@ impl Planner {
                         Choice {
                             format: r.format,
                             threads: r.threads,
-                            tile: lead_tile,
                         },
                         r.ns_per_work * work,
                     )
@@ -830,7 +819,7 @@ impl Planner {
             }
         }
 
-        self.fallback(profile, req, lead_tile, matched)
+        self.fallback(profile, req, matched)
     }
 
     /// The legacy threshold tier: exactly the pre-planner `Auto` rule.
@@ -838,7 +827,6 @@ impl Planner {
         &self,
         profile: &MatrixProfile,
         req: &PlanRequest,
-        lead_tile: usize,
         matched: Option<(usize, &str, f64)>,
     ) -> Plan {
         let work = req.fallback_work(profile);
@@ -850,7 +838,6 @@ impl Planner {
         let choice = Choice {
             format,
             threads: if wide { threads } else { 1 },
-            tile: lead_tile,
         };
         let why = if !self.is_calibrated() {
             "calibration table is empty".to_string()
@@ -903,25 +890,6 @@ impl Planner {
                 self.simd_note()
             ),
         }
-    }
-}
-
-/// The leading tile width the single-definition RHS tile schedule
-/// (`smash_matrix::for_each_rhs_tile`) will use for this request's
-/// batch width: 8, then 4, then scalar columns.
-fn lead_tile(req: &PlanRequest) -> usize {
-    match req.op {
-        Op::SpmmDense => {
-            let n = req.rhs_cols.max(1);
-            if n >= 8 {
-                8
-            } else if n >= 4 {
-                4
-            } else {
-                1
-            }
-        }
-        _ => 1,
     }
 }
 
@@ -1133,12 +1101,6 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
                 plan.rationale
             );
         }
-        // A batched dynamic product still gets the RHS lead tile.
-        let plan = p.plan(
-            &profile(64, 64, 500),
-            &PlanRequest::pinned(Op::SpmmDense, Format::Dynamic, 1).with_rhs(8),
-        );
-        assert_eq!(plan.choice.tile, 8);
         // Round-trip the format name through the table grammar.
         assert_eq!(Format::parse("dynamic"), Some(Format::Dynamic));
         assert_eq!(Format::Dynamic.name(), "dynamic");

@@ -512,12 +512,12 @@ impl<T: Scalar> Bcsr<T> {
     /// This is *the* per-block-row body of the batched BCSR SpMM, shared by
     /// the serial driver [`crate::spmm_dense_rows`] and the parallel
     /// `smash_parallel::par_spmm_dense_rows`. The columns of `b` are
-    /// processed in register-blocked tiles of width 8/4/1; within a tile,
-    /// every column follows the lane-striped per-column order of
-    /// [`block_row_spmv`](Bcsr::block_row_spmv) (per stored block, a striped
-    /// dot over the block's columns, then add into the output), so column
-    /// `j` of the result is bit-identical to a blocked SpMV against
-    /// column `j`, under every [`crate::simd`] ISA tier.
+    /// processed in register-blocked 8-wide tiles plus one tail tile;
+    /// within a tile, every column follows the lane-striped per-column
+    /// order of [`block_row_spmv`](Bcsr::block_row_spmv) (per stored block,
+    /// a striped dot over the block's columns, then add into the output),
+    /// so column `j` of the result is bit-identical to a blocked SpMV
+    /// against column `j`, under every [`crate::simd`] ISA tier.
     ///
     /// # Panics
     ///

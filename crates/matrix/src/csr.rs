@@ -436,7 +436,7 @@ impl<T: Scalar> Csr<T> {
     /// driver [`crate::spmm_dense_rows`] and the parallel
     /// `smash_parallel::par_spmm_dense_rows` both call it, which keeps the
     /// two bit-identical at every thread count. The columns of `b` are
-    /// processed in register-blocked tiles of width 8, then 4, then one —
+    /// processed in register-blocked 8-wide tiles plus one tail tile —
     /// the row's indices and values are streamed once per *tile* instead
     /// of once per right-hand side, and within each tile every output
     /// column follows exactly the lane-striped order of

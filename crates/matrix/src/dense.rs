@@ -3,7 +3,8 @@ use crate::{MatrixError, Result, Scalar};
 /// The register-blocked right-hand-side column-tile schedule shared by
 /// **every** batched sparse × dense kernel in the workspace: invokes
 /// `f(start, width)` for contiguous tiles of width **8** while one fits,
-/// then **4**, then **1**, covering `0..n` exactly once.
+/// then one tail tile over the remaining `n % 8` columns, covering `0..n`
+/// exactly once.
 ///
 /// This is the single definition of the tiling — `Csr::row_spmm_dense`,
 /// `Bcsr::block_row_spmm_dense` and `smash_core::block_axpy_dense` all
@@ -15,13 +16,8 @@ pub fn for_each_rhs_tile(n: usize, mut f: impl FnMut(usize, usize)) {
         f(j0, 8);
         j0 += 8;
     }
-    while n - j0 >= 4 {
-        f(j0, 4);
-        j0 += 4;
-    }
-    while j0 < n {
-        f(j0, 1);
-        j0 += 1;
+    if j0 < n {
+        f(j0, n - j0);
     }
 }
 
@@ -432,13 +428,20 @@ mod tests {
 
     #[test]
     fn rhs_tile_schedule_covers_every_width_once() {
-        for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 12, 17, 64] {
+        for n in 0usize..=17 {
+            let mut tiles = Vec::new();
+            crate::for_each_rhs_tile(n, |j0, w| tiles.push((j0, w)));
             let mut covered = 0usize;
-            crate::for_each_rhs_tile(n, |j0, w| {
-                assert_eq!(j0, covered, "tiles must be contiguous");
-                assert!(w == 8 || w == 4 || w == 1, "width {w}");
+            for (t, &(j0, w)) in tiles.iter().enumerate() {
+                assert_eq!(j0, covered, "n={n}: tiles must be contiguous");
+                let last = t + 1 == tiles.len();
+                if last {
+                    assert!((1..=8).contains(&w), "n={n}: tail width {w}");
+                } else {
+                    assert_eq!(w, 8, "n={n}: only the final tile may be narrower than 8");
+                }
                 covered += w;
-            });
+            }
             assert_eq!(covered, n, "schedule must cover 0..{n}");
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! This module is the **single definition** of the accumulation order used by
 //! every hot kernel loop in the workspace: [`crate::Csr::row_dot`], the BCSR
-//! block dots, `smash_core::block_dot`, and the 8/4/1-wide RHS column tiles
-//! driven by [`crate::for_each_rhs_tile`]. Two implementations of that one
+//! block dots, `smash_core::block_dot`, and the RHS column tiles (8-wide,
+//! plus one tail tile) driven by [`crate::for_each_rhs_tile`]. Two implementations of that one
 //! order exist — AVX2 and a portable scalar emulation — selected at runtime
 //! by [`active`] from CPU feature detection, the `SMASH_SIMD` environment
 //! variable, and an in-process test override.
@@ -32,9 +32,9 @@
 //! For the column tiles the same contract applies per output column: stripe
 //! `l` holds a vector of `w` column partial sums, and the fold adds whole
 //! stripes lane-wise, so every output column sees exactly the striped-dot
-//! order. Columns never interact, so the AVX2 tier's 4-wide (128-bit)
-//! tile bodies for `w = 4` follow the same per-column order as its 8-wide
-//! ones.
+//! order. Columns never interact, so the tail tile (`w < 8`), which every
+//! tier runs through the portable body, gives each column the same bits as
+//! the AVX2 tier's 8-wide tile bodies.
 //!
 //! Because the *scalar* body emulates the same stripe/fold order, any
 //! supported ISA can be compared against any other with exact `==` at any
@@ -417,8 +417,7 @@ fn axpy_tile_striped<T: Lane, const L: usize>(
 macro_rules! impl_simd_elem {
     ($t:ty, $lanes:expr,
      $dot_idx_avx2:ident, $dot_seq_avx2:ident,
-     $row8_avx2:ident, $row4:ident,
-     $axpy8_avx2:ident, $axpy4:ident) => {
+     $row8_avx2:ident, $axpy8_avx2:ident) => {
         impl SimdElem for $t {
             const LANES: usize = $lanes;
 
@@ -488,15 +487,9 @@ macro_rules! impl_simd_elem {
                 out: &mut [Self],
             ) {
                 #[cfg(target_arch = "x86_64")]
-                if active() == Isa::Avx2 {
-                    if w == 8 {
-                        // SAFETY: tier feature-checked by `active()`.
-                        return unsafe { x86::$row8_avx2(cols, vals, bdata, stride, j0, out) };
-                    }
-                    if w == 4 {
-                        // SAFETY: avx2 implies sse4.2.
-                        return unsafe { x86::$row4(cols, vals, bdata, stride, j0, out) };
-                    }
+                if w == 8 && active() == Isa::Avx2 {
+                    // SAFETY: tier feature-checked by `active()`.
+                    return unsafe { x86::$row8_avx2(cols, vals, bdata, stride, j0, out) };
                 }
                 row_tile_striped::<$t, $lanes>(cols, vals, bdata, stride, j0, w, out)
             }
@@ -511,15 +504,9 @@ macro_rules! impl_simd_elem {
                 out: &mut [Self],
             ) {
                 #[cfg(target_arch = "x86_64")]
-                if active() == Isa::Avx2 {
-                    if w == 8 {
-                        // SAFETY: tier feature-checked by `active()`.
-                        return unsafe { x86::$axpy8_avx2(vals, bdata, stride, cbase, j0, out) };
-                    }
-                    if w == 4 {
-                        // SAFETY: avx2 implies sse4.2.
-                        return unsafe { x86::$axpy4(vals, bdata, stride, cbase, j0, out) };
-                    }
+                if w == 8 && active() == Isa::Avx2 {
+                    // SAFETY: tier feature-checked by `active()`.
+                    return unsafe { x86::$axpy8_avx2(vals, bdata, stride, cbase, j0, out) };
                 }
                 axpy_tile_striped::<$t, $lanes>(vals, bdata, stride, cbase, j0, w, out)
             }
@@ -533,9 +520,7 @@ impl_simd_elem!(
     dot_idx_f32_avx2,
     dot_seq_f32_avx2,
     row_tile8_f32_avx2,
-    row_tile4_f32,
-    axpy_tile8_f32_avx2,
-    axpy_tile4_f32
+    axpy_tile8_f32_avx2
 );
 impl_simd_elem!(
     f64,
@@ -543,9 +528,7 @@ impl_simd_elem!(
     dot_idx_f64_avx2,
     dot_seq_f64_avx2,
     row_tile8_f64_avx2,
-    row_tile4_f64,
-    axpy_tile8_f64_avx2,
-    axpy_tile4_f64
+    axpy_tile8_f64_avx2
 );
 
 #[cfg(target_arch = "x86_64")]
@@ -1001,316 +984,6 @@ mod x86 {
         let hi = _mm256_add_pd(_mm256_loadu_pd(dst.as_ptr().add(4)), s0h);
         _mm256_storeu_pd(dst.as_mut_ptr(), lo);
         _mm256_storeu_pd(dst.as_mut_ptr().add(4), hi);
-    }
-
-    /// f32 `w = 4` row tile, 128-bit: one `__m128` per stripe (8 xmm
-    /// live). The AVX2 tier's `w = 4` body. Assigns `out[j0..j0+4]`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports `sse4.2`; all memory accesses go
-    /// through bounds-checked slicing.
-    #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn row_tile4_f32(
-        cols: &[u32],
-        vals: &[f32],
-        bdata: &[f32],
-        stride: usize,
-        j0: usize,
-        out: &mut [f32],
-    ) {
-        let n = cols.len().min(vals.len());
-        debug_assert!(j0 + 4 <= out.len(), "tile {j0}+4 past out ({})", out.len());
-        let mut a0 = _mm_setzero_ps();
-        let mut a1 = _mm_setzero_ps();
-        let mut a2 = _mm_setzero_ps();
-        let mut a3 = _mm_setzero_ps();
-        let mut a4 = _mm_setzero_ps();
-        let mut a5 = _mm_setzero_ps();
-        let mut a6 = _mm_setzero_ps();
-        let mut a7 = _mm_setzero_ps();
-        macro_rules! term {
-            ($acc:ident, $kk:expr) => {{
-                let kk = $kk;
-                let base = cols[kk] as usize * stride + j0;
-                debug_assert!(
-                    kk < n && base + 4 <= bdata.len(),
-                    "B row {base}+4 past {}",
-                    bdata.len()
-                );
-                let brow = &bdata[base..base + 4];
-                let vv = _mm_set1_ps(vals[kk]);
-                $acc = _mm_add_ps($acc, _mm_mul_ps(vv, _mm_loadu_ps(brow.as_ptr())));
-            }};
-        }
-        let mut k = 0usize;
-        while k + 8 <= n {
-            term!(a0, k);
-            term!(a1, k + 1);
-            term!(a2, k + 2);
-            term!(a3, k + 3);
-            term!(a4, k + 4);
-            term!(a5, k + 5);
-            term!(a6, k + 6);
-            term!(a7, k + 7);
-            k += 8;
-        }
-        let r = n - k;
-        if r > 0 {
-            term!(a0, k);
-        }
-        if r > 1 {
-            term!(a1, k + 1);
-        }
-        if r > 2 {
-            term!(a2, k + 2);
-        }
-        if r > 3 {
-            term!(a3, k + 3);
-        }
-        if r > 4 {
-            term!(a4, k + 4);
-        }
-        if r > 5 {
-            term!(a5, k + 5);
-        }
-        if r > 6 {
-            term!(a6, k + 6);
-        }
-        a0 = _mm_add_ps(a0, a4);
-        a1 = _mm_add_ps(a1, a5);
-        a2 = _mm_add_ps(a2, a6);
-        a3 = _mm_add_ps(a3, a7);
-        a0 = _mm_add_ps(a0, a2);
-        a1 = _mm_add_ps(a1, a3);
-        a0 = _mm_add_ps(a0, a1);
-        _mm_storeu_ps(out[j0..j0 + 4].as_mut_ptr(), a0);
-    }
-
-    /// f32 `w = 4` axpy tile, 128-bit (accumulates; B rows are `cbase + k`).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports `sse4.2`; all memory accesses go
-    /// through bounds-checked slicing.
-    #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn axpy_tile4_f32(
-        vals: &[f32],
-        bdata: &[f32],
-        stride: usize,
-        cbase: usize,
-        j0: usize,
-        out: &mut [f32],
-    ) {
-        let n = vals.len();
-        debug_assert!(j0 + 4 <= out.len(), "tile {j0}+4 past out ({})", out.len());
-        let mut a0 = _mm_setzero_ps();
-        let mut a1 = _mm_setzero_ps();
-        let mut a2 = _mm_setzero_ps();
-        let mut a3 = _mm_setzero_ps();
-        let mut a4 = _mm_setzero_ps();
-        let mut a5 = _mm_setzero_ps();
-        let mut a6 = _mm_setzero_ps();
-        let mut a7 = _mm_setzero_ps();
-        macro_rules! term {
-            ($acc:ident, $kk:expr) => {{
-                let kk = $kk;
-                let base = (cbase + kk) * stride + j0;
-                debug_assert!(
-                    kk < n && base + 4 <= bdata.len(),
-                    "B row {base}+4 past {}",
-                    bdata.len()
-                );
-                let brow = &bdata[base..base + 4];
-                let vv = _mm_set1_ps(vals[kk]);
-                $acc = _mm_add_ps($acc, _mm_mul_ps(vv, _mm_loadu_ps(brow.as_ptr())));
-            }};
-        }
-        let mut k = 0usize;
-        while k + 8 <= n {
-            term!(a0, k);
-            term!(a1, k + 1);
-            term!(a2, k + 2);
-            term!(a3, k + 3);
-            term!(a4, k + 4);
-            term!(a5, k + 5);
-            term!(a6, k + 6);
-            term!(a7, k + 7);
-            k += 8;
-        }
-        let r = n - k;
-        if r > 0 {
-            term!(a0, k);
-        }
-        if r > 1 {
-            term!(a1, k + 1);
-        }
-        if r > 2 {
-            term!(a2, k + 2);
-        }
-        if r > 3 {
-            term!(a3, k + 3);
-        }
-        if r > 4 {
-            term!(a4, k + 4);
-        }
-        if r > 5 {
-            term!(a5, k + 5);
-        }
-        if r > 6 {
-            term!(a6, k + 6);
-        }
-        a0 = _mm_add_ps(a0, a4);
-        a1 = _mm_add_ps(a1, a5);
-        a2 = _mm_add_ps(a2, a6);
-        a3 = _mm_add_ps(a3, a7);
-        a0 = _mm_add_ps(a0, a2);
-        a1 = _mm_add_ps(a1, a3);
-        a0 = _mm_add_ps(a0, a1);
-        let dst = &mut out[j0..j0 + 4];
-        let sum = _mm_add_ps(_mm_loadu_ps(dst.as_ptr()), a0);
-        _mm_storeu_ps(dst.as_mut_ptr(), sum);
-    }
-
-    /// f64 `w = 4` row tile, 128-bit: 4 stripes × 2 `__m128d` halves
-    /// (columns `j0..j0+2` / `j0+2..j0+4`). Assigns `out[j0..j0+4]`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports `sse4.2`; all memory accesses go
-    /// through bounds-checked slicing.
-    #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn row_tile4_f64(
-        cols: &[u32],
-        vals: &[f64],
-        bdata: &[f64],
-        stride: usize,
-        j0: usize,
-        out: &mut [f64],
-    ) {
-        let n = cols.len().min(vals.len());
-        debug_assert!(j0 + 4 <= out.len(), "tile {j0}+4 past out ({})", out.len());
-        let mut s0l = _mm_setzero_pd();
-        let mut s0h = _mm_setzero_pd();
-        let mut s1l = _mm_setzero_pd();
-        let mut s1h = _mm_setzero_pd();
-        let mut s2l = _mm_setzero_pd();
-        let mut s2h = _mm_setzero_pd();
-        let mut s3l = _mm_setzero_pd();
-        let mut s3h = _mm_setzero_pd();
-        macro_rules! term {
-            ($lo:ident, $hi:ident, $kk:expr) => {{
-                let kk = $kk;
-                let base = cols[kk] as usize * stride + j0;
-                debug_assert!(
-                    kk < n && base + 4 <= bdata.len(),
-                    "B row {base}+4 past {}",
-                    bdata.len()
-                );
-                let brow = &bdata[base..base + 4];
-                let vv = _mm_set1_pd(vals[kk]);
-                $lo = _mm_add_pd($lo, _mm_mul_pd(vv, _mm_loadu_pd(brow.as_ptr())));
-                $hi = _mm_add_pd($hi, _mm_mul_pd(vv, _mm_loadu_pd(brow.as_ptr().add(2))));
-            }};
-        }
-        let mut k = 0usize;
-        while k + 4 <= n {
-            term!(s0l, s0h, k);
-            term!(s1l, s1h, k + 1);
-            term!(s2l, s2h, k + 2);
-            term!(s3l, s3h, k + 3);
-            k += 4;
-        }
-        let r = n - k;
-        if r > 0 {
-            term!(s0l, s0h, k);
-        }
-        if r > 1 {
-            term!(s1l, s1h, k + 1);
-        }
-        if r > 2 {
-            term!(s2l, s2h, k + 2);
-        }
-        s0l = _mm_add_pd(s0l, s2l);
-        s0h = _mm_add_pd(s0h, s2h);
-        s1l = _mm_add_pd(s1l, s3l);
-        s1h = _mm_add_pd(s1h, s3h);
-        s0l = _mm_add_pd(s0l, s1l);
-        s0h = _mm_add_pd(s0h, s1h);
-        let dst = &mut out[j0..j0 + 4];
-        _mm_storeu_pd(dst.as_mut_ptr(), s0l);
-        _mm_storeu_pd(dst.as_mut_ptr().add(2), s0h);
-    }
-
-    /// f64 `w = 4` axpy tile, 128-bit (accumulates; B rows are `cbase + k`).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports `sse4.2`; all memory accesses go
-    /// through bounds-checked slicing.
-    #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn axpy_tile4_f64(
-        vals: &[f64],
-        bdata: &[f64],
-        stride: usize,
-        cbase: usize,
-        j0: usize,
-        out: &mut [f64],
-    ) {
-        let n = vals.len();
-        debug_assert!(j0 + 4 <= out.len(), "tile {j0}+4 past out ({})", out.len());
-        let mut s0l = _mm_setzero_pd();
-        let mut s0h = _mm_setzero_pd();
-        let mut s1l = _mm_setzero_pd();
-        let mut s1h = _mm_setzero_pd();
-        let mut s2l = _mm_setzero_pd();
-        let mut s2h = _mm_setzero_pd();
-        let mut s3l = _mm_setzero_pd();
-        let mut s3h = _mm_setzero_pd();
-        macro_rules! term {
-            ($lo:ident, $hi:ident, $kk:expr) => {{
-                let kk = $kk;
-                let base = (cbase + kk) * stride + j0;
-                debug_assert!(
-                    kk < n && base + 4 <= bdata.len(),
-                    "B row {base}+4 past {}",
-                    bdata.len()
-                );
-                let brow = &bdata[base..base + 4];
-                let vv = _mm_set1_pd(vals[kk]);
-                $lo = _mm_add_pd($lo, _mm_mul_pd(vv, _mm_loadu_pd(brow.as_ptr())));
-                $hi = _mm_add_pd($hi, _mm_mul_pd(vv, _mm_loadu_pd(brow.as_ptr().add(2))));
-            }};
-        }
-        let mut k = 0usize;
-        while k + 4 <= n {
-            term!(s0l, s0h, k);
-            term!(s1l, s1h, k + 1);
-            term!(s2l, s2h, k + 2);
-            term!(s3l, s3h, k + 3);
-            k += 4;
-        }
-        let r = n - k;
-        if r > 0 {
-            term!(s0l, s0h, k);
-        }
-        if r > 1 {
-            term!(s1l, s1h, k + 1);
-        }
-        if r > 2 {
-            term!(s2l, s2h, k + 2);
-        }
-        s0l = _mm_add_pd(s0l, s2l);
-        s0h = _mm_add_pd(s0h, s2h);
-        s1l = _mm_add_pd(s1l, s3l);
-        s1h = _mm_add_pd(s1h, s3h);
-        s0l = _mm_add_pd(s0l, s1l);
-        s0h = _mm_add_pd(s0h, s1h);
-        let dst = &mut out[j0..j0 + 4];
-        let lo = _mm_add_pd(_mm_loadu_pd(dst.as_ptr()), s0l);
-        let hi = _mm_add_pd(_mm_loadu_pd(dst.as_ptr().add(2)), s0h);
-        _mm_storeu_pd(dst.as_mut_ptr(), lo);
-        _mm_storeu_pd(dst.as_mut_ptr().add(2), hi);
     }
 }
 

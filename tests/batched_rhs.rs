@@ -58,13 +58,13 @@ fn assert_near_dense(c: &Dense<f64>, want: &Dense<f64>, what: &str) {
 /// Pins all three `spmm_dense_*` kernels to the per-column SpMV oracle
 /// (exact `==`) and to the dense `matmul` oracle (within tolerance), and
 /// their parallel twins to the serial output (exact `==`) at every
-/// [`THREADS`] count, across batch widths that exercise the 8-tile,
-/// 4-tile and scalar remainders.
+/// [`THREADS`] count, across batch widths that exercise the 8-wide tiles
+/// and every tail-tile width from 1 to 7.
 fn assert_spmdm_equals_spmv_batch(a: &Csr<f64>) {
     let bcsr = Bcsr::from_csr(a, 2, 2).expect("valid 2x2 blocking");
     let sm = SmashMatrix::encode(a, SmashConfig::row_major(&[2, 4]).expect("valid config"));
     let dense_a = a.to_dense();
-    for n in [1usize, 5, 8, 11] {
+    for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15] {
         let b = batch::<f64>(a.cols(), n);
         let oracle = dense_a.matmul(&b).expect("inner dimensions agree");
         let mut c = Dense::zeros(a.rows(), n);

@@ -131,9 +131,6 @@ proptest! {
             t => par_spmm_dense_rows(&ThreadPool::new(t), &a, &b, &mut explicit),
         }
         prop_assert_eq!(&auto_c, &explicit, "{}", plan.rationale);
-        // The lead tile follows the 8/4/1 schedule.
-        let want_tile = if rhs >= 8 { 8 } else if rhs >= 4 { 4 } else { 1 };
-        prop_assert_eq!(plan.choice.tile, want_tile);
     }
 }
 
