@@ -14,7 +14,9 @@
 //! speedup must never trade away. Each width is additionally timed with
 //! the SIMD dispatch layer forced to its scalar emulation
 //! (`smash_matrix::simd`), so the snapshot separates what column tiling
-//! buys from what vectorizing the tile bodies buys on top.
+//! buys from what vectorizing the tile bodies buys on top. Both ratios
+//! (`blocked_speedup`, `simd_speedup`) are medians of per-pair ratios
+//! over interleaved samples of their two sides.
 
 use smash_bench::zoo;
 use smash_core::{SmashConfig, SmashMatrix};
@@ -49,24 +51,26 @@ fn main() {
         let mut y = vec![0.0f64; a.rows()];
         let mut c = Dense::zeros(a.rows(), n);
 
-        let per_column_ns = zoo::time_ns(5, 3, || {
-            for x in &cols {
-                spmv_rows(&a, x, &mut y);
+        // Each ratio is the median of per-pair ratios over interleaved
+        // samples, so host drift between samples cannot move one side.
+        let (blocked_ns, per_column_ns, speedup) = zoo::time_pair_ns(9, 3, |per_column| {
+            if per_column {
+                for x in &cols {
+                    spmv_rows(&a, x, &mut y);
+                }
+            } else {
+                spmm_dense_rows(&a, &b, &mut c);
             }
-            y.len()
-        });
-        let blocked_ns = zoo::time_ns(5, 3, || {
-            spmm_dense_rows(&a, &b, &mut c);
-            c.cols()
+            n
         });
         // The same tiled kernel with the dispatch layer pinned to the
         // scalar lane-order emulation: isolates the vector-body win.
-        simd::set_override(Some(Isa::Scalar));
-        let blocked_scalar_isa_ns = zoo::time_ns(5, 3, || {
+        let (_, blocked_scalar_isa_ns, simd_speedup) = zoo::time_pair_ns(9, 3, |scalar| {
+            simd::set_override(scalar.then_some(Isa::Scalar));
             spmm_dense_rows(&a, &b, &mut c);
+            simd::set_override(None);
             c.cols()
         });
-        simd::set_override(None);
         let smash_ns = zoo::time_ns(5, 3, || {
             spmm_dense_rows(&sm, &b, &mut c);
             c.cols()
@@ -84,8 +88,6 @@ fn main() {
             assert_eq!(c.col(j), y, "batched column {j} diverged at width {n}");
         }
 
-        let speedup = per_column_ns / blocked_ns;
-        let simd_speedup = blocked_scalar_isa_ns / blocked_ns;
         if n == 8 {
             speedup_at_8 = speedup;
         }

@@ -182,6 +182,32 @@ pub fn time_ns<F: FnMut() -> usize>(samples: usize, reps: usize, mut f: F) -> f6
     out[out.len() / 2]
 }
 
+/// Times the two sides of `f` (`f(false)` and `f(true)`) as `samples`
+/// interleaved pairs, each side amortized over `reps` inner repetitions,
+/// and returns the median nanoseconds of each side and the median of the
+/// per-pair ratios `true / false`. A pair's two samples run back to back,
+/// so a drift in the host's speed moves both sides of a ratio together
+/// instead of one side alone.
+pub fn time_pair_ns<F: FnMut(bool) -> usize>(
+    samples: usize,
+    reps: usize,
+    mut f: F,
+) -> (f64, f64, f64) {
+    let (mut first, mut second, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..samples {
+        let a = time_ns(1, reps, || f(false));
+        let b = time_ns(1, reps, || f(true));
+        first.push(a);
+        second.push(b);
+        ratios.push(b / a);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|p, q| p.total_cmp(q));
+        v[v.len() / 2]
+    };
+    (median(first), median(second), median(ratios))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,12 +9,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// `smash_matrix::simd` by whichever ISA body is active (AVX2 or the
 /// scalar emulation of the same order).
 ///
-/// This is the per-block body of every SMASH SpMV path — the single-level
-/// word scan and multi-level cursor walk of the matrix's `RowRead` body,
-/// driven serially by `smash_matrix::spmv_rows` and over row ranges by
-/// `smash_parallel::par_spmv_rows`, all call it, so their arithmetic
+/// This is the per-block body of every SMASH SpMV path: the matrix's
+/// `RowRead` body runs it on each block its `LineCursor` walk yields, at
+/// every block size, driven serially by `smash_matrix::spmv_rows` and over
+/// row ranges by `smash_parallel::par_spmv_rows`. So their arithmetic
 /// order can never diverge and parallel output stays bit-identical to
-/// serial at every precision and under every ISA tier.
+/// serial at every precision and under every ISA tier. Called with a
+/// compile-time `n`, as the fixed block-size arms do for every block but
+/// a row's clipped last one, its length dispatch folds away.
 ///
 /// # Example
 ///
@@ -232,6 +234,24 @@ impl<T: Scalar> SmashMatrix<T> {
         hierarchy: &BitmapHierarchy,
         nza: &Nza<T>,
     ) -> Result<(), SmashError> {
+        let (lines, line_len) = match config.layout() {
+            Layout::RowMajor => (rows, cols),
+            Layout::ColMajor => (cols, rows),
+        };
+        // Decoding emits a line's element offsets as `u32` column indices;
+        // a line whose last offset does not fit would wrap them.
+        if line_len.saturating_sub(1) > u32::MAX as usize {
+            return Err(SmashError::Inconsistent(format!(
+                "line length {line_len} overflows the u32 offsets within a line"
+            )));
+        }
+        let expect_bits = lines
+            .checked_mul(line_len.div_ceil(config.block_size()))
+            .ok_or_else(|| {
+                SmashError::Inconsistent(format!(
+                    "{lines} lines of {line_len} elements overflow the Bitmap-0 length"
+                ))
+            })?;
         hierarchy.validate()?;
         if nza.num_blocks() != hierarchy.num_blocks() {
             return Err(SmashError::Inconsistent(format!(
@@ -245,11 +265,6 @@ impl<T: Scalar> SmashMatrix<T> {
                 "NZA block size differs from configured Bitmap-0 ratio".into(),
             ));
         }
-        let (lines, line_len) = match config.layout() {
-            Layout::RowMajor => (rows, cols),
-            Layout::ColMajor => (cols, rows),
-        };
-        let expect_bits = lines * line_len.div_ceil(config.block_size());
         if hierarchy.logical_bits(0) != expect_bits {
             return Err(SmashError::Inconsistent(format!(
                 "Bitmap-0 logical length {} != lines * blocks_per_line = {}",
@@ -268,7 +283,8 @@ impl<T: Scalar> SmashMatrix<T> {
     ///
     /// Returns [`SmashError::Inconsistent`] if the parts disagree (NZA
     /// block count vs Bitmap-0 population, block size vs configuration,
-    /// or bitmap extent vs the padded matrix shape).
+    /// or bitmap extent vs the padded matrix shape), or if a line is
+    /// longer than `u32` offsets can address.
     pub fn from_parts(
         rows: usize,
         cols: usize,
@@ -319,6 +335,9 @@ impl<T: Scalar> SmashMatrix<T> {
             let block = &nza[ordinal * b0..ordinal * b0 + n];
             for (k, v) in block.iter().enumerate() {
                 if !v.is_zero() {
+                    // Exact: every construction path bounds a line's last
+                    // offset by `u32::MAX` (`validate_parts` checks it;
+                    // the encoder reads the offsets from `u32` indices).
                     offs.push((off0 + k) as u32);
                     vals.push(*v);
                 }
@@ -619,12 +638,80 @@ impl<T: Scalar> SmashMatrix<T> {
     }
 }
 
+/// Stamps `$body` out once per block-size arm with `$n` bound to a
+/// `const`: 2, 4 and 8 get their own compile-time length, any other
+/// block size takes the same body with `$n = 0`, which
+/// [`SmashMatrix::fold_row`] reads as "block size from the
+/// configuration". The dispatch runs once per granule call, not per block.
+macro_rules! with_block_len {
+    ($b0:expr, $n:ident => $body:expr) => {
+        match $b0 {
+            2 => {
+                const $n: usize = 2;
+                $body
+            }
+            4 => {
+                const $n: usize = 4;
+                $body
+            }
+            8 => {
+                const $n: usize = 8;
+                $body
+            }
+            _ => {
+                const $n: usize = 0;
+                $body
+            }
+        }
+    };
+}
+
+impl<T: Scalar> SmashMatrix<T> {
+    /// Folds `f` over the stored blocks of row `row` of a row-major
+    /// matrix in column order, handing it each block's logical values and
+    /// the column of its first one: `f(acc, block, col)` covers columns
+    /// `col..col + block.len()`. The one per-row body of both granule
+    /// methods of the [`RowRead`] impl.
+    ///
+    /// `N` is the block size fixed at compile time, or 0 to read it from
+    /// the configuration. With `N` fixed, every block but a row's last
+    /// one, clipped at `cols`, is `N` long as far as the compiler can
+    /// see, so the per-block dot's length dispatch folds away.
+    #[inline(always)]
+    fn fold_row<const N: usize, A>(
+        &self,
+        row: usize,
+        init: A,
+        mut f: impl FnMut(A, &[T], usize) -> A,
+    ) -> A {
+        let b0 = if N == 0 { self.config.block_size() } else { N };
+        let cols = self.cols;
+        // The cursor yields logical indices; the block's index within
+        // the line is the offset from the line's first bit.
+        let line_base = row * cols.div_ceil(b0);
+        let nza = self.nza.values();
+        let mut acc = init;
+        for (ordinal, logical) in self.line_cursor(row) {
+            let col = (logical - line_base) * b0;
+            let block = &nza[ordinal * b0..][..b0];
+            acc = if col + b0 <= cols {
+                f(acc, block, col)
+            } else {
+                f(acc, &block[..cols - col], col)
+            };
+        }
+        acc
+    }
+}
+
 /// The row-operand view of a row-major SMASH matrix: one granule per row
 /// line, weighted by the line's occupied-block count (straight out of the
-/// [`LineDirectory`], no rank scans). The granule bodies walk each row
-/// with a [`LineCursor`] and run the shared [`block_dot`] /
-/// [`block_axpy_dense`] per-block routines — exactly the serial SMASH
-/// kernel bodies, so the generic drivers stay bit-identical to them.
+/// [`LineDirectory`], no rank scans). Both granule bodies dispatch once
+/// on the block size to `SmashMatrix::fold_row` at a compile-time
+/// length (2, 4 or 8; any other size reads it at run time), which walks
+/// each row with a [`LineCursor`] and runs the shared [`block_dot`] /
+/// [`block_axpy_dense`] per-block routines, so the serial and parallel
+/// drivers stay bit-identical to each other at every block size.
 ///
 /// # Panics
 ///
@@ -664,45 +751,29 @@ impl<T: Scalar> RowRead<T> for SmashMatrix<T> {
 
     fn spmv_granules(&self, g: std::ops::Range<usize>, x: &[T], y: &mut [T]) {
         assert_eq!(self.config.layout(), Layout::RowMajor, "row-major SpMV");
-        let b0 = self.config.block_size();
-        let bpl = self.blocks_per_line();
-        let cols = self.cols;
-        let nza = self.nza().values();
-        for (row, out) in g.zip(y.iter_mut()) {
-            // The cursor yields logical indices; the block's index within
-            // the line is the offset from the line's first bit.
-            let line_base = row * bpl;
-            let mut acc = T::ZERO;
-            for (ordinal, logical) in self.line_cursor(row) {
-                let col = (logical - line_base) * b0;
-                let block = &nza[ordinal * b0..(ordinal + 1) * b0];
-                let n = b0.min(cols - col);
+        with_block_len!(self.config.block_size(), N => {
+            for (row, out) in g.zip(y.iter_mut()) {
                 // The shared per-block body of every SMASH SpMV.
-                acc += block_dot(block, x, col, n);
+                *out = self.fold_row::<N, _>(row, T::ZERO, |acc, block, col| {
+                    acc + block_dot(block, x, col, block.len())
+                });
             }
-            *out = acc;
-        }
+        })
     }
 
     fn spmm_dense_granules(&self, g: std::ops::Range<usize>, b: &Dense<T>, c: &mut [T]) {
         assert_eq!(self.config.layout(), Layout::RowMajor, "row-major SpMM");
         let n = b.cols();
-        let b0 = self.config.block_size();
-        let bpl = self.blocks_per_line();
-        let cols = self.cols;
-        let nza = self.nza().values();
         c.fill(T::ZERO);
-        for row in g.clone() {
-            let out = &mut c[(row - g.start) * n..(row - g.start + 1) * n];
-            let line_base = row * bpl;
-            for (ordinal, logical) in self.line_cursor(row) {
-                let col = (logical - line_base) * b0;
-                let block = &nza[ordinal * b0..(ordinal + 1) * b0];
-                let nb = b0.min(cols - col);
+        with_block_len!(self.config.block_size(), N => {
+            for row in g.clone() {
+                let out = &mut c[(row - g.start) * n..][..n];
                 // The shared per-block body of every batched SMASH SpMM.
-                block_axpy_dense(block, b, col, nb, out);
+                self.fold_row::<N, _>(row, (), |(), block, col| {
+                    block_axpy_dense(block, b, col, block.len(), out)
+                });
             }
-        }
+        })
     }
 }
 
@@ -734,6 +805,45 @@ mod tests {
             sm.validate().unwrap();
             assert_eq!(sm.decode(), a, "ratios {ratios:?}");
         }
+    }
+
+    #[test]
+    fn from_parts_rejects_shapes_past_the_index_width_before_allocating() {
+        // A tiny valid hierarchy under a huge claimed shape: the shape
+        // checks fire first, so nothing is sized by the claimed shape.
+        let mut coo = Coo::new(1, 4);
+        coo.push(0, 1, 1.0);
+        let sm = SmashMatrix::encode(&Csr::from_coo(&coo), cfg(&[2]));
+        let parts = |rows, cols| {
+            SmashMatrix::from_parts(
+                rows,
+                cols,
+                cfg(&[2]),
+                sm.hierarchy().clone(),
+                sm.nza().clone(),
+            )
+        };
+        // A 2^33-long line would decode to wrapped u32 columns.
+        if let Some(wide) = 1usize.checked_shl(33) {
+            match parts(1, wide) {
+                Err(SmashError::Inconsistent(msg)) => assert!(msg.contains("u32"), "{msg}"),
+                other => panic!("2^33-column line accepted: {other:?}"),
+            }
+        }
+        // `lines * blocks_per_line` past usize::MAX.
+        match parts(usize::MAX, 4) {
+            Err(SmashError::Inconsistent(msg)) => assert!(msg.contains("overflow"), "{msg}"),
+            other => panic!("overflowing Bitmap-0 length accepted: {other:?}"),
+        }
+        // The longest addressable line is u32::MAX + 1 elements: it passes
+        // the width check and fails only on the bitmap extent.
+        if let Some(widest) = (u32::MAX as usize).checked_add(1) {
+            match parts(1, widest) {
+                Err(SmashError::Inconsistent(msg)) => assert!(msg.contains("Bitmap-0"), "{msg}"),
+                other => panic!("mismatched extent accepted: {other:?}"),
+            }
+        }
+        assert_eq!(parts(1, 4).unwrap(), sm);
     }
 
     #[test]

@@ -1,4 +1,5 @@
 use crate::{Csr, Dense, MatrixError, Result, Scalar};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Block Compressed Sparse Row matrix (paper’s TACO-BCSR baseline, reference 38).
@@ -465,12 +466,15 @@ impl<T: Scalar> Bcsr<T> {
     /// (`min(block_rows, rows - bi * block_rows)` entries). `out` must be
     /// zero-initialized (or hold a partial sum) by the caller.
     ///
-    /// This is *the* per-block-row body of the blocked SpMV, shared by the
-    /// serial driver [`crate::spmv_rows`] and the parallel
-    /// `smash_parallel::par_spmv_rows`: per stored block, each clipped row
-    /// takes one lane-striped [`crate::simd`] contiguous dot against the
-    /// matching slice of `x` and adds it into `out`. That is exactly the
-    /// per-column order of [`block_row_spmm_dense`](Bcsr::block_row_spmm_dense),
+    /// This is the per-block-row body of the blocked SpMV for every block
+    /// shape but 2×2, driven by the serial [`crate::spmv_rows`] and the
+    /// parallel `smash_parallel::par_spmv_rows`: per stored block, each
+    /// clipped row takes one lane-striped [`crate::simd`] contiguous dot
+    /// against the matching slice of `x` and adds it into `out`. A 2×2
+    /// matrix runs the fixed-shape body instead, which adds the same dots
+    /// in the same order into accumulators held in registers, so this
+    /// body stays its bit-exact oracle. That is exactly the per-column
+    /// order of [`block_row_spmm_dense`](Bcsr::block_row_spmm_dense),
     /// which is what keeps batched column `j` bit-identical to this SpMV on
     /// column `j` — under every ISA tier and thread count.
     ///
@@ -500,6 +504,57 @@ impl<T: Scalar> Bcsr<T> {
             for (lr, o) in out.iter_mut().enumerate() {
                 let trow = &tile[lr * bc..lr * bc + lc_max];
                 *o += T::simd_dot_contiguous(trow, xs);
+            }
+        }
+    }
+
+    /// The blocked SpMV over block rows `g` with the block shape fixed at
+    /// compile time to `BR × BC`, writing every element of `y` (the
+    /// clipped rows `g.start * BR..min(g.end * BR, rows)`).
+    ///
+    /// Each block row keeps its `BR` output rows in local accumulators
+    /// that start at zero and take, per stored block, the same
+    /// [`crate::simd`] contiguous dot as [`block_row_spmv`](Bcsr::block_row_spmv)
+    /// adds through memory: so the bits are the same. Full blocks dot
+    /// `BC` columns, a length the compiler sees; only the last block
+    /// column, clipped at `cols`, takes a shorter one. The last block row
+    /// computes all `BR` rows of its zero-padded tiles and stores only
+    /// those inside the matrix.
+    pub(crate) fn spmv_fixed<const BR: usize, const BC: usize>(
+        &self,
+        g: Range<usize>,
+        x: &[T],
+        y: &mut [T],
+    ) {
+        assert_eq!(self.block_shape(), (BR, BC), "block shape mismatch");
+        assert_eq!(x.len(), self.cols, "vector length must equal cols");
+        let bs = BR * BC;
+        let row_lo = (g.start * BR).min(self.rows);
+        for bi in g {
+            let (lo, hi) = (
+                self.block_row_ptr[bi] as usize,
+                self.block_row_ptr[bi + 1] as usize,
+            );
+            let tiles = self.values[lo * bs..hi * bs].chunks_exact(bs);
+            let mut acc = [T::ZERO; BR];
+            for (&bc, tile) in self.block_col_ind[lo..hi].iter().zip(tiles) {
+                let cbase = bc as usize * BC;
+                let mut add = |n: usize| {
+                    let xs = &x[cbase..cbase + n];
+                    for (r, a) in acc.iter_mut().enumerate() {
+                        *a += T::simd_dot_contiguous(&tile[r * BC..r * BC + n], xs);
+                    }
+                };
+                if cbase + BC <= self.cols {
+                    add(BC);
+                } else {
+                    add(self.cols - cbase);
+                }
+            }
+            let r0 = bi * BR - row_lo;
+            let rows_here = BR.min(self.rows - bi * BR);
+            for (o, a) in y[r0..r0 + rows_here].iter_mut().zip(acc) {
+                *o = a;
             }
         }
     }

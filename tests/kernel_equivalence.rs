@@ -3,12 +3,15 @@
 //! dense reference all agree — at both precisions. The `f32` pipeline is
 //! checked against the `f64` oracle within the `Scalar`-defined tolerance,
 //! and the executor's `Auto` dispatch is pinned bit-for-bit to the
-//! explicit serial kernels.
+//! explicit serial kernels. The fixed-shape block bodies (BCSR 2×2, SMASH
+//! block sizes 2, 4 and 8) are pinned bit-for-bit to the generic
+//! per-block order they stand in for.
 
 use proptest::prelude::*;
-use smash::encoding::{SmashConfig, SmashMatrix};
+use smash::encoding::{block_dot, SmashConfig, SmashMatrix};
 use smash::kernels::{harness, native, test_vector, Executor, Mechanism};
-use smash::matrix::{generators, spmv_rows, Bcsr, Coo, Csr, Scalar};
+use smash::matrix::{generators, spmm_dense_rows, spmv_rows, Bcsr, Coo, Csr, Dense, Scalar};
+use smash::parallel::{par_spmm_dense_rows, par_spmv_rows, ThreadPool};
 use smash::sim::CountEngine;
 
 fn families() -> Vec<(&'static str, Csr<f64>)> {
@@ -264,4 +267,197 @@ fn spmv_instruction_ordering_matches_paper_ranking() {
     assert!(sw < csr, "sw {sw} !< csr {csr}");
     assert!(smash < sw, "smash {smash} !< sw {sw}");
     assert!(ideal < csr, "ideal {ideal} !< csr {csr}");
+}
+
+// ---------------------------------------------------------------------
+// Fixed-shape block bodies. BCSR 2×2 and SMASH block sizes 2, 4 and 8
+// run bodies whose block shape is a compile-time constant; each must
+// reproduce, bit for bit, the per-block order of the generic body it
+// stands in for.
+// ---------------------------------------------------------------------
+
+/// Bit patterns of `v`, so that `-0.0` and `+0.0` compare unequal.
+fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
+    v.iter().map(|e| e.to_f64().to_bits()).collect()
+}
+
+/// The generic per-block-row BCSR order: zero-filled rows, then
+/// `block_row_spmv` on every block row.
+fn bcsr_block_row_oracle<T: Scalar>(b: &Bcsr<T>, x: &[T]) -> Vec<T> {
+    let (br, _) = b.block_shape();
+    let mut y = vec![T::ZERO; b.rows()];
+    for bi in 0..b.num_block_rows() {
+        let lo = bi * br;
+        b.block_row_spmv(bi, x, &mut y[lo..(lo + br).min(b.rows())]);
+    }
+    y
+}
+
+/// `a` blocked 2×2, with every stored tile value of each row in
+/// `neg_zero_rows` replaced by `-0.0`, padding included.
+fn bcsr_2x2_with_neg_zero_rows<T: Scalar>(a: &Csr<T>, neg_zero_rows: &[usize]) -> Bcsr<T> {
+    let b = Bcsr::from_csr(a, 2, 2).expect("2x2 blocking");
+    let mut values = b.values().to_vec();
+    let ptr = b.block_row_ptr();
+    for &r in neg_zero_rows.iter().filter(|&&r| r < a.rows()) {
+        let (bi, lr) = (r / 2, r % 2);
+        for k in ptr[bi] as usize..ptr[bi + 1] as usize {
+            values[k * 4 + lr * 2..k * 4 + lr * 2 + 2].fill(T::from_f64(-0.0));
+        }
+    }
+    Bcsr::from_parts(
+        a.rows(),
+        a.cols(),
+        2,
+        2,
+        ptr.to_vec(),
+        b.block_col_ind().to_vec(),
+        values,
+        b.nnz_logical(),
+    )
+    .expect("same structure")
+}
+
+/// A dense vector that mixes signed zeros with non-zero values.
+fn signed_zero_vector<T: Scalar>(n: usize) -> Vec<T> {
+    (0..n)
+        .map(|c| match c % 5 {
+            0 => T::from_f64(-0.0),
+            1 => T::ZERO,
+            k => T::from_f64(k as f64 * 0.75 - 2.0),
+        })
+        .collect()
+}
+
+/// The 2×2 body equals the per-block-row order serially and through the
+/// parallel driver at 1, 2 and 8 threads.
+fn assert_bcsr_2x2_matches_block_rows<T: Scalar>(a: &Csr<T>, neg_zero_rows: &[usize]) {
+    let b = bcsr_2x2_with_neg_zero_rows(a, neg_zero_rows);
+    let pools: Vec<ThreadPool> = [1, 2, 8].into_iter().map(ThreadPool::new).collect();
+    for x in [
+        test_vector::<T>(a.cols()),
+        signed_zero_vector::<T>(a.cols()),
+    ] {
+        let want = bits(&bcsr_block_row_oracle(&b, &x));
+        let mut y = vec![T::ONE; a.rows()];
+        spmv_rows(&b, &x, &mut y);
+        assert_eq!(bits(&y), want, "serial 2x2 body");
+        for pool in &pools {
+            y.fill(T::ONE);
+            par_spmv_rows(pool, &b, &x, &mut y);
+            assert_eq!(bits(&y), want, "2x2 body at {} threads", pool.threads());
+        }
+    }
+}
+
+/// Arbitrary matrix whose row and column counts cover both parities, so
+/// the clipped last block row and block column both occur.
+fn arb_blockable() -> impl Strategy<Value = (Csr<f64>, Vec<usize>)> {
+    (1usize..34, 1usize..34)
+        .prop_flat_map(|(r, c)| {
+            let entries =
+                proptest::collection::vec((0..r, 0..c, 1u32..1000u32), 0..(r * c).min(150));
+            let neg = proptest::collection::vec(0..r, 0..4);
+            (Just(r), Just(c), entries, neg)
+        })
+        .prop_map(|(r, c, entries, neg)| {
+            let mut coo = Coo::new(r, c);
+            for (i, j, v) in entries {
+                coo.push(i, j, v as f64 / 16.0 - 30.0);
+            }
+            coo.compress();
+            (Csr::from_coo(&coo), neg)
+        })
+}
+
+/// The generic SMASH row order: each row's `line_cursor` walk with one
+/// `block_dot` per block, the last block clipped at `cols`.
+fn smash_cursor_oracle<T: Scalar>(sm: &SmashMatrix<T>, x: &[T]) -> Vec<T> {
+    let b0 = sm.config().block_size();
+    let nza = sm.nza().values();
+    (0..sm.rows())
+        .map(|row| {
+            let mut acc = T::ZERO;
+            for (ordinal, logical) in sm.line_cursor(row) {
+                let col = (logical - row * sm.blocks_per_line()) * b0;
+                let n = b0.min(sm.cols() - col);
+                acc += block_dot(&nza[ordinal * b0..], x, col, n);
+            }
+            acc
+        })
+        .collect()
+}
+
+/// SpMV and `spmm_dense` at 1, 3 and 8 right-hand sides, serial and
+/// parallel, each equal to the cursor oracle (column by column for SpMM).
+fn assert_smash_matches_cursor_oracle<T: Scalar>(a: &Csr<T>, ratios: &[u32]) {
+    let sm = SmashMatrix::encode(a, SmashConfig::row_major(ratios).expect("valid ratios"));
+    let pool = ThreadPool::new(3);
+    let x = signed_zero_vector::<T>(a.cols());
+    let want = bits(&smash_cursor_oracle(&sm, &x));
+    let mut y = vec![T::ONE; a.rows()];
+    spmv_rows(&sm, &x, &mut y);
+    assert_eq!(bits(&y), want, "SpMV, ratios {ratios:?}");
+    y.fill(T::ONE);
+    par_spmv_rows(&pool, &sm, &x, &mut y);
+    assert_eq!(bits(&y), want, "parallel SpMV, ratios {ratios:?}");
+    for n in [1, 3, 8] {
+        let b = generators::dense_batch::<T>(a.cols(), n, 7);
+        let mut c = Dense::zeros(a.rows(), n);
+        spmm_dense_rows(&sm, &b, &mut c);
+        let mut cp = Dense::zeros(a.rows(), n);
+        par_spmm_dense_rows(&pool, &sm, &b, &mut cp);
+        for j in 0..n {
+            let want = bits(&smash_cursor_oracle(&sm, &b.col(j)));
+            assert_eq!(
+                bits(&c.col(j)),
+                want,
+                "spmm_dense {n} RHS col {j}, {ratios:?}"
+            );
+            assert_eq!(
+                bits(&cp.col(j)),
+                want,
+                "parallel spmm_dense {n} RHS col {j}"
+            );
+        }
+    }
+}
+
+#[test]
+fn bcsr_2x2_body_matches_block_rows_on_families() {
+    for (_, a) in families() {
+        for neg in [&[][..], &[0, 3, 5]] {
+            assert_bcsr_2x2_matches_block_rows(&a, neg);
+            assert_bcsr_2x2_matches_block_rows(&a.cast::<f32>(), neg);
+        }
+    }
+}
+
+#[test]
+fn smash_block_size_arms_match_cursor_oracle() {
+    // 37 columns: not a multiple of 2, 3, 4 or 8, so every row's last
+    // block is clipped. Block size 3 runs the runtime-length arm.
+    let a = generators::clustered(41, 37, 500, 6, 9);
+    for ratios in [&[2u32][..], &[2, 4], &[4, 2], &[8], &[8, 8], &[3], &[3, 4]] {
+        assert_smash_matches_cursor_oracle(&a, ratios);
+        assert_smash_matches_cursor_oracle(&a.cast::<f32>(), ratios);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn prop_bcsr_2x2_body_matches_block_rows(case in arb_blockable()) {
+        let (a, neg) = case;
+        assert_bcsr_2x2_matches_block_rows(&a, &neg);
+        assert_bcsr_2x2_matches_block_rows(&a.cast::<f32>(), &neg);
+    }
+
+    #[test]
+    fn prop_smash_block_size_arms_match_cursor_oracle(case in arb_blockable(), arm in 0usize..4) {
+        let b0 = [2u32, 4, 8, 3][arm];
+        assert_smash_matches_cursor_oracle(&case.0, &[b0]);
+        assert_smash_matches_cursor_oracle(&case.0.cast::<f32>(), &[b0, 4]);
+    }
 }
