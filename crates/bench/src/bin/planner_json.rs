@@ -115,7 +115,7 @@ fn main() {
             plan.choice,
             best.format,
             best.threads,
-            plan.rationale
+            plan
         );
 
         // Self-consistency: a planner calibrated on THIS run's numbers

@@ -38,7 +38,8 @@
 //!   calibration row matches, the legacy shape/nnz threshold tier
 //!   ([`AUTO_PARALLEL_NNZ`], [`AUTO_MIN_ROWS_PER_THREAD`]) decides,
 //!   exactly as before the planner existed. `Executor::plan_*` expose
-//!   the decision — with its rationale — without running anything.
+//!   the decision — with the inputs of its rationale, rendered on
+//!   request — without running anything.
 //!
 //! **Determinism guarantee:** because every parallel driver in
 //! `smash-parallel` is bit-identical to its serial counterpart, the
@@ -158,7 +159,8 @@ pub enum NonFinitePolicy {
 }
 
 /// One rung of the graceful-degradation ladder a `try_*` call descended,
-/// reported in its [`ExecReport`] (and appended to the plan's rationale).
+/// reported in its [`ExecReport`] (and rendered after the plan's
+/// rationale by its `Display`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Degradation {
     /// The parallel kernel panicked; the call was retried serially.
@@ -210,13 +212,13 @@ impl std::fmt::Display for Degradation {
 }
 
 /// What a `try_*` call actually did: the [`Plan`] it acted on, plus any
-/// degradations taken on the way to the (always correct) result. Each
-/// degradation is also appended to `plan.rationale`, so the one-line
-/// explanation stays self-contained.
+/// degradations taken on the way to the (always correct) result.
+/// Its `Display` renders the plan's rationale followed by each
+/// degradation (`…; degraded: …`), so the explanation stays
+/// self-contained; nothing is rendered unless asked for.
 #[derive(Debug)]
 pub struct ExecReport {
-    /// The dispatch plan the call acted on, rationale extended with any
-    /// degradations.
+    /// The dispatch plan the call acted on.
     pub plan: Plan,
     /// The degradation ladder rungs descended, in order. Empty on a clean
     /// run.
@@ -224,15 +226,19 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
-    fn note(&mut self, d: Degradation) {
-        self.plan.rationale.push_str("; ");
-        self.plan.rationale.push_str(&d.to_string());
-        self.degradations.push(d);
-    }
-
     /// Whether the call had to degrade from its planned execution.
     pub fn degraded(&self) -> bool {
         !self.degradations.is_empty()
+    }
+}
+
+impl std::fmt::Display for ExecReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.plan)?;
+        for d in &self.degradations {
+            write!(f, "; {d}")?;
+        }
+        Ok(())
     }
 }
 
@@ -419,11 +425,16 @@ impl Executor {
     /// planner; the fixed modes pin the request's thread count (1 or the
     /// pool width) without profiling anything.
     fn plan(&self, req: PlanRequest, profile: impl FnOnce() -> MatrixProfile) -> Plan {
-        match (&self.planner, self.mode) {
-            (Some(p), _) => p.plan(&profile(), &req),
-            (None, ExecMode::Serial) => Plan::fixed(&req, "fixed Serial mode: not profiled"),
-            (None, _) => Plan::fixed(&req, "fixed Parallel mode: not profiled"),
-        }
+        let reason = match (&self.planner, self.mode) {
+            (Some(p), _) => return p.plan(&profile(), &req),
+            (None, ExecMode::Serial) => "fixed Serial mode: not profiled",
+            (None, _) => "fixed Parallel mode: not profiled",
+        };
+        let choice = Choice {
+            format: req.format.unwrap_or(Format::Csr),
+            threads: req.threads.max(1),
+        };
+        Plan::fixed(choice, reason)
     }
 
     /// A request pinned to `format` over this executor's worker budget.
@@ -703,15 +714,13 @@ impl Executor {
         const OP: &str = "encode";
         SpmvOperand::Csr(a).check(OP)?;
         self.check_finite(OP, "A", a.values())?;
-        let mut report = self.start_report(Plan {
-            choice: Choice {
+        let mut report = self.start_report(Plan::fixed(
+            Choice {
                 format: Format::Smash,
                 threads: 1,
             },
-            score: f64::NAN,
-            calibrated: false,
-            rationale: "encode: the serial encoder; not profiled".into(),
-        });
+            "encode: the serial encoder; not profiled",
+        ));
         let sm = self.run(OP, &mut report, |_| SmashMatrix::encode(a, config.clone()))?;
         Ok((sm, report))
     }
@@ -813,7 +822,7 @@ impl Executor {
                     });
                 }
                 let (c, run) = crate::spgemm::spgemm_chunked(a, b, mask, &bounds, budget.bytes())?;
-                report.note(Degradation::ChunkedSpgemm {
+                report.degradations.push(Degradation::ChunkedSpgemm {
                     chunks: run.chunks,
                     peak_scratch_bytes: run.peak_scratch_bytes,
                     budget_bytes: run.budget_bytes,
@@ -842,7 +851,7 @@ impl Executor {
             let pool = self.pool.as_ref().expect("a parallel plan implies a pool");
             match catch_unwind(AssertUnwindSafe(|| kernel(Some(pool)))) {
                 Ok(out) => return Ok(out),
-                Err(payload) => report.note(Degradation::WorkerPanic {
+                Err(payload) => report.degradations.push(Degradation::WorkerPanic {
                     detail: panic_detail(payload.as_ref()),
                 }),
             }
@@ -861,7 +870,7 @@ impl Executor {
             degradations: Vec::new(),
         };
         if let Some(detail) = &self.pool_error {
-            report.note(Degradation::PoolUnavailable {
+            report.degradations.push(Degradation::PoolUnavailable {
                 detail: detail.clone(),
             });
         }
@@ -1327,9 +1336,8 @@ mod tests {
             other => panic!("expected ChunkedSpgemm, got {other:?}"),
         }
         assert!(
-            report.plan.rationale.contains("degraded"),
-            "rationale records the ladder: {}",
-            report.plan.rationale
+            report.to_string().contains("degraded"),
+            "rationale records the ladder: {report}"
         );
         // A roomy budget stays on the plain engine.
         let (c, report) = Executor::serial()
@@ -1362,7 +1370,7 @@ mod tests {
             let (_, report) = exec.try_spgemm(&a, &a).unwrap();
             assert_eq!(plan.choice, report.plan.choice, "{mode}");
             assert_eq!(plan.calibrated, report.plan.calibrated, "{mode}");
-            assert_eq!(plan.rationale, report.plan.rationale, "{mode}");
+            assert_eq!(plan.rationale(), report.to_string(), "{mode}");
         }
     }
 
@@ -1443,13 +1451,9 @@ mod tests {
         // The plan names the dynamic op and format, and (with no
         // calibration rows for it) lands in the threshold tier.
         let plan = Executor::auto().plan_spmv(&dm);
-        assert!(!plan.calibrated, "{}", plan.rationale);
+        assert!(!plan.calibrated, "{plan}");
         assert_eq!(plan.choice.format, Format::Dynamic);
-        assert!(
-            plan.rationale.contains("spmv on dynamic"),
-            "{}",
-            plan.rationale
-        );
+        assert!(plan.rationale().contains("spmv on dynamic"), "{plan}");
     }
 
     #[test]

@@ -27,11 +27,12 @@
 //!   threshold tier ([`AUTO_PARALLEL_NNZ`] /
 //!   [`AUTO_MIN_ROWS_PER_THREAD`]),
 //!   reproducing the pre-planner behavior exactly.
-//! * [`Plan`] — the chosen [`Choice`] plus its predicted cost and a
-//!   human-readable `rationale` naming the matched zoo matrix, the
-//!   scores, the runner-up, and the active `smash_matrix::simd` ISA tier
-//!   (flagging when the calibration table was measured under a
-//!   different one).
+//! * [`Plan`] — the chosen [`Choice`] plus its predicted cost and the
+//!   inputs of its explanation: the profile, the matched zoo matrix, the
+//!   runner-up, and the `smash_matrix::simd` ISA tier active when it was
+//!   planned. [`Plan::rationale`] (or `Display`) renders them as text
+//!   only on request, flagging a calibration table measured under a
+//!   different tier; planning itself allocates nothing.
 //!
 //! **Determinism guarantee:** the planner only ever picks *which*
 //! bit-identical kernel runs — every candidate it can name produces the
@@ -55,13 +56,14 @@
 //! // The plan names a concrete (format, threads) choice and can
 //! // explain itself:
 //! assert!(plan.choice.threads >= 1);
-//! println!("{}", plan.rationale);
+//! println!("{plan}");
 //! ```
 
 use crate::executor::{AUTO_MIN_ROWS_PER_THREAD, AUTO_PARALLEL_NNZ};
+use smash_matrix::simd::Isa;
 use smash_matrix::{locality, Bcsr, Csr, Scalar};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Block width used for the profile's block-fill feature (locality of
 /// sparsity at 8-wide blocks — the widest RHS tile and a typical SMASH
@@ -334,7 +336,7 @@ impl MatrixProfile {
 
     /// The log-scaled feature vector nearest-neighbor matching runs on.
     /// Missing features (block fill) are `None` and skipped pairwise.
-    fn features(&self) -> [Option<f64>; 7] {
+    fn features(&self) -> Features {
         [
             Some(((self.nnz + 1) as f64).log10()),
             Some(((self.rows + 1) as f64).log10()),
@@ -349,31 +351,17 @@ impl MatrixProfile {
     /// L2 feature distance to `other`, averaged over the features both
     /// profiles carry.
     pub fn distance(&self, other: &MatrixProfile) -> f64 {
-        let (a, b) = (self.features(), other.features());
-        let mut acc = 0.0;
-        let mut n = 0usize;
-        for (x, y) in a.iter().zip(&b) {
-            if let (Some(x), Some(y)) = (x, y) {
-                acc += (x - y) * (x - y);
-                n += 1;
-            }
-        }
-        if n == 0 {
-            f64::INFINITY
-        } else {
-            (acc / n as f64).sqrt()
-        }
+        feature_distance(&self.features(), &other.features())
     }
+}
 
-    /// One-line summary used in rationales:
-    /// `4096x4096 nnz 400000 (sparse, rows μ 97.7 cv 0.42 max 412, fill@8 0.31)`.
-    pub fn summary(&self) -> String {
-        let fill = match self.block_fill {
-            Some(f) => format!(", fill@{PROFILE_BLOCK} {f:.2}"),
-            None => String::new(),
-        };
-        format!(
-            "{}x{} nnz {} ({}, rows \u{3bc} {:.1} cv {:.2} max {}{})",
+/// The one-line summary rationales open with:
+/// `4096x4096 nnz 400000 (sparse, rows μ 97.7 cv 0.42 max 412, fill@8 0.31)`.
+impl fmt::Display for MatrixProfile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}x{} nnz {} ({}, rows \u{3bc} {:.1} cv {:.2} max {}",
             self.rows,
             self.cols,
             self.nnz,
@@ -381,8 +369,32 @@ impl MatrixProfile {
             self.row_mean,
             self.row_cv,
             self.row_max,
-            fill
-        )
+        )?;
+        if let Some(fill) = self.block_fill {
+            write!(f, ", fill@{PROFILE_BLOCK} {fill:.2}")?;
+        }
+        f.write_str(")")
+    }
+}
+
+/// A profile's log-scaled features ([`MatrixProfile::distance`]'s space).
+type Features = [Option<f64>; 7];
+
+/// L2 distance between two feature vectors, averaged over the features
+/// both carry; infinite when they share none.
+fn feature_distance(a: &Features, b: &Features) -> f64 {
+    let mut acc = 0.0;
+    let mut n = 0usize;
+    for (x, y) in a.iter().zip(b) {
+        if let (Some(x), Some(y)) = (x, y) {
+            acc += (x - y) * (x - y);
+            n += 1;
+        }
+    }
+    if n == 0 {
+        f64::INFINITY
+    } else {
+        (acc / n as f64).sqrt()
     }
 }
 
@@ -498,7 +510,10 @@ impl fmt::Display for Choice {
 }
 
 /// The planner's answer: the winning [`Choice`], its predicted cost, and
-/// a human-readable rationale that names the runner-up.
+/// the inputs of its explanation. [`Plan::rationale`] and `Display`
+/// render that explanation — the profile, the matched zoo matrix (or why
+/// the fallback fired), the winner vs. runner-up scores and the SIMD tier
+/// — only when asked; making a plan allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// The winning candidate.
@@ -510,24 +525,168 @@ pub struct Plan {
     /// `true` when a calibration row decided; `false` when the legacy
     /// threshold tier or a fixed executor mode did.
     pub calibrated: bool,
-    /// Multi-line explanation: the profile, the matched zoo matrix (or
-    /// why the fallback fired), and the winner vs. runner-up scores.
-    pub rationale: String,
+    /// What decided the plan: the inputs its rationale is rendered from.
+    basis: Basis,
+}
+
+/// The inputs a [`Plan`]'s rationale is rendered from. None of them
+/// costs planning an allocation: names are shared `Arc<str>`s of the
+/// [`Planner`], fixed reasons are static.
+#[derive(Debug, Clone)]
+enum Basis {
+    /// A fixed executor mode or the encoder: one static line.
+    Fixed(&'static str),
+    /// A [`Planner::plan`] decision.
+    Planned {
+        op: Op,
+        profile: MatrixProfile,
+        tier: Tier,
+        /// The SIMD tier active when the plan was made
+        /// (`simd::set_override` can change it later).
+        isa: Isa,
+        /// The tier the calibration table was measured under, if recorded.
+        table_isa: Option<Arc<str>>,
+    },
+}
+
+/// Which tier of [`Planner::plan`] decided, with what it decided on.
+#[derive(Debug, Clone)]
+enum Tier {
+    /// A calibration row of the nearest zoo matrix won.
+    Calibrated {
+        matched: Arc<str>,
+        distance: f64,
+        runner_up: Option<(Choice, f64)>,
+    },
+    /// The legacy threshold rule decided.
+    Threshold {
+        reason: Fallback,
+        /// The work measure the rule weighed.
+        work: usize,
+        /// The worker budget the rule weighed.
+        threads: usize,
+    },
+}
+
+/// Why the threshold tier decided instead of a calibration row.
+#[derive(Debug, Clone)]
+enum Fallback {
+    /// The planner has no calibration rows at all.
+    EmptyTable,
+    /// The nearest zoo matrix lies beyond [`MAX_MATCH_DISTANCE`].
+    NoMatch { nearest: Arc<str>, distance: f64 },
+    /// The matched zoo matrix has no eligible row for the request,
+    /// whose format was pinned to `format` (`None`: free).
+    NoRows { format: Option<Format> },
 }
 
 impl Plan {
-    /// A plan that runs `req` on all of its `threads` without consulting
-    /// any cost model: what the fixed `Serial`/`Parallel` executor modes
-    /// act on. It predicts nothing and scores no candidates.
-    pub(crate) fn fixed(req: &PlanRequest, rationale: &str) -> Plan {
+    /// A plan for `choice` that no cost model weighed, explained by
+    /// `reason` alone: what the fixed `Serial`/`Parallel` executor modes
+    /// and the encoder act on. It predicts nothing.
+    pub(crate) fn fixed(choice: Choice, reason: &'static str) -> Plan {
         Plan {
-            choice: Choice {
-                format: req.format.unwrap_or(Format::Csr),
-                threads: req.threads.max(1),
-            },
+            choice,
             score: f64::NAN,
             calibrated: false,
-            rationale: rationale.to_string(),
+            basis: Basis::Fixed(reason),
+        }
+    }
+
+    /// The explanation, rendered now: the profile, the matched zoo
+    /// matrix (or why the fallback fired), the winner vs. runner-up
+    /// scores, and the SIMD tier active when the plan was made (flagging
+    /// a calibration table measured under another one). The same text
+    /// as `Display`.
+    pub fn rationale(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl fmt::Display for Plan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (op, profile, tier, isa, table_isa) = match &self.basis {
+            Basis::Fixed(reason) => return f.write_str(reason),
+            Basis::Planned {
+                op,
+                profile,
+                tier,
+                isa,
+                table_isa,
+            } => (op, profile, tier, isa, table_isa),
+        };
+        write!(f, "{op} over {profile}:\n  ")?;
+        match tier {
+            Tier::Calibrated {
+                matched,
+                distance,
+                runner_up,
+            } => {
+                let (choice, score) = (self.choice, self.score);
+                write!(
+                    f,
+                    "calibrated against '{matched}' (feature distance {distance:.2})\n  \
+                     -> {choice}: predicted {}",
+                    Ns(score)
+                )?;
+                if let Some((c, s)) = runner_up {
+                    write!(
+                        f,
+                        "\n  runner-up {c}: predicted {} ({:.2}x slower)",
+                        Ns(*s),
+                        s / score.max(1e-9)
+                    )?;
+                }
+            }
+            Tier::Threshold {
+                reason,
+                work,
+                threads,
+            } => {
+                f.write_str("threshold tier (")?;
+                match reason {
+                    Fallback::EmptyTable => f.write_str("calibration table is empty")?,
+                    Fallback::NoMatch { nearest, distance } => write!(
+                        f,
+                        "no zoo match (nearest '{nearest}' at distance {distance:.2} > \
+                         {MAX_MATCH_DISTANCE})"
+                    )?,
+                    Fallback::NoRows { format: Some(fmt) } => {
+                        write!(f, "no calibration rows for {op} on {fmt}")?
+                    }
+                    Fallback::NoRows { format: None } => {
+                        write!(f, "no calibration rows for op {op}")?
+                    }
+                }
+                f.write_str(")\n  -> ")?;
+                let per_worker = AUTO_MIN_ROWS_PER_THREAD * threads;
+                if self.choice.parallel() {
+                    write!(
+                        f,
+                        "work {work} >= {AUTO_PARALLEL_NNZ} and rows {} >= {per_worker} \
+                         -> parallel x{threads}",
+                        profile.rows
+                    )?;
+                } else if *threads <= 1 {
+                    f.write_str("single worker -> serial")?;
+                } else if *work < AUTO_PARALLEL_NNZ {
+                    write!(f, "work {work} < {AUTO_PARALLEL_NNZ} -> serial")?;
+                } else {
+                    write!(
+                        f,
+                        "rows {} < {per_worker} ({AUTO_MIN_ROWS_PER_THREAD} per worker x \
+                         {threads}) -> serial",
+                        profile.rows
+                    )?;
+                }
+            }
+        }
+        write!(f, "\n  simd: {}", isa.name())?;
+        match table_isa {
+            Some(t) if **t != *isa.name() => {
+                write!(f, " (calibration table measured under {t})")
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -561,11 +720,19 @@ struct CalRow {
 /// `docs/DISPATCH.md` in the repository for the table format.
 #[derive(Debug, Clone, Default)]
 pub struct Planner {
-    matrices: Vec<(String, MatrixProfile)>,
+    matrices: Vec<ZooMatrix>,
     rows: Vec<CalRow>,
     /// SIMD tier the table's measurements were taken under (`meta isa=…`
     /// record), when the calibrator recorded one. Older tables have none.
-    isa: Option<String>,
+    isa: Option<Arc<str>>,
+}
+
+/// One calibrated zoo matrix, with its features computed once at parse.
+#[derive(Debug, Clone)]
+struct ZooMatrix {
+    name: Arc<str>,
+    profile: MatrixProfile,
+    features: Features,
 }
 
 impl Planner {
@@ -606,7 +773,7 @@ impl Planner {
             let err = |what: &str| format!("calibration line {}: {what}: {line}", ln + 1);
             let mut parts = line.split_whitespace();
             let kind = parts.next().unwrap_or_default();
-            let name = parts.next().ok_or_else(|| err("missing name"))?.to_string();
+            let name = parts.next().ok_or_else(|| err("missing name"))?;
             // Measurements are finite reals; counts are plain integers, so
             // `-3`, `2.7` and `1e3` fail rather than truncate.
             let kv = |key: &str, parts: &mut dyn Iterator<Item = &str>| -> Result<f64, String> {
@@ -633,25 +800,27 @@ impl Planner {
                     let row_cv = kv("row_cv", &mut parts)?;
                     let row_max = count("row_max", &mut parts)?;
                     let fill = kv("fill8", &mut parts)?;
-                    planner.matrices.push((
-                        name,
-                        MatrixProfile {
-                            rows,
-                            cols,
-                            nnz,
-                            stored_work: nnz,
-                            row_mean,
-                            row_cv,
-                            row_max,
-                            block_fill: Some(fill),
-                        },
-                    ));
+                    let profile = MatrixProfile {
+                        rows,
+                        cols,
+                        nnz,
+                        stored_work: nnz,
+                        row_mean,
+                        row_cv,
+                        row_max,
+                        block_fill: Some(fill),
+                    };
+                    planner.matrices.push(ZooMatrix {
+                        name: name.into(),
+                        features: profile.features(),
+                        profile,
+                    });
                 }
                 "row" => {
                     let matrix = planner
                         .matrices
                         .iter()
-                        .position(|(n, _)| *n == name)
+                        .position(|m| *m.name == *name)
                         .ok_or_else(|| err("row references unknown matrix"))?;
                     let op_field = parts.next().ok_or_else(|| err("truncated"))?;
                     let op = op_field
@@ -683,10 +852,10 @@ impl Planner {
                     // Free-form provenance: every token (including the one
                     // parsed as `name`) is a `key=value` pair; unknown keys
                     // are ignored for forward compatibility.
-                    for field in std::iter::once(name.as_str()).chain(parts) {
+                    for field in std::iter::once(name).chain(parts) {
                         let (k, v) = field.split_once('=').ok_or_else(|| err("want key=value"))?;
                         if k == "isa" {
-                            planner.isa = Some(v.to_string());
+                            planner.isa = Some(v.into());
                         }
                     }
                 }
@@ -711,30 +880,17 @@ impl Planner {
         self.isa.as_deref()
     }
 
-    /// The `simd:` line appended to every rationale: the tier the kernels
-    /// will actually execute under, plus a provenance warning when the
-    /// calibration table was measured under a different one.
-    fn simd_note(&self) -> String {
-        let active = smash_matrix::simd::active().name();
-        match self.isa.as_deref() {
-            Some(t) if t != active => {
-                format!("\n  simd: {active} (calibration table measured under {t})")
-            }
-            _ => format!("\n  simd: {active}"),
-        }
-    }
-
     /// Names of the zoo matrices this planner was calibrated on.
     pub fn zoo_names(&self) -> impl Iterator<Item = &str> {
-        self.matrices.iter().map(|(n, _)| n.as_str())
+        self.matrices.iter().map(|m| &*m.name)
     }
 
     /// The calibrated profile checked in for `zoo` matrix, if present.
     pub fn zoo_profile(&self, name: &str) -> Option<&MatrixProfile> {
         self.matrices
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, p)| p)
+            .find(|m| *m.name == *name)
+            .map(|m| &m.profile)
     }
 
     /// Scores every candidate for `req` against `profile` and returns
@@ -747,16 +903,18 @@ impl Planner {
     /// [`MAX_MATCH_DISTANCE`] / no candidate rows for the op): the
     /// legacy `AUTO_PARALLEL_NNZ` + rows-per-worker thresholds.
     pub fn plan(&self, profile: &MatrixProfile, req: &PlanRequest) -> Plan {
-        // Nearest calibrated neighbor.
+        // Nearest calibrated neighbor, over features computed once; ties
+        // go to the earlier zoo matrix.
+        let features = profile.features();
         let neighbor = self
             .matrices
             .iter()
             .enumerate()
-            .map(|(i, (name, p))| (i, name.as_str(), profile.distance(p)))
+            .map(|(i, m)| (i, m, feature_distance(&features, &m.features)))
             .min_by(|a, b| a.2.total_cmp(&b.2));
         let matched = neighbor.filter(|&(_, _, d)| d <= MAX_MATCH_DISTANCE);
 
-        if let Some((mi, mname, dist)) = matched {
+        if let Some((mi, m, distance)) = matched {
             let work = req.predict_work(profile);
             let scored = self
                 .rows
@@ -794,112 +952,80 @@ impl Planner {
                 }
             }
             if let Some((choice, score)) = best {
-                let runner_up = second.map(|(c, s)| {
-                    format!(
-                        "\n  runner-up {c}: predicted {} ({:.2}x slower)",
-                        fmt_ns(s),
-                        s / score.max(1e-9)
-                    )
-                });
-                let rationale = format!(
-                    "{} over {}:\n  calibrated against '{mname}' (feature distance {dist:.2})\n  \
-                     -> {choice}: predicted {}{}{}",
-                    req.op,
-                    profile.summary(),
-                    fmt_ns(score),
-                    runner_up.unwrap_or_default(),
-                    self.simd_note()
-                );
-                return Plan {
-                    choice,
-                    score,
-                    calibrated: true,
-                    rationale,
+                let tier = Tier::Calibrated {
+                    matched: m.name.clone(),
+                    distance,
+                    runner_up: second,
                 };
+                return self.planned(choice, score, req.op, profile, tier);
             }
         }
 
-        self.fallback(profile, req, matched)
-    }
-
-    /// The legacy threshold tier: exactly the pre-planner `Auto` rule.
-    fn fallback(
-        &self,
-        profile: &MatrixProfile,
-        req: &PlanRequest,
-        matched: Option<(usize, &str, f64)>,
-    ) -> Plan {
+        // The legacy threshold tier: exactly the pre-planner `Auto` rule.
         let work = req.fallback_work(profile);
         let threads = req.threads;
         let wide = threads > 1
             && work >= AUTO_PARALLEL_NNZ
             && profile.rows >= AUTO_MIN_ROWS_PER_THREAD * threads;
-        let format = req.format.unwrap_or(Format::Csr);
         let choice = Choice {
-            format,
+            format: req.format.unwrap_or(Format::Csr),
             threads: if wide { threads } else { 1 },
         };
-        let why = if !self.is_calibrated() {
-            "calibration table is empty".to_string()
-        } else if matched.is_none() {
-            let nearest = self
-                .matrices
-                .iter()
-                .map(|(n, p)| (n.as_str(), profile.distance(p)))
-                .min_by(|a, b| a.1.total_cmp(&b.1));
-            match nearest {
-                Some((n, d)) => {
-                    format!(
-                        "no zoo match (nearest '{n}' at distance {d:.2} > {MAX_MATCH_DISTANCE})"
-                    )
-                }
-                None => "calibration table has no matrices".to_string(),
-            }
-        } else {
-            match req.format {
-                Some(f) => format!("no calibration rows for {} on {f}", req.op),
-                None => format!("no calibration rows for op {}", req.op),
-            }
+        // A calibrated table names at least one zoo matrix, so an
+        // unmatched request always has a nearest one.
+        let reason = match neighbor {
+            _ if !self.is_calibrated() => Fallback::EmptyTable,
+            Some((_, m, distance)) if matched.is_none() => Fallback::NoMatch {
+                nearest: m.name.clone(),
+                distance,
+            },
+            _ => Fallback::NoRows { format: req.format },
         };
-        let rule = if wide {
-            format!(
-                "work {work} >= {AUTO_PARALLEL_NNZ} and rows {} >= {} -> parallel x{threads}",
-                profile.rows,
-                AUTO_MIN_ROWS_PER_THREAD * threads
-            )
-        } else if threads <= 1 {
-            "single worker -> serial".to_string()
-        } else if work < AUTO_PARALLEL_NNZ {
-            format!("work {work} < {AUTO_PARALLEL_NNZ} -> serial")
-        } else {
-            format!(
-                "rows {} < {} ({} per worker x {threads}) -> serial",
-                profile.rows,
-                AUTO_MIN_ROWS_PER_THREAD * threads,
-                AUTO_MIN_ROWS_PER_THREAD
-            )
+        let tier = Tier::Threshold {
+            reason,
+            work,
+            threads,
         };
+        self.planned(choice, f64::NAN, req.op, profile, tier)
+    }
+
+    /// A [`Planner::plan`] answer, recording the SIMD tier active now.
+    fn planned(
+        &self,
+        choice: Choice,
+        score: f64,
+        op: Op,
+        profile: &MatrixProfile,
+        tier: Tier,
+    ) -> Plan {
         Plan {
             choice,
-            score: f64::NAN,
-            calibrated: false,
-            rationale: format!(
-                "{} over {}:\n  threshold tier ({why})\n  -> {rule}{}",
-                req.op,
-                profile.summary(),
-                self.simd_note()
-            ),
+            score,
+            calibrated: matches!(tier, Tier::Calibrated { .. }),
+            basis: Basis::Planned {
+                op,
+                profile: profile.clone(),
+                tier,
+                isa: smash_matrix::simd::active(),
+                table_isa: self.isa.clone(),
+            },
         }
     }
 }
 
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e6 {
-        format!("{:.2} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.1} us", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
+/// Nanoseconds at a readable scale: `1.23 ms`, `45.6 us` or `789 ns`.
+struct Ns(f64);
+
+impl fmt::Display for Ns {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ns = self.0;
+        if ns >= 1e6 {
+            write!(f, "{:.2} ms", ns / 1e6)
+        } else if ns >= 1e3 {
+            write!(f, "{:.1} us", ns / 1e3)
+        } else {
+            write!(f, "{ns:.0} ns")
+        }
     }
 }
 
@@ -970,7 +1096,7 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
         );
         assert!(plan.calibrated);
         assert_eq!(plan.choice.threads, 4);
-        assert!(plan.rationale.contains("'big'"), "{}", plan.rationale);
+        assert!(plan.rationale().contains("'big'"), "{}", plan.rationale());
 
         // Free-format: the smash serial row (500k ns) loses to parallel
         // csr (260k ns), wins over serial csr.
@@ -980,9 +1106,9 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
         );
         assert_eq!(plan.choice.format, Format::Csr);
         assert!(
-            plan.rationale.contains("runner-up smash serial"),
+            plan.rationale().contains("runner-up smash serial"),
             "{}",
-            plan.rationale
+            plan.rationale()
         );
 
         // With one worker the parallel rows are ineligible.
@@ -1002,8 +1128,8 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
             &PlanRequest::pinned(Op::Spmv, Format::Csr, 4),
         );
         assert!(plan.calibrated);
-        assert_eq!(plan.choice.threads, 1, "{}", plan.rationale);
-        assert!(plan.rationale.contains("'small'"));
+        assert_eq!(plan.choice.threads, 1, "{}", plan.rationale());
+        assert!(plan.rationale().contains("'small'"));
     }
 
     #[test]
@@ -1033,16 +1159,16 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
             &PlanRequest::pinned(Op::Spmv, Format::Csr, 4),
         );
         assert!(
-            plan.rationale.contains(&format!("simd: {active}")),
+            plan.rationale().contains(&format!("simd: {active}")),
             "{}",
-            plan.rationale
+            plan.rationale()
         );
         if active != "scalar" {
             assert!(
-                plan.rationale
+                plan.rationale()
                     .contains("calibration table measured under scalar"),
                 "{}",
-                plan.rationale
+                plan.rationale()
             );
         }
         let plan = Planner::empty().plan(
@@ -1050,9 +1176,9 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
             &PlanRequest::pinned(Op::Spmv, Format::Csr, 1),
         );
         assert!(
-            plan.rationale.contains(&format!("simd: {active}")),
+            plan.rationale().contains(&format!("simd: {active}")),
             "{}",
-            plan.rationale
+            plan.rationale()
         );
     }
 
@@ -1067,9 +1193,9 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
         // 1M flops >= threshold, 4096 rows >= 16 -> parallel.
         assert_eq!(plan.choice.threads, 4);
         assert!(
-            plan.rationale.contains("threshold tier"),
+            plan.rationale().contains("threshold tier"),
             "{}",
-            plan.rationale
+            plan.rationale()
         );
     }
 
@@ -1085,20 +1211,20 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
                 &profile(4096, 4096, 380_000),
                 &PlanRequest::pinned(op, Format::Dynamic, 4).with_rhs(rhs),
             );
-            assert!(!plan.calibrated, "{op}: {}", plan.rationale);
+            assert!(!plan.calibrated, "{op}: {}", plan.rationale());
             assert_eq!(plan.choice.format, Format::Dynamic);
             // 380k stored work >= threshold, 4096 rows >= 16 -> parallel.
-            assert_eq!(plan.choice.threads, 4, "{op}: {}", plan.rationale);
+            assert_eq!(plan.choice.threads, 4, "{op}: {}", plan.rationale());
             assert!(
-                plan.rationale.contains("threshold tier"),
+                plan.rationale().contains("threshold tier"),
                 "{op}: {}",
-                plan.rationale
+                plan.rationale()
             );
             assert!(
-                plan.rationale
+                plan.rationale()
                     .contains(&format!("no calibration rows for {op} on dynamic")),
                 "{op}: {}",
-                plan.rationale
+                plan.rationale()
             );
         }
         // Round-trip the format name through the table grammar.
@@ -1126,7 +1252,7 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
                 plan.choice.parallel(),
                 want_par,
                 "rows {rows} nnz {nnz} threads {threads}: {}",
-                plan.rationale
+                plan.rationale()
             );
         }
     }
@@ -1143,7 +1269,7 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
         }
         // Every zoo matrix has both a serial and a parallel spmv row, so
         // the planner can always compare the two tiers.
-        for (i, (name, _)) in p.matrices.iter().enumerate() {
+        for (i, ZooMatrix { name, .. }) in p.matrices.iter().enumerate() {
             let serial = p
                 .rows
                 .iter()
@@ -1215,6 +1341,209 @@ row big op=spmv format=smash threads=1 tile=1 work=400000 ns=500000
                 );
             }
         }
+    }
+
+    /// The pre-cached decision, as a reference: the zoo scanned with
+    /// [`MatrixProfile::distance`] per matrix, the eligible rows
+    /// stable-sorted by score, the threshold rule otherwise.
+    fn reference_decision(
+        p: &Planner,
+        profile: &MatrixProfile,
+        req: &PlanRequest,
+    ) -> (Choice, f64, bool) {
+        let neighbor = p
+            .matrices
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (i, profile.distance(&m.profile)))
+            .min_by(|a, b| a.1.total_cmp(&b.1));
+        if let Some((mi, _)) = neighbor.filter(|&(_, d)| d <= MAX_MATCH_DISTANCE) {
+            let work = req.predict_work(profile);
+            let mut scored: Vec<(Choice, f64)> = p
+                .rows
+                .iter()
+                .filter(|r| {
+                    r.matrix == mi
+                        && r.op == req.op
+                        && (r.threads == 1 || (req.threads > 1 && r.threads <= req.threads))
+                        && req.format.is_none_or(|f| f == r.format)
+                })
+                .map(|r| {
+                    let choice = Choice {
+                        format: r.format,
+                        threads: r.threads,
+                    };
+                    (choice, r.ns_per_work * work)
+                })
+                .collect();
+            scored.sort_by(|a, b| a.1.total_cmp(&b.1));
+            if let Some(&(choice, score)) = scored.first() {
+                return (choice, score, true);
+            }
+        }
+        let work = req.fallback_work(profile);
+        let wide = req.threads > 1
+            && work >= AUTO_PARALLEL_NNZ
+            && profile.rows >= AUTO_MIN_ROWS_PER_THREAD * req.threads;
+        let choice = Choice {
+            format: req.format.unwrap_or(Format::Csr),
+            threads: if wide { req.threads } else { 1 },
+        };
+        (choice, f64::NAN, false)
+    }
+
+    /// SplitMix64: a dependency-free stream for the equivalence sweep.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// Log-uniform in `[1, hi]`.
+        fn log_size(&mut self, hi: usize) -> usize {
+            ((hi as f64).powf(self.unit()) as usize).max(1)
+        }
+    }
+
+    /// A zoo profile as is, a zoo profile perturbed, or a random one;
+    /// block fill present or not.
+    fn random_profile(rng: &mut Rng, zoo: &[&MatrixProfile]) -> MatrixProfile {
+        let base = zoo[rng.next() as usize % zoo.len()];
+        let mut p = match rng.next() % 3 {
+            0 => base.clone(),
+            1 => {
+                let mut scale = |n: usize| ((n as f64) * (0.5 + 1.5 * rng.unit())) as usize;
+                let mut p = base.clone();
+                p.nnz = scale(p.nnz);
+                p.rows = scale(p.rows).max(1);
+                p.row_max = scale(p.row_max);
+                p.stored_work = p.nnz;
+                p
+            }
+            _ => {
+                let (rows, cols) = (rng.log_size(20_000), rng.log_size(20_000));
+                let nnz = rng.log_size(rows * cols);
+                let row_mean = nnz as f64 / rows as f64;
+                MatrixProfile {
+                    rows,
+                    cols,
+                    nnz,
+                    stored_work: nnz + rng.log_size(nnz) - 1,
+                    row_mean,
+                    row_cv: 4.0 * rng.unit(),
+                    row_max: (row_mean * (1.0 + 8.0 * rng.unit())) as usize,
+                    block_fill: Some(rng.unit()),
+                }
+            }
+        };
+        if rng.next().is_multiple_of(3) {
+            p.block_fill = None;
+        }
+        p
+    }
+
+    #[test]
+    fn plans_decide_exactly_as_the_per_matrix_distance_scan() {
+        // Two zoo matrices with one profile and rows with equal scores:
+        // exact distance ties go to the earlier matrix, score ties to the
+        // earlier row.
+        let ties = "\
+matrix first rows=64 cols=64 nnz=512 row_mean=8.0 row_cv=0.2 row_max=12 fill8=0.4
+matrix twin rows=64 cols=64 nnz=512 row_mean=8.0 row_cv=0.2 row_max=12 fill8=0.4
+row first op=spmv format=csr threads=1 tile=1 work=512 ns=600
+row first op=spmv format=smash threads=1 tile=1 work=512 ns=600
+row first op=spmv format=csr threads=2 tile=1 work=256 ns=300
+row twin op=spmv format=bcsr threads=1 tile=1 work=512 ns=100
+row first op=spmm_dense format=bcsr threads=4 tile=8 work=4096 ns=900
+row first op=spmm_dense format=csr threads=4 tile=8 work=4096 ns=900
+";
+        let planners = [
+            Planner::built_in(),
+            Planner::from_table(TABLE).unwrap(),
+            Planner::from_table(ties).unwrap(),
+            Planner::empty(),
+        ];
+        let built_in = Planner::built_in();
+        let zoo: Vec<&MatrixProfile> = built_in
+            .matrices
+            .iter()
+            .chain(&planners[1].matrices)
+            .map(|m| &m.profile)
+            .collect();
+        let formats = [
+            None,
+            Some(Format::Csr),
+            Some(Format::Bcsr),
+            Some(Format::Smash),
+            Some(Format::Dynamic),
+        ];
+        let mut rng = Rng(29);
+        let (mut calibrated, mut threshold) = (0usize, 0usize);
+        for _ in 0..120 {
+            let profile = random_profile(&mut rng, &zoo);
+            for planner in &planners {
+                for op in [Op::Spmv, Op::SpmmDense, Op::Spgemm] {
+                    for format in formats {
+                        for threads in [1, 2, 4, 8] {
+                            for rhs in [1, 8] {
+                                let mut req = PlanRequest {
+                                    op,
+                                    format,
+                                    rhs_cols: 1,
+                                    threads,
+                                    work: None,
+                                }
+                                .with_rhs(rhs);
+                                if op == Op::Spgemm && rhs > 1 {
+                                    req = req.with_work(profile.nnz as u64 * 7);
+                                }
+                                let plan = planner.plan(&profile, &req);
+                                let (choice, score, cal) =
+                                    reference_decision(planner, &profile, &req);
+                                assert_eq!(plan.choice, choice, "{req:?} over {profile:?}");
+                                assert_eq!(
+                                    plan.score.to_bits(),
+                                    score.to_bits(),
+                                    "{req:?} over {profile:?}"
+                                );
+                                assert_eq!(plan.calibrated, cal, "{req:?} over {profile:?}");
+                                if cal {
+                                    calibrated += 1;
+                                } else {
+                                    threshold += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The sweep reaches both tiers.
+        assert!(
+            calibrated > 1_000 && threshold > 1_000,
+            "{calibrated} {threshold}"
+        );
+        // The twin profile ties at distance 0: the earlier matrix wins, and
+        // its score tie goes to its earlier row.
+        let twin = planners[2].zoo_profile("twin").unwrap();
+        let plan = planners[2].plan(twin, &PlanRequest::free(Op::Spmv, 1));
+        assert!(plan.rationale().contains("'first'"), "{plan}");
+        assert_eq!(plan.choice.format, Format::Csr, "{plan}");
+        assert!(
+            plan.rationale().contains("runner-up smash serial"),
+            "{plan}"
+        );
+        let plan = planners[2].plan(twin, &PlanRequest::free(Op::SpmmDense, 4).with_rhs(8));
+        assert_eq!(plan.choice.format, Format::Bcsr, "{plan}");
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let profile = MatrixProfile::of_csr(&a).with_block_fill(&a);
         let plan =
             Planner::built_in().plan(&profile, &PlanRequest::free(Op::Spmv, default_threads()));
-        println!("  planner: {}", plan.rationale.replace('\n', "\n  "));
+        println!("  planner: {}", plan.rationale().replace('\n', "\n  "));
         println!(
             "  {:<6} {:>12} {:>12} {:>14} {:>10}",
             "B0", "NZA zeros", "bytes", "sim cycles", "vs B0=2"

@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exec = Executor::auto();
     println!("\nexecutor dispatch plan for this matrix:");
     let plan = exec.plan_spmv(&a);
-    println!("  {}", plan.rationale.replace('\n', "\n  "));
+    println!("  {}", plan.rationale().replace('\n', "\n  "));
     let x = test_vector::<f64>(a.cols());
     let want = a.spmv(&x);
     let mut y = vec![0.0f64; a.rows()];

@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(y_try, y_trusted);
     println!(
         "   plan: {}",
-        report.plan.rationale.replace('\n', "\n         ")
+        report.to_string().replace('\n', "\n         ")
     );
     println!(
         "   degradations this call: {}",

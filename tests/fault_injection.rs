@@ -39,7 +39,7 @@ fn worker_panic_degrades_to_the_bit_identical_serial_result() {
     assert_eq!(session.fired(), vec![(Site::WorkerJob, 1)]);
     drop(session);
 
-    // The rung taken is reported, payload tag included, and the plan's
+    // The rung taken is reported, payload tag included, and the report's
     // rationale carries the whole story.
     match &report.degradations[..] {
         [Degradation::WorkerPanic { detail }] => {
@@ -50,7 +50,14 @@ fn worker_panic_degrades_to_the_bit_identical_serial_result() {
         }
         other => panic!("expected one WorkerPanic degradation, got {other:?}"),
     }
-    assert!(report.plan.rationale.contains("degraded"));
+    assert!(report.to_string().contains("degraded"));
+    assert_eq!(
+        report.to_string(),
+        format!(
+            "fixed Parallel mode: not profiled; degraded: parallel kernel panicked \
+             ({INJECTED_PANIC} WorkerJob panic), retried serially"
+        )
+    );
 }
 
 #[test]

@@ -72,7 +72,7 @@ proptest! {
         prop_assert_eq!(plan.choice.format, Format::Csr);
         let mut explicit = vec![0.0f64; a.rows()];
         run_choice_spmv(&plan.choice, &a, &x, &mut explicit);
-        prop_assert_eq!(&auto_y, &explicit, "{}", plan.rationale);
+        prop_assert_eq!(&auto_y, &explicit, "{}", plan.rationale());
     }
 
     /// Contract 1 under a *forced parallel* plan: a synthetic table that
@@ -101,8 +101,8 @@ proptest! {
         let planner = Planner::from_table(&table).expect("synthetic table parses");
 
         let plan = planner.plan(&profile, &PlanRequest::pinned(Op::Spmv, Format::Csr, 2));
-        prop_assert!(plan.calibrated, "{}", plan.rationale);
-        prop_assert_eq!(plan.choice.threads, 2, "{}", plan.rationale);
+        prop_assert!(plan.calibrated, "{}", plan.rationale());
+        prop_assert_eq!(plan.choice.threads, 2, "{}", plan.rationale());
 
         let x: Vec<f64> = (0..a.cols()).map(|j| 1.0 / (1.0 + j as f64)).collect();
         let mut serial = vec![0.0f64; a.rows()];
@@ -130,7 +130,7 @@ proptest! {
             1 => spmm_dense_rows(&a, &b, &mut explicit),
             t => par_spmm_dense_rows(&ThreadPool::new(t), &a, &b, &mut explicit),
         }
-        prop_assert_eq!(&auto_c, &explicit, "{}", plan.rationale);
+        prop_assert_eq!(&auto_c, &explicit, "{}", plan.rationale());
     }
 }
 
@@ -178,7 +178,7 @@ fn empty_table_reproduces_the_threshold_dispatch_exactly() {
             plan.choice.parallel(),
             legacy(work),
             "spmv rows={rows} work={work} threads={threads}: {}",
-            plan.rationale
+            plan.rationale()
         );
         // Batched SpMM scales stored work by the RHS width: a matrix too
         // small to parallelize one SpMV goes wide with enough columns.
@@ -191,7 +191,7 @@ fn empty_table_reproduces_the_threshold_dispatch_exactly() {
                 plan.choice.parallel(),
                 legacy(work.saturating_mul(rhs)),
                 "spmm_dense rhs={rhs}: {}",
-                plan.rationale
+                plan.rationale()
             );
         }
         // SpGEMM weighs the symbolic flop count, not the operand nnz.
@@ -204,7 +204,7 @@ fn empty_table_reproduces_the_threshold_dispatch_exactly() {
                 plan.choice.parallel(),
                 legacy(flops as usize),
                 "spgemm flops={flops}: {}",
-                plan.rationale
+                plan.rationale()
             );
         }
     }
@@ -266,19 +266,19 @@ fn built_in_planner_picks_the_tables_own_fastest_row() {
                 _ => PlanRequest::free(op, threads),
             };
             let plan = planner.plan(&live, &req);
-            assert!(plan.calibrated, "{}/{op}: {}", z.name, plan.rationale);
+            assert!(plan.calibrated, "{}/{op}: {}", z.name, plan.rationale());
             assert!(
-                plan.rationale.contains(z.name),
+                plan.rationale().contains(z.name),
                 "{}/{op} matched a different zoo matrix: {}",
                 z.name,
-                plan.rationale
+                plan.rationale()
             );
             assert_eq!(
                 (plan.choice.format.name().to_string(), plan.choice.threads),
                 (winner.0, winner.1),
                 "{}/{op}: planner disagrees with its own table: {}",
                 z.name,
-                plan.rationale
+                plan.rationale()
             );
             // Determinism: planning twice gives the same answer.
             let again = planner.plan(&live, &req);
