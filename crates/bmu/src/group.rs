@@ -2,7 +2,7 @@
 //! state and output registers (paper Fig. 6).
 
 use crate::{BUFFER_BYTES, MAX_HW_LEVELS};
-use smash_core::BitmapHierarchy;
+use smash_core::{BitmapHierarchy, Scan};
 
 /// Bits held by one SRAM bitmap buffer (256 bytes, §4.2.1).
 pub const BUFFER_BITS: usize = BUFFER_BYTES * 8;
@@ -26,17 +26,6 @@ impl Window {
     pub fn covers(&self, bit: usize) -> bool {
         self.valid && bit >= self.start_bit && bit < self.start_bit + BUFFER_BITS
     }
-}
-
-/// One in-flight group scan frame of the depth-first traversal (the saved
-/// "bit's index within the bitmap" of §4.2.3).
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    level: usize,
-    logical_base: usize,
-    storage_base: usize,
-    pos: usize,
-    group_len: usize,
 }
 
 /// Result of advancing the scan by one non-zero block.
@@ -70,8 +59,7 @@ pub struct BmuGroup {
     /// NZA block ordinal of the current block since the last scan reset.
     pub blocks_found: u64,
 
-    stack: Vec<Frame>,
-    consumed: [usize; MAX_HW_LEVELS],
+    scan: Scan,
     armed: bool,
 }
 
@@ -87,8 +75,7 @@ impl Default for BmuGroup {
             col_index: 0,
             done: false,
             blocks_found: 0,
-            stack: Vec::new(),
-            consumed: [0; MAX_HW_LEVELS],
+            scan: Scan::default(),
             armed: false,
         }
     }
@@ -109,16 +96,7 @@ impl BmuGroup {
             start_bit == 0 || levels == 1,
             "mid-bitmap scan starts require a 1-level hierarchy"
         );
-        let top = levels - 1;
-        self.stack.clear();
-        self.stack.push(Frame {
-            level: top,
-            logical_base: 0,
-            storage_base: 0,
-            pos: start_bit,
-            group_len: hierarchy.stored_level(top).len(),
-        });
-        self.consumed = [0; MAX_HW_LEVELS];
+        self.scan = Scan::new(hierarchy, start_bit);
         self.done = false;
         self.blocks_found = 0;
         self.armed = true;
@@ -143,48 +121,20 @@ impl BmuGroup {
     pub fn scan_step(&mut self, hierarchy: &BitmapHierarchy) -> ScanStep {
         assert!(self.armed, "pbmap before rdbmap armed the scan");
         let mut refills = Vec::new();
-        loop {
-            let Some(frame) = self.stack.last_mut() else {
-                self.done = true;
+        while let Some(visit) = self.scan.next_visit(hierarchy) {
+            self.touch(visit.level, visit.storage, &mut refills);
+            if visit.level == 0 {
+                self.blocks_found += 1;
                 return ScanStep {
-                    block: None,
+                    block: Some(visit.logical),
                     refills,
                 };
-            };
-            let bitmap = hierarchy.stored_level(frame.level);
-            let from = frame.storage_base + frame.pos;
-            let limit = frame.storage_base + frame.group_len;
-            let found = bitmap.next_one(from).filter(|&i| i < limit);
-            match found {
-                None => {
-                    self.stack.pop();
-                }
-                Some(idx) => {
-                    let level = frame.level;
-                    let offset = idx - frame.storage_base;
-                    frame.pos = offset + 1;
-                    let logical = frame.logical_base + offset;
-                    self.touch(level, idx, &mut refills);
-                    if level == 0 {
-                        self.blocks_found += 1;
-                        return ScanStep {
-                            block: Some(logical),
-                            refills,
-                        };
-                    }
-                    let child = level - 1;
-                    let g = hierarchy.ratios()[level] as usize;
-                    let storage_base = self.consumed[child] * g;
-                    self.consumed[child] += 1;
-                    self.stack.push(Frame {
-                        level: child,
-                        logical_base: logical * g,
-                        storage_base,
-                        pos: 0,
-                        group_len: g,
-                    });
-                }
             }
+        }
+        self.done = true;
+        ScanStep {
+            block: None,
+            refills,
         }
     }
 

@@ -107,24 +107,6 @@ impl Bitmap {
         }
     }
 
-    /// Appends the bit range `[lo, hi)` of `other`, 64 bits at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hi > other.len()` or `lo > hi`.
-    pub fn extend_from_range(&mut self, other: &Bitmap, lo: usize, hi: usize) {
-        assert!(
-            lo <= hi && hi <= other.len,
-            "range {lo}..{hi} out of bounds"
-        );
-        let mut i = lo;
-        while i < hi {
-            let take = (hi - i).min(64);
-            self.push_bits(other.word_at(i), take);
-            i += take;
-        }
-    }
-
     /// 64 bits starting at bit `idx` (unaligned read across word
     /// boundaries; bits past the end read as zero).
     pub(crate) fn word_at(&self, idx: usize) -> u64 {
@@ -427,33 +409,6 @@ mod tests {
         assert!(!b.any_in_range(0, 192));
         assert!(!b.any_in_range(193, 300));
         assert!(!b.any_in_range(10, 10));
-    }
-
-    #[test]
-    fn extend_from_range_copies_bits() {
-        let src = Bitmap::from_bools(&[true, false, true, false, true]);
-        let mut dst = Bitmap::new();
-        dst.extend_from_range(&src, 1, 4);
-        assert_eq!(dst.len(), 3);
-        assert_eq!(dst.iter_ones().collect::<Vec<_>>(), vec![1]);
-    }
-
-    #[test]
-    fn extend_from_range_matches_per_bit_copy_across_words() {
-        let mut src = Bitmap::zeros(300);
-        for i in (0..300).step_by(7) {
-            src.set(i, true);
-        }
-        for (lo, hi) in [(0, 300), (1, 299), (63, 129), (64, 128), (130, 131)] {
-            let mut dst = Bitmap::zeros(5); // misalign the destination
-            dst.set(2, true);
-            let mut want = dst.clone();
-            for i in lo..hi {
-                want.push(src.get(i));
-            }
-            dst.extend_from_range(&src, lo, hi);
-            assert_eq!(dst, want, "range {lo}..{hi}");
-        }
     }
 
     #[test]

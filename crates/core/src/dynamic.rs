@@ -15,10 +15,10 @@
 //! write **freezes** the overlay: every touched row is merged once with
 //! [`merge_row`] — the same sorted two-cursor merge (and the same
 //! cancellation rule: a merged value that is exact `±0.0` is dropped,
-//! never stored) as the native `spadd` kernel — into a sorted list of
-//! touched rows plus their merged rows in CSR layout. Kernels run
-//! through the [`RowRead`] operand layer and walk that list in step with
-//! their row range: each run of untouched rows goes to the CSR serial
+//! never stored) as `Csr::add` — into a sorted list of touched rows
+//! plus their merged rows in CSR layout. Kernels run through the
+//! [`RowRead`] operand layer and walk that list in step with their row
+//! range: each run of untouched rows goes to the CSR serial
 //! body in one call, and each touched row runs the CSR row body over its
 //! frozen merged row. The result is **bit-identical** to rebuilding the
 //! merged matrix from scratch and running the CSR kernel over it, at
@@ -188,10 +188,10 @@ fn overlay_key(i: usize) -> u32 {
 }
 
 /// Merges one sorted base row with one overlay row into `(out_cols,
-/// out_vals)` — the same sorted two-cursor merge as the native `spadd`
-/// kernel, with the same cancellation rule: any overlay-affected merged
-/// value that is exact `±0.0` is dropped (so `set(r, c, 0.0)` behaves
-/// like `delete`). Base-only entries pass through verbatim.
+/// out_vals)` — the same sorted two-cursor merge as `Csr::add`, with the
+/// same cancellation rule: any overlay-affected merged value that is
+/// exact `±0.0` is dropped (so `set(r, c, 0.0)` behaves like `delete`).
+/// Base-only entries pass through verbatim.
 pub fn merge_row<T: Scalar>(
     base_cols: &[u32],
     base_vals: &[T],

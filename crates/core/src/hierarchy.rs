@@ -42,7 +42,10 @@ pub struct BitmapHierarchy {
 }
 
 impl BitmapHierarchy {
-    /// Builds a hierarchy from the full Bitmap-0 and the configured ratios.
+    /// Builds a hierarchy from the full Bitmap-0 and the configured ratios:
+    /// its set bits, in order, fed to the same one-pass builder the
+    /// encoder uses. Kept for callers that hold a full Bitmap-0 (the
+    /// tests' oracle among them); the encoder never builds one.
     ///
     /// `ratios[0]` is recorded (it defines the meaning of a level-0 bit) but
     /// only `ratios[1..]` drive the reductions.
@@ -52,6 +55,27 @@ impl BitmapHierarchy {
     /// Returns [`SmashError::NoLevels`] if `ratios` is empty, or
     /// [`SmashError::InvalidRatio`] if an upper-level ratio is `< 2`.
     pub fn from_level0(bm0: &Bitmap, ratios: &[u32]) -> Result<Self, SmashError> {
+        Self::from_blocks(bm0.len(), bm0.iter_ones(), ratios)
+    }
+
+    /// Builds a hierarchy of `bits0` logical level-0 bits in one pass
+    /// over the set ones, `blocks`, given in strictly ascending order.
+    ///
+    /// Each level below the top opens a zeroed group of `ratios[l + 1]`
+    /// bits whenever its parent index changes and sets the child's bit in
+    /// it; a child that lands in an already open group stops the climb,
+    /// since every ancestor is set already. The top level is allocated in
+    /// full. Cost O(set bits · levels + stored bits / 64), independent of
+    /// the logical size of every level but the top.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_level0`](Self::from_level0).
+    pub(crate) fn from_blocks(
+        bits0: usize,
+        blocks: impl IntoIterator<Item = usize>,
+        ratios: &[u32],
+    ) -> Result<Self, SmashError> {
         if ratios.is_empty() {
             return Err(SmashError::NoLevels);
         }
@@ -60,33 +84,42 @@ impl BitmapHierarchy {
                 return Err(SmashError::InvalidRatio { level, ratio: r });
             }
         }
-        // Build the full bitmap of every level bottom-up, folding whole
-        // words instead of probing bit ranges.
-        let mut full: Vec<Bitmap> = Vec::with_capacity(ratios.len());
-        full.push(bm0.clone());
+        let mut logical_bits = vec![bits0];
         for &r in &ratios[1..] {
-            let prev = full.last().unwrap();
-            full.push(reduce_level(prev, r as usize));
+            let below = logical_bits[logical_bits.len() - 1];
+            logical_bits.push(below.div_ceil(r as usize).max(1));
         }
-        let logical_bits: Vec<usize> = full.iter().map(Bitmap::len).collect();
-
-        // Compact every level below the top: keep only groups whose parent
-        // bit is set, each padded to exactly `ratios[i + 1]` bits.
-        let top = full.len() - 1;
-        let mut levels: Vec<Bitmap> = Vec::with_capacity(full.len());
-        for i in 0..top {
-            let g = ratios[i + 1] as usize;
-            let mut compact = Bitmap::new();
-            for j in full[i + 1].iter_ones() {
-                let lo = j * g;
-                let hi = ((j + 1) * g).min(full[i].len());
-                compact.extend_from_range(&full[i], lo, hi);
-                compact.extend_with(g - (hi - lo), false);
+        let top = ratios.len() - 1;
+        let mut levels = vec![Bitmap::new(); top];
+        levels.push(Bitmap::zeros(logical_bits[top]));
+        // The parent index of each lower level's last opened group.
+        let mut open = vec![usize::MAX; top];
+        let mut last = None;
+        for block in blocks {
+            debug_assert!(
+                last.is_none_or(|p| p < block) && block < bits0,
+                "level-0 indices must ascend within {bits0} bits"
+            );
+            last = Some(block);
+            let mut idx = block;
+            'climb: {
+                for (l, level) in levels[..top].iter_mut().enumerate() {
+                    let g = ratios[l + 1] as usize;
+                    let parent = idx / g;
+                    let fresh = open[l] != parent;
+                    if fresh {
+                        open[l] = parent;
+                        level.extend_with(g, false);
+                    }
+                    level.set(level.len() - g + idx % g, true);
+                    if !fresh {
+                        break 'climb;
+                    }
+                    idx = parent;
+                }
+                levels[top].set(idx, true);
             }
-            levels.push(compact);
         }
-        levels.push(full[top].clone());
-
         Ok(BitmapHierarchy {
             ratios: ratios.to_vec(),
             levels,
@@ -187,17 +220,9 @@ impl BitmapHierarchy {
     /// the instrumented software-only SMASH kernels replay it to charge
     /// word loads, count-trailing-zeros and masking operations.
     pub fn visits(&self) -> Visits<'_> {
-        let top = self.num_levels() - 1;
         Visits {
             hierarchy: self,
-            consumed: vec![0; self.num_levels()],
-            stack: vec![Frame {
-                level: top,
-                logical_base: 0,
-                storage_base: 0,
-                pos: 0,
-                group_len: self.levels[top].len(),
-            }],
+            scan: Scan::new(self, 0),
         }
     }
 
@@ -251,40 +276,8 @@ impl BitmapHierarchy {
     }
 }
 
-/// OR-folds `r` child bits per parent bit, word-wise: whole zero words
-/// are skipped, set bits are found with count-trailing-zeros, and once a
-/// parent is marked the scan jumps straight past its group. O(words +
-/// marked parents) instead of O(parents · words-per-group).
-fn reduce_level(prev: &Bitmap, r: usize) -> Bitmap {
-    let len = prev.len().div_ceil(r).max(1);
-    let mut next = Bitmap::zeros(len);
-    if r.is_multiple_of(64) {
-        // Word-aligned groups: a parent bit is the OR of r/64 words.
-        for (j, chunk) in prev.words().chunks(r / 64).enumerate() {
-            if chunk.iter().any(|&w| w != 0) {
-                next.set(j, true);
-            }
-        }
-        return next;
-    }
-    for (wi, &word) in prev.words().iter().enumerate() {
-        let mut m = word;
-        while m != 0 {
-            let bit = wi * 64 + m.trailing_zeros() as usize;
-            let parent = bit / r;
-            next.set(parent, true);
-            // Skip the rest of this parent's group within the word.
-            let group_end = (parent + 1) * r;
-            if group_end >= (wi + 1) * 64 {
-                break;
-            }
-            m &= u64::MAX << (group_end % 64);
-        }
-    }
-    next
-}
-
-/// One in-flight group scan of the depth-first traversal.
+/// One in-flight group scan of the depth-first traversal (the saved
+/// "bit's index within the bitmap" of paper §4.2.3).
 #[derive(Debug, Clone)]
 struct Frame {
     level: usize,
@@ -299,7 +292,7 @@ struct Frame {
 }
 
 /// One set bit encountered during a depth-first scan, produced by
-/// [`BitmapHierarchy::visits`].
+/// [`BitmapHierarchy::visits`] and [`Scan::next_visit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Visit {
     /// Bitmap level of the set bit (0 = Bitmap-0).
@@ -311,60 +304,92 @@ pub struct Visit {
     pub storage: usize,
 }
 
-/// Iterator over every set bit the depth-first scan encounters (all
-/// levels), produced by [`BitmapHierarchy::visits`].
+/// The state of one depth-first scan over a hierarchy, held apart from
+/// the hierarchy so that a long-lived owner (a BMU group's scan
+/// registers) can keep it between steps.
 ///
 /// This mirrors the BMU scan of paper §4.2.3: "every time a set bit is
 /// encountered at any bitmap level, we save that bit's index within the
 /// bitmap and then traverse the lower-level bitmap associated with that set
-/// bit".
+/// bit". [`Visits`] wraps it as an iterator. A default scan is exhausted.
+#[derive(Debug, Clone, Default)]
+pub struct Scan {
+    /// Child groups entered so far per level: the next one entered at
+    /// level `l` starts at stored bit `consumed[l] * ratios[l + 1]`.
+    consumed: Vec<usize>,
+    stack: Vec<Frame>,
+}
+
+impl Scan {
+    /// A scan of `h` from stored top-level bit `start_bit` (0 scans the
+    /// whole hierarchy).
+    pub fn new(h: &BitmapHierarchy, start_bit: usize) -> Scan {
+        let top = h.num_levels() - 1;
+        Scan {
+            consumed: vec![0; h.num_levels()],
+            stack: vec![Frame {
+                level: top,
+                logical_base: 0,
+                storage_base: 0,
+                pos: start_bit,
+                group_len: h.levels[top].len(),
+            }],
+        }
+    }
+
+    /// The next set bit of the depth-first scan at any level, or `None`
+    /// once the scan is exhausted. `h` must be the hierarchy the scan was
+    /// started on.
+    pub fn next_visit(&mut self, h: &BitmapHierarchy) -> Option<Visit> {
+        loop {
+            let frame = self.stack.last_mut()?;
+            let bitmap = &h.levels[frame.level];
+            let from = frame.storage_base + frame.pos;
+            let limit = frame.storage_base + frame.group_len;
+            let Some(idx) = bitmap.next_one(from).filter(|&i| i < limit) else {
+                self.stack.pop();
+                continue;
+            };
+            let level = frame.level;
+            let offset = idx - frame.storage_base;
+            frame.pos = offset + 1;
+            let logical = frame.logical_base + offset;
+            if level > 0 {
+                let child = level - 1;
+                let g = h.ratios[level] as usize;
+                let storage_base = self.consumed[child] * g;
+                self.consumed[child] += 1;
+                self.stack.push(Frame {
+                    level: child,
+                    logical_base: logical * g,
+                    storage_base,
+                    pos: 0,
+                    group_len: g,
+                });
+            }
+            return Some(Visit {
+                level,
+                logical,
+                storage: idx,
+            });
+        }
+    }
+}
+
+/// Iterator over every set bit the depth-first scan encounters (all
+/// levels), produced by [`BitmapHierarchy::visits`]: a [`Scan`] from the
+/// first top-level bit, bound to its hierarchy.
 #[derive(Debug, Clone)]
 pub struct Visits<'a> {
     hierarchy: &'a BitmapHierarchy,
-    consumed: Vec<usize>,
-    stack: Vec<Frame>,
+    scan: Scan,
 }
 
 impl Iterator for Visits<'_> {
     type Item = Visit;
 
     fn next(&mut self) -> Option<Visit> {
-        loop {
-            let frame = self.stack.last_mut()?;
-            let bitmap = &self.hierarchy.levels[frame.level];
-            let from = frame.storage_base + frame.pos;
-            let limit = frame.storage_base + frame.group_len;
-            let found = bitmap.next_one(from).filter(|&i| i < limit);
-            match found {
-                None => {
-                    self.stack.pop();
-                }
-                Some(idx) => {
-                    let level = frame.level;
-                    let offset = idx - frame.storage_base;
-                    frame.pos = offset + 1;
-                    let logical = frame.logical_base + offset;
-                    if level > 0 {
-                        let child = level - 1;
-                        let g = self.hierarchy.ratios[level] as usize;
-                        let storage_base = self.consumed[child] * g;
-                        self.consumed[child] += 1;
-                        self.stack.push(Frame {
-                            level: child,
-                            logical_base: logical * g,
-                            storage_base,
-                            pos: 0,
-                            group_len: g,
-                        });
-                    }
-                    return Some(Visit {
-                        level,
-                        logical,
-                        storage: idx,
-                    });
-                }
-            }
-        }
+        self.scan.next_visit(self.hierarchy)
     }
 }
 
@@ -522,27 +547,5 @@ mod tests {
             );
             last[v.level] = v.storage;
         }
-    }
-
-    #[test]
-    fn reduce_level_matches_naive_fold() {
-        // Adversarial pattern across word and group boundaries.
-        let bits: Vec<usize> = (0..700).filter(|i| (i * 31) % 11 < 3).collect();
-        let prev = bm(&bits, 700);
-        for r in [2usize, 3, 7, 16, 63, 64, 65, 128, 2048] {
-            let got = reduce_level(&prev, r);
-            let len = prev.len().div_ceil(r).max(1);
-            let mut want = Bitmap::zeros(len);
-            for j in 0..len {
-                let lo = j * r;
-                let hi = ((j + 1) * r).min(prev.len());
-                if lo < hi && prev.any_in_range(lo, hi) {
-                    want.set(j, true);
-                }
-            }
-            assert_eq!(got, want, "ratio {r}");
-        }
-        // Empty input still yields the single clear top bit.
-        assert_eq!(reduce_level(&Bitmap::zeros(0), 4).len(), 1);
     }
 }

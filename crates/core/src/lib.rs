@@ -52,6 +52,6 @@ pub use config::{Layout, SmashConfig, MAX_LEVELS, MAX_RATIO};
 pub use directory::{LineCursor, LineDirectory};
 pub use dynamic::{merge_row, Delta, DeltaOverlay, DynamicBase, DynamicMatrix};
 pub use error::SmashError;
-pub use hierarchy::{BitmapHierarchy, Visit, Visits};
+pub use hierarchy::{BitmapHierarchy, Scan, Visit, Visits};
 pub use nza::Nza;
 pub use smash_matrix::{block_axpy_dense, block_dot, SmashMatrix};

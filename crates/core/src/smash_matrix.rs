@@ -128,7 +128,12 @@ impl<T: Scalar> SmashMatrix<T> {
     ///
     /// This is the conversion procedure of paper §4.1.3: discover the
     /// non-zero blocks, append them to the NZA, then build Bitmap-0 and the
-    /// higher levels.
+    /// higher levels. One pass over the lines fills the NZA and collects
+    /// the occupied blocks' Bitmap-0 indices, and the hierarchy is built
+    /// from those indices alone, so time and transient memory are
+    /// O(non-zeros + stored blocks + top level), never rows × cols at
+    /// every level; the top level is stored in full, as the format
+    /// defines it.
     pub fn encode(csr: &Csr<T>, config: SmashConfig) -> Self {
         match config.layout() {
             Layout::RowMajor => Self::encode_lines(csr.rows(), csr.cols(), config, |l| csr.row(l)),
@@ -153,22 +158,12 @@ impl<T: Scalar> SmashMatrix<T> {
             Layout::ColMajor => (cols, rows),
         };
         let blocks_per_line = line_len.div_ceil(b0);
-        let mut bm0 = Bitmap::zeros(lines * blocks_per_line);
 
-        // Pass 1: mark occupied blocks.
-        for line in 0..lines {
-            let (offsets, _) = line_entries(line);
-            for &o in offsets {
-                bm0.set(line * blocks_per_line + o as usize / b0, true);
-            }
-        }
-
-        let hierarchy = BitmapHierarchy::from_level0(&bm0, config.ratios())
-            .expect("config was validated at construction");
-
-        // Pass 2: fill the NZA in bit order (which is line order, then block
-        // order within the line).
+        // One pass in line order, then block order within the line: each
+        // occupied block goes to the NZA and its logical Bitmap-0 index to
+        // the hierarchy builder, so no full Bitmap-0 is ever built.
         let mut nza = Nza::new(b0);
+        let mut occupied = Vec::new();
         let mut block = vec![T::ZERO; b0];
         for line in 0..lines {
             let (offsets, values) = line_entries(line);
@@ -177,7 +172,6 @@ impl<T: Scalar> SmashMatrix<T> {
                 // Entries are sorted, so each occupied block's elements
                 // are consecutive.
                 let blk = offsets[k] as usize / b0;
-                debug_assert!(bm0.get(line * blocks_per_line + blk), "pass 1 marked it");
                 let block_start = blk * b0;
                 block.fill(T::ZERO);
                 while k < offsets.len() && (offsets[k] as usize) < block_start + b0 {
@@ -185,8 +179,12 @@ impl<T: Scalar> SmashMatrix<T> {
                     k += 1;
                 }
                 nza.push_block(&block);
+                occupied.push(line * blocks_per_line + blk);
             }
         }
+        let hierarchy =
+            BitmapHierarchy::from_blocks(lines * blocks_per_line, occupied, config.ratios())
+                .expect("config was validated at construction");
 
         Self::assemble(rows, cols, config, hierarchy, nza)
     }
@@ -528,9 +526,11 @@ impl<T: Scalar> SmashMatrix<T> {
     }
 
     /// Sparse matrix addition directly on the encoding (paper §5.2.1 lists
-    /// SpAdd among the operations SMASH accelerates): the output Bitmap-0
-    /// is the word-wise OR of the operands' bitmaps, and the output NZA is
-    /// a block-level merge — no per-element index discovery at all.
+    /// SpAdd among the operations SMASH accelerates): one two-cursor merge
+    /// over the operands' occupied blocks sums matching blocks into the
+    /// output NZA, and the merged block indices build the output
+    /// hierarchy directly — no per-element index discovery and no full
+    /// Bitmap-0. A block whose sum is all zeros is dropped.
     ///
     /// Both operands must share dimensions, layout and block size; the
     /// result uses `self`'s configuration.
@@ -556,8 +556,9 @@ impl<T: Scalar> SmashMatrix<T> {
                 other.config.block_size()
             )));
         }
-        // Two-cursor block-level merge over the set Bitmap-0 bits.
-        let mut bm0 = Bitmap::zeros(self.line_count() * self.blocks_per_line());
+        // Two-cursor block-level merge over the set Bitmap-0 bits; the
+        // surviving indices come out ascending and build the hierarchy.
+        let mut occupied = Vec::new();
         let mut nza = Nza::new(b0);
         let mut ia = self.cursor_blocks().peekable();
         let mut ib = other.cursor_blocks().peekable();
@@ -596,11 +597,12 @@ impl<T: Scalar> SmashMatrix<T> {
             // Entries may cancel to exactly zero; an all-zero block is
             // dropped entirely (its Bitmap-0 bit stays clear).
             if sum.iter().any(|v| !v.is_zero()) {
-                bm0.set(logical, true);
+                occupied.push(logical);
                 nza.push_block(&sum);
             }
         }
-        let hierarchy = BitmapHierarchy::from_level0(&bm0, self.config.ratios())?;
+        let bits0 = self.line_count() * self.blocks_per_line();
+        let hierarchy = BitmapHierarchy::from_blocks(bits0, occupied, self.config.ratios())?;
         let out = Self::assemble(self.rows, self.cols, self.config.clone(), hierarchy, nza);
         debug_assert!(out.validate().is_ok());
         Ok(out)

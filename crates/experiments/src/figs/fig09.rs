@@ -32,11 +32,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
 
     let mut spmv_ratios: Vec<Vec<f64>> = vec![Vec::new(); 4];
     let mut spmm_ratios: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    for (spec, a) in &suite {
+    for (_, a) in &suite {
         let x = test_vector(a.cols());
         let mut y = vec![0.0f64; a.rows()];
         let bcsr = Bcsr::from_csr(a, 2, 2).expect("non-zero block");
-        let _ = spec;
         // Every depth runs the same `LineCursor` walk; on this suite the
         // single-level `[2]` ties `[2,4]` and beats `[2,4,16]` (deeper
         // levels buy storage and the hardware BMU's skips, not software

@@ -43,27 +43,16 @@ use smash_matrix::{Csr, CsrBuilder, Scalar};
 /// edge contributes both orientations, weights clamped back to one, no
 /// self-loops (`Graph` never stores them). This is the operand
 /// [`triangle_count`] expects.
+///
+/// Built as `A + Aᵀ` by [`Csr::add`]: the adjacency stores ones, so no
+/// sum cancels and the sum's pattern is exactly the union.
 pub fn undirected_adjacency<T: Scalar>(g: &Graph<T>) -> Csr<T> {
-    let (adj, adj_t) = (g.adjacency(), g.adjacency_transpose());
-    let ones: Vec<T> = vec![T::ONE; adj.cols()];
-    let mut union = Vec::new();
-    let mut builder = CsrBuilder::with_capacity(adj.cols(), adj.rows(), 2 * adj.nnz());
-    for u in 0..adj.rows() {
-        // Row u of A ∨ Aᵀ: the sorted union of the two sorted rows.
-        let (out, inc) = (adj.row(u).0, adj_t.row(u).0);
-        let (mut p, mut q) = (0, 0);
-        union.clear();
-        while p < out.len() && q < inc.len() {
-            let v = out[p].min(inc[q]);
-            union.push(v);
-            p += usize::from(out[p] == v);
-            q += usize::from(inc[q] == v);
-        }
-        union.extend_from_slice(&out[p..]);
-        union.extend_from_slice(&inc[q..]);
-        builder.push_row(&union, &ones[..union.len()]);
-    }
-    builder.finish()
+    let mut sym = g
+        .adjacency()
+        .add(&g.adjacency_transpose())
+        .expect("a square adjacency matches its transpose");
+    sym.values_mut().fill(T::ONE);
+    sym
 }
 
 /// The degree-ordered lower triangle of `adj`: row `u` keeps each stored

@@ -118,8 +118,6 @@ pub fn smash_to_csr<E: Engine, T: Scalar>(e: &mut E, sm: &SmashMatrix<T>) -> Csr
             continue;
         }
         // A block: load its values, test each for zero, store survivors.
-        let ord = out as usize; // monotone proxy for the NZA cursor
-        let _ = ord;
         for lane in 0..vector_ops_of::<T>(b0) {
             e.load(streams::NZA_A, nza_a + vs * (lane * lanes) as u64, &[]);
         }

@@ -14,9 +14,10 @@
 //! * Software-only SMASH — a [`SmashMatrix`] operand: word-level bitmap
 //!   scanning with `trailing_zeros`, block-wise multiply.
 //!
-//! What remains here are the sparse × sparse kernels, whose bodies do
+//! What remains here are the sparse × sparse products, whose bodies do
 //! differ per mechanism: [`spmm_csr`], the branch-light [`spmm_csr_opt`]
-//! (MKL-CSR stand-in), [`spmm_bcsr`], [`spmm_smash`], and [`spadd`].
+//! (MKL-CSR stand-in), [`spmm_bcsr`] and [`spmm_smash`]. Native sparse +
+//! sparse addition is [`Csr::add`], under the same cancellation policy.
 //!
 //! Every kernel is generic over [`Scalar`], so the same loop bodies serve
 //! `f64` and `f32` (and any future precision). The hot reductions all run
@@ -41,7 +42,7 @@
 
 use crate::operand::{check_smash_spmm_operands, spmm_smash_row, SmashMergeOperand};
 use smash_core::SmashMatrix;
-use smash_matrix::{Bcsr, Coo, Csc, Csr, CsrBuilder, Scalar};
+use smash_matrix::{Bcsr, Coo, Csc, Csr, Scalar};
 
 /// Plain CSR×CSC inner-product SpMM (paper Code Listing 2).
 ///
@@ -194,67 +195,6 @@ pub fn spmm_smash<T: Scalar>(a: &SmashMatrix<T>, b: &SmashMatrix<T>) -> Coo<T> {
     c
 }
 
-/// First-class native sparse + sparse addition `C = A + B`, both operands
-/// CSR: a per-row two-cursor merge with direct [`CsrBuilder`] emission.
-///
-/// The cancellation policy matches the SpGEMM engine's (see the module
-/// docs) and the instrumented [`spadd_csr`](crate::spadd::spadd_csr):
-/// **exact zeros are dropped** — an output position whose value is exactly
-/// `±0.0` is not stored, whether it cancelled on a structural overlap or
-/// arrived as a stored zero from a single side. Stored results therefore
-/// contain no explicit zeros, and this kernel's triplets equal the
-/// instrumented kernel's result exactly.
-///
-/// # Panics
-///
-/// Panics if the operand shapes disagree.
-pub fn spadd<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Csr<T> {
-    assert_eq!(a.rows(), b.rows(), "row counts must agree");
-    assert_eq!(a.cols(), b.cols(), "column counts must agree");
-    let mut out = CsrBuilder::with_capacity(a.cols(), a.rows(), a.nnz() + b.nnz());
-    let (mut cols, mut vals) = (Vec::new(), Vec::new());
-    for i in 0..a.rows() {
-        cols.clear();
-        vals.clear();
-        let mut push = |c: u32, v: T| {
-            if !v.is_zero() {
-                cols.push(c);
-                vals.push(v);
-            }
-        };
-        let (ac, av) = a.row(i);
-        let (bc, bv) = b.row(i);
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < ac.len() && q < bc.len() {
-            match ac[p].cmp(&bc[q]) {
-                std::cmp::Ordering::Less => {
-                    push(ac[p], av[p]);
-                    p += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    push(bc[q], bv[q]);
-                    q += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    push(ac[p], av[p] + bv[q]);
-                    p += 1;
-                    q += 1;
-                }
-            }
-        }
-        while p < ac.len() {
-            push(ac[p], av[p]);
-            p += 1;
-        }
-        while q < bc.len() {
-            push(bc[q], bv[q]);
-            q += 1;
-        }
-        out.push_row(&cols, &vals);
-    }
-    out.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,11 +323,11 @@ mod tests {
         let b = generators::banded(50, 60, 4, 250, 4);
         let mut e = smash_sim::CountEngine::new();
         let want = crate::spadd::spadd_csr(&mut e, &a, &b);
-        assert_eq!(spadd(&a, &b), want);
+        assert_eq!(a.add(&b).unwrap(), want);
         // Empty + empty, and identity-like sanity.
         let z = Csr::<f64>::from_coo(&Coo::new(50, 60));
-        assert_eq!(spadd(&a, &z), a);
-        assert_eq!(spadd(&z, &z).nnz(), 0);
+        assert_eq!(a.add(&z).unwrap(), a);
+        assert_eq!(z.add(&z).unwrap().nnz(), 0);
     }
 
     #[test]
@@ -401,7 +341,7 @@ mod tests {
         ca.push(2, 0, 1.0);
         cb.push(2, 0, 2.0);
         cb.push(3, 3, -7.0);
-        let c = spadd(&Csr::from_coo(&ca), &Csr::from_coo(&cb));
+        let c = Csr::from_coo(&ca).add(&Csr::from_coo(&cb)).unwrap();
         assert_eq!(c.nnz(), 2, "cancelled entry must vanish");
         assert_eq!(c.row(2), (&[0u32][..], &[3.0][..]));
         assert_eq!(c.row(3), (&[3u32][..], &[-7.0][..]));

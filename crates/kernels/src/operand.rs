@@ -196,7 +196,8 @@ pub(crate) fn check_smash_spmm_operands<T: Scalar>(a: &SmashMatrix<T>, b: &Smash
 /// starts — O(nnz blocks + lines) auxiliary memory, never the O(dense) full
 /// Bitmap-0 expansion.
 ///
-/// The operand of the native `spmm_smash` baseline kernel.
+/// The operand of the native `spmm_smash` baseline kernel and the per-line
+/// block table of the instrumented `spmm_hw_smash` / `spmm_sw_smash`.
 pub(crate) struct SmashMergeOperand<'a, T> {
     offs: Vec<u32>,
     starts: &'a [u32],
@@ -224,8 +225,10 @@ impl<'a, T: Scalar> SmashMergeOperand<'a, T> {
         }
     }
 
-    /// `(base ordinal, in-line offsets)` for line `l`.
-    fn line(&self, l: usize) -> (usize, &[u32]) {
+    /// `(base ordinal, in-line offsets)` for line `l`: the NZA ordinal
+    /// of the line's first block and the ascending in-line block offsets
+    /// of its blocks.
+    pub(crate) fn line(&self, l: usize) -> (usize, &[u32]) {
         let base = self.starts[l] as usize;
         (base, &self.offs[base..self.starts[l + 1] as usize])
     }

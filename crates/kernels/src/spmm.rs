@@ -8,6 +8,7 @@
 //! SpMM speedups exceed its SpMV speedups.
 
 use crate::common::{lanes_of, sites, streams, vector_ops_of};
+use crate::operand::SmashMergeOperand;
 use smash_bmu::{Bmu, BmuBinding, MAX_HW_LEVELS};
 use smash_core::{Layout, SmashMatrix};
 use smash_matrix::{Bcsr, Coo, Csc, Csr, Scalar};
@@ -259,28 +260,6 @@ pub fn spmm_bcsr<E: Engine, T: Scalar>(e: &mut E, a: &Bcsr<T>, bt: &Bcsr<T>) -> 
     c
 }
 
-/// Per-operand state for the SMASH SpMM merges: the block lists of each
-/// line, read straight off the compressed form through the matrix's
-/// [`LineDirectory`](smash_core::LineDirectory) cursors — the full
-/// Bitmap-0 is never expanded.
-struct SmashLines {
-    /// For each line, the logical Bitmap-0 indices of its blocks.
-    blocks: Vec<Vec<usize>>,
-    /// NZA block ordinal where each line starts.
-    starts: Vec<u32>,
-}
-
-fn smash_lines<T: Scalar>(sm: &SmashMatrix<T>) -> SmashLines {
-    let mut blocks = vec![Vec::new(); sm.line_count()];
-    for (line, list) in blocks.iter_mut().enumerate() {
-        list.extend(sm.line_cursor(line).map(|(_, logical)| logical));
-    }
-    SmashLines {
-        blocks,
-        starts: sm.line_block_starts().to_vec(),
-    }
-}
-
 /// Full SMASH SpMM (paper Algorithm 2): `A` row-major and `B` column-major,
 /// each with a single-level bitmap; two BMU groups perform the index
 /// matching at *block* granularity, and matches run a SIMD block dot
@@ -341,8 +320,8 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
     bmu.bmapinfo(e, 0, 0, b0 as u32);
     bmu.bmapinfo(e, 1, 0, b0 as u32);
 
-    let lines_a = smash_lines(a);
-    let lines_b = smash_lines(b);
+    let lines_a = SmashMergeOperand::new(a);
+    let lines_b = SmashMergeOperand::new(b);
     let bpl_a = a.blocks_per_line();
     let bpl_b = b.blocks_per_line();
     let mut c = Coo::new(a.rows(), b.cols());
@@ -354,7 +333,7 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
     let row_cache = e.alloc(4 * (bpl_a + 1), 64);
 
     for i in 0..a.rows() {
-        let ablocks = &lines_a.blocks[i];
+        let (base_a, ablocks) = lines_a.line(i);
         if ablocks.is_empty() {
             e.branch(sites::SPMM_ROW, true, &[]);
             continue;
@@ -383,7 +362,7 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
         }
 
         for j in 0..b.cols() {
-            let bblocks = &lines_b.blocks[j];
+            let (base_b, bblocks) = lines_b.line(j);
             e.branch(sites::SPMM_COL, j + 1 < b.cols(), &[]);
             if bblocks.is_empty() {
                 continue;
@@ -417,8 +396,8 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
             let mut ind_a = e.load(streams::LINE_STARTS, row_cache, &[]);
             let (mut cur_b, mut ind_b) = adv_b(bmu, e);
             let (mut k_a, mut k_b) = (0usize, 0usize);
-            let mut ord_a = lines_a.starts[i] as usize;
-            let mut ord_b = lines_b.starts[j] as usize;
+            let mut ord_a = base_a;
+            let mut ord_b = base_b;
 
             let mut acc_u = UopId::NONE;
             let mut acc = T::ZERO;
@@ -432,7 +411,7 @@ pub fn spmm_hw_smash<E: Engine, T: Scalar>(
                 let cmp = e.alu(&[ind_a, ind_b]);
                 e.alu(&[cmp]); // counter update
                 e.branch(sites::MERGE_BOUND, true, &[]);
-                let pos_a = (ablocks[k_a] - row_bit) * b0; // column of A's block
+                let pos_a = ablocks[k_a] as usize * b0; // column of A's block
                 let pos_b = (cur_b - col_bit) * b0; // row of B's block
                 match pos_a.cmp(&pos_b) {
                     std::cmp::Ordering::Equal => {
@@ -525,8 +504,8 @@ pub fn spmm_sw_smash<E: Engine, T: Scalar>(
     let scratch_a = e.alloc(4 * (a.blocks_per_line() + 1), 64);
     let scratch_b = e.alloc(4 * (b.blocks_per_line() + 1), 64);
 
-    let lines_a = smash_lines(a);
-    let lines_b = smash_lines(b);
+    let lines_a = SmashMergeOperand::new(a);
+    let lines_b = SmashMergeOperand::new(b);
     let bpl_a = a.blocks_per_line();
     let bpl_b = b.blocks_per_line();
     let mut c = Coo::new(a.rows(), b.cols());
@@ -550,7 +529,7 @@ pub fn spmm_sw_smash<E: Engine, T: Scalar>(
     };
 
     for i in 0..a.rows() {
-        let ablocks = &lines_a.blocks[i];
+        let (base_a, ablocks) = lines_a.line(i);
         if ablocks.is_empty() {
             e.branch(sites::SPMM_ROW, true, &[]);
             continue;
@@ -560,7 +539,7 @@ pub fn spmm_sw_smash<E: Engine, T: Scalar>(
         let da = scan_line(e, bm_a, bpl_a, i, ablocks.len());
         for j in 0..b.cols() {
             e.branch(sites::SPMM_COL, j + 1 < b.cols(), &[]);
-            let bblocks = &lines_b.blocks[j];
+            let (base_b, bblocks) = lines_b.line(j);
             if bblocks.is_empty() {
                 continue;
             }
@@ -578,14 +557,12 @@ pub fn spmm_sw_smash<E: Engine, T: Scalar>(
                 e.alu(&[cmp]); // increments
                 e.alu(&[cmp]);
                 e.branch(sites::MERGE_BOUND, true, &[]);
-                let pos_a = ablocks[p] - i * bpl_a;
-                let pos_b = bblocks[q] - j * bpl_b;
-                match pos_a.cmp(&pos_b) {
+                match ablocks[p].cmp(&bblocks[q]) {
                     std::cmp::Ordering::Equal => {
                         e.branch(sites::MATCH_CMP, true, &[cmp]);
                         hit = true;
-                        let ord_a = lines_a.starts[i] as usize + p;
-                        let ord_b = lines_b.starts[j] as usize + q;
+                        let ord_a = base_a + p;
+                        let ord_b = base_b + q;
                         for lane in 0..vector_ops_of::<T>(b0) {
                             let oa = (ord_a * b0 + lane * lanes) as u64;
                             let ob = (ord_b * b0 + lane * lanes) as u64;

@@ -525,7 +525,15 @@ impl<T: Scalar> Csr<T> {
         Ok(c)
     }
 
-    /// Reference sparse matrix addition `C = A + B` (merge of sorted rows).
+    /// Sparse matrix addition `C = A + B`: a two-cursor merge of each
+    /// pair of sorted rows, appended straight to a [`CsrBuilder`] with no
+    /// sort.
+    ///
+    /// **Exact zeros are dropped**, the output policy of every sparse
+    /// kernel in the workspace: a position whose value is exactly `±0.0`
+    /// is not stored, whether it cancelled on an overlap or arrived as a
+    /// stored zero from one side. The result therefore holds no explicit
+    /// zeros.
     ///
     /// # Errors
     ///
@@ -538,33 +546,47 @@ impl<T: Scalar> Csr<T> {
                 rhs: (b.rows, b.cols),
             });
         }
-        let mut coo = Coo::with_capacity(self.rows, self.cols, self.nnz() + b.nnz());
+        let mut out = CsrBuilder::with_capacity(self.cols, self.rows, self.nnz() + b.nnz());
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
         for i in 0..self.rows {
+            cols.clear();
+            vals.clear();
+            let mut push = |c: u32, v: T| {
+                if !v.is_zero() {
+                    cols.push(c);
+                    vals.push(v);
+                }
+            };
             let (ac, av) = self.row(i);
             let (bc, bv) = b.row(i);
             let (mut p, mut q) = (0usize, 0usize);
-            while p < ac.len() || q < bc.len() {
-                let take_a = q >= bc.len() || (p < ac.len() && ac[p] <= bc[q]);
-                let take_b = p >= ac.len() || (q < bc.len() && bc[q] <= ac[p]);
-                match (take_a, take_b) {
-                    (true, true) => {
-                        coo.push(i, ac[p] as usize, av[p] + bv[q]);
+            while p < ac.len() && q < bc.len() {
+                match ac[p].cmp(&bc[q]) {
+                    std::cmp::Ordering::Less => {
+                        push(ac[p], av[p]);
+                        p += 1;
+                    }
+                    std::cmp::Ordering::Greater => {
+                        push(bc[q], bv[q]);
+                        q += 1;
+                    }
+                    std::cmp::Ordering::Equal => {
+                        push(ac[p], av[p] + bv[q]);
                         p += 1;
                         q += 1;
                     }
-                    (true, false) => {
-                        coo.push(i, ac[p] as usize, av[p]);
-                        p += 1;
-                    }
-                    (false, true) => {
-                        coo.push(i, bc[q] as usize, bv[q]);
-                        q += 1;
-                    }
-                    (false, false) => unreachable!(),
                 }
             }
+            for (&c, &v) in ac[p..]
+                .iter()
+                .zip(&av[p..])
+                .chain(bc[q..].iter().zip(&bv[q..]))
+            {
+                push(c, v);
+            }
+            out.push_row(&cols, &vals);
         }
-        Ok(Csr::from_coo(&coo))
+        Ok(out.finish())
     }
 }
 

@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use smash::graph::{generators, pagerank_power, uniform_ranks, Graph, IncrementalPageRank};
-use smash::kernels::native;
 use smash::matrix::{spmm_dense_rows, spmv_rows, Coo, Csr, CsrBuilder, Dense, RowRead};
 use smash::parallel::{par_spmm_dense_rows, par_spmv_rows, ThreadPool};
 use smash::{Delta, DynamicBase, DynamicMatrix};
@@ -262,7 +261,7 @@ proptest! {
         }
     }
 
-    /// Native `spadd` against a dense oracle on adversarial integer
+    /// `Csr::add` against a dense oracle on adversarial integer
     /// values: exact sums, exact cancellations dropped, no explicit
     /// zeros stored.
     #[test]
@@ -290,7 +289,7 @@ proptest! {
         }
         coo.compress();
         let b = Csr::from_coo(&coo);
-        let sum = native::spadd(&a, &b);
+        let sum = a.add(&b).unwrap();
         prop_assert_eq!(sum.rows(), a.rows());
         prop_assert_eq!(sum.cols(), a.cols());
         for i in 0..a.rows() {
