@@ -22,9 +22,10 @@ use smash_matrix::{generators, locality};
 use smash_parallel::{par_spmv_rows, ThreadPool};
 use std::time::Instant;
 
-/// Gate on `cursor_walk_over_scan`: twice the ratio the streaming cursor
-/// measures (about 7–8 on a 2-core AVX-512 Xeon; the per-group `select`
-/// cursor it replaced measured about 26 there).
+/// Gate on `cursor_walk_over_scan`. The word-list cursor measures about
+/// 1.4–1.5 on a 2-core AVX2 Xeon; the group-walking cursor it replaced
+/// measured about 6–7 there, and the per-group `select` cursor before
+/// that about 26.
 const MAX_CURSOR_WALK_OVER_SCAN: f64 = 16.0;
 
 fn main() {

@@ -168,11 +168,11 @@ impl BitmapHierarchy {
 
     /// Reconstructs the full (uncompacted) bitmap of a level.
     ///
-    /// Linear in the logical size of the level. This is **not** a hot
-    /// path any more: kernels address lines through
-    /// [`LineDirectory`](crate::LineDirectory) in O(1). The expansion
-    /// remains as the property-test oracle for the directory and for
-    /// format conversions that genuinely need the dense bitmap.
+    /// Linear in the logical size of the level. No kernel calls it: they
+    /// address lines through [`LineDirectory`](crate::LineDirectory) in
+    /// O(1). The expansion remains as the tests' oracle for the directory
+    /// and the line cursor, and for format conversions that genuinely
+    /// need the dense bitmap.
     ///
     /// # Panics
     ///
@@ -205,9 +205,11 @@ impl BitmapHierarchy {
 
     /// Iterates over the logical level-0 indices of set bits, in increasing
     /// order: the level-0 records of [`visits`](Self::visits). The `n`-th
-    /// yielded index owns NZA block `n`. Kept as the depth-first oracle the
-    /// tests check the line cursor against; the library walks blocks line
-    /// by line through [`LineCursor`](crate::LineCursor).
+    /// yielded index owns NZA block `n`.
+    /// [`LineDirectory::build`](crate::LineDirectory::build) reads a
+    /// hierarchy built elsewhere through it, and the tests use it as the
+    /// depth-first oracle for the line walk; kernels walk blocks line by
+    /// line through [`LineCursor`](crate::LineCursor).
     pub fn blocks(&self) -> impl Iterator<Item = usize> + '_ {
         self.visits().filter(|v| v.level == 0).map(|v| v.logical)
     }

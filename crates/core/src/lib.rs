@@ -13,10 +13,11 @@
 //!
 //! [`SmashMatrix`] ties both together with the matrix geometry and the
 //! [`SmashConfig`] (per-level ratios + row/column-major [`Layout`]), and
-//! carries a [`LineDirectory`] — per-line NZA starts and per-level stored
-//! positions — so a [`LineCursor`] reaches any row of the compressed form
-//! in O(1) and walks it without expanding the bitmaps or issuing a rank
-//! or select (the software analogue of the paper's BMU indexing).
+//! carries a [`LineDirectory`] — per-line NZA starts and each line's
+//! non-empty Bitmap-0 words — so a [`LineCursor`] reaches any row of the
+//! compressed form in O(1) and walks it with count-trailing-zeros, the
+//! same way under every hierarchy config, without expanding the bitmaps
+//! (the software analogue of the paper's BMU indexing).
 //!
 //! # Example
 //!

@@ -182,15 +182,20 @@ impl<T: Scalar> SmashMatrix<T> {
                 occupied.push(line * blocks_per_line + blk);
             }
         }
-        let hierarchy =
-            BitmapHierarchy::from_blocks(lines * blocks_per_line, occupied, config.ratios())
-                .expect("config was validated at construction");
+        let hierarchy = BitmapHierarchy::from_blocks(
+            lines * blocks_per_line,
+            occupied.iter().copied(),
+            config.ratios(),
+        )
+        .expect("config was validated at construction");
+        let directory = LineDirectory::from_blocks(lines, blocks_per_line, occupied);
 
-        Self::assemble(rows, cols, config, hierarchy, nza)
+        Self::assemble(rows, cols, config, hierarchy, nza, directory)
     }
 
-    /// Builds the line directory and packs the struct. Callers must have
-    /// established the structural invariants first ([`validate_parts`]).
+    /// Packs the struct. Callers must have established the structural
+    /// invariants first ([`validate_parts`]) and built the directory of
+    /// the same blocks.
     ///
     /// [`validate_parts`]: Self::validate_parts
     fn assemble(
@@ -199,13 +204,8 @@ impl<T: Scalar> SmashMatrix<T> {
         config: SmashConfig,
         hierarchy: BitmapHierarchy,
         nza: Nza<T>,
+        directory: LineDirectory,
     ) -> Self {
-        let (lines, line_len) = match config.layout() {
-            Layout::RowMajor => (rows, cols),
-            Layout::ColMajor => (cols, rows),
-        };
-        let bpl = line_len.div_ceil(config.block_size());
-        let directory = LineDirectory::build(&hierarchy, lines, bpl);
         SmashMatrix {
             rows,
             cols,
@@ -291,7 +291,15 @@ impl<T: Scalar> SmashMatrix<T> {
         nza: Nza<T>,
     ) -> Result<Self, SmashError> {
         Self::validate_parts(rows, cols, &config, &hierarchy, &nza)?;
-        Ok(Self::assemble(rows, cols, config, hierarchy, nza))
+        let (lines, line_len) = match config.layout() {
+            Layout::RowMajor => (rows, cols),
+            Layout::ColMajor => (cols, rows),
+        };
+        let bpl = line_len.div_ceil(config.block_size());
+        let directory = LineDirectory::build(&hierarchy, lines, bpl);
+        Ok(Self::assemble(
+            rows, cols, config, hierarchy, nza, directory,
+        ))
     }
 
     /// Decompresses back to CSR. Explicit zeros inside NZA blocks are
@@ -450,24 +458,27 @@ impl<T: Scalar> SmashMatrix<T> {
     }
 
     /// The per-line directory: O(1) row seeks into the compressed form
-    /// (starting NZA ordinals and per-level stored positions that seed
-    /// each line's cursor) — the software analogue of the BMU's
-    /// `bmapinfo` state. Built once at construction in one streaming pass
-    /// over the stored bitmaps; O(lines · levels) memory.
+    /// (starting NZA ordinals and each line's non-empty Bitmap-0 words,
+    /// which seed and feed each line's cursor) — the software analogue of
+    /// the BMU's `bmapinfo` state. Built once at construction in one pass
+    /// over the occupied blocks; 8 bytes per line plus 12 per non-empty
+    /// word.
     pub fn directory(&self) -> &LineDirectory {
         &self.directory
     }
 
     /// Word-level cursor over one line's non-zero blocks, yielding
-    /// `(nza_ordinal, logical_bitmap0_index)` in block order — no bitmap
-    /// expansion, O(1) seek to the line.
+    /// `(nza_ordinal, logical_bitmap0_index)` in block order — O(1) seek
+    /// to the line, then count-trailing-zeros over the line's non-empty
+    /// directory words. It reads neither the stored hierarchy nor an
+    /// expanded bitmap, so every config walks the same way.
     ///
     /// # Panics
     ///
     /// Panics if `line >= line_count()`.
     #[inline]
     pub fn line_cursor(&self, line: usize) -> LineCursor<'_> {
-        self.directory.cursor(&self.hierarchy, line)
+        self.directory.cursor(line)
     }
 
     /// Per-line starting NZA block ordinal (length `line_count() + 1`): the
@@ -476,27 +487,6 @@ impl<T: Scalar> SmashMatrix<T> {
     /// [`directory`](Self::directory) in O(1) — no expansion.
     pub fn line_block_starts(&self) -> &[u32] {
         self.directory.line_starts()
-    }
-
-    /// Recomputes the per-line block starts by scanning an
-    /// already-expanded Bitmap-0. O(logical bits); kept as the oracle the
-    /// directory-backed [`line_block_starts`](Self::line_block_starts)
-    /// is property-tested against.
-    pub fn line_block_starts_in(&self, full: &Bitmap) -> Vec<u32> {
-        let bpl = self.blocks_per_line();
-        let mut starts = Vec::with_capacity(self.line_count() + 1);
-        let mut acc = 0u32;
-        starts.push(0);
-        let mut ones = full.iter_ones().peekable();
-        for line in 0..self.line_count() {
-            let end = (line + 1) * bpl;
-            while ones.peek().is_some_and(|&i| i < end) {
-                ones.next();
-                acc += 1;
-            }
-            starts.push(acc);
-        }
-        starts
     }
 
     /// Total compressed footprint in bytes: all bitmap levels (compacted, as
@@ -601,9 +591,21 @@ impl<T: Scalar> SmashMatrix<T> {
                 nza.push_block(&sum);
             }
         }
-        let bits0 = self.line_count() * self.blocks_per_line();
-        let hierarchy = BitmapHierarchy::from_blocks(bits0, occupied, self.config.ratios())?;
-        let out = Self::assemble(self.rows, self.cols, self.config.clone(), hierarchy, nza);
+        let (lines, bpl) = (self.line_count(), self.blocks_per_line());
+        let hierarchy = BitmapHierarchy::from_blocks(
+            lines * bpl,
+            occupied.iter().copied(),
+            self.config.ratios(),
+        )?;
+        let directory = LineDirectory::from_blocks(lines, bpl, occupied);
+        let out = Self::assemble(
+            self.rows,
+            self.cols,
+            self.config.clone(),
+            hierarchy,
+            nza,
+            directory,
+        );
         debug_assert!(out.validate().is_ok());
         Ok(out)
     }
@@ -711,7 +713,8 @@ impl<T: Scalar> SmashMatrix<T> {
 /// [`LineDirectory`], no rank scans). Both granule bodies dispatch once
 /// on the block size to `SmashMatrix::fold_row` at a compile-time
 /// length (2, 4 or 8; any other size reads it at run time), which walks
-/// each row with a [`LineCursor`] and runs the shared [`block_dot`] /
+/// each row's directory words with a [`LineCursor`], whatever the
+/// hierarchy config, and runs the shared [`block_dot`] /
 /// [`block_axpy_dense`] per-block routines, so the serial and parallel
 /// drivers stay bit-identical to each other at every block size.
 ///
@@ -988,9 +991,9 @@ mod tests {
         let starts = sm.line_block_starts();
         assert_eq!(starts.len(), 25);
         assert_eq!(*starts.last().unwrap() as usize, sm.num_blocks());
-        // The directory-backed starts must equal the expansion oracle.
+        assert_eq!(starts[0], 0);
+        // Each line's count must equal the expansion oracle's.
         let full = sm.full_bitmap0();
-        assert_eq!(starts, sm.line_block_starts_in(&full));
         let bpl = sm.blocks_per_line();
         for line in 0..24 {
             let count = full.rank((line + 1) * bpl) - full.rank(line * bpl);

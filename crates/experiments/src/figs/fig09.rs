@@ -36,10 +36,12 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         let x = test_vector(a.cols());
         let mut y = vec![0.0f64; a.rows()];
         let bcsr = Bcsr::from_csr(a, 2, 2).expect("non-zero block");
-        // Every depth runs the same `LineCursor` walk; on this suite the
-        // single-level `[2]` ties `[2,4]` and beats `[2,4,16]` (deeper
+        // Every config runs the same `LineCursor` walk over the line
+        // directory's words, which never reads the upper levels. On this
+        // suite (seed 42, default scale, 2-vCPU AVX2 Xeon) `[2]` and
+        // `[2,64]` both measured 0.35x CSR SpMV and 1.19x SpMM; deeper
         // levels buy storage and the hardware BMU's skips, not software
-        // speed), so the native kernel uses 1 level.
+        // speed, so the native kernel uses 1 level.
         let sm = SmashMatrix::encode(a, SmashConfig::row_major(&[2]).expect("valid"));
 
         let base = time_ns(|| spmv_rows(a, &x, &mut y), reps);
@@ -114,12 +116,12 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         "known divergence: SpMV here is bound by per-block bookkeeping, \
          not arithmetic: on a 2-vCPU AVX2 Xeon the suite's median costs \
          were 1.1-1.5 ns per CSR non-zero, 2.9-4.6 ns per BCSR 2x2 block \
-         (its 2x2 body keeps both rows in registers) and 11-15 ns per \
-         SW-SMASH block, most of it the software bitmap walk the paper's \
-         BMU does in hardware, with 1-4 non-zeros per block; so the BCSR \
-         and SW-SMASH columns fall below CSR, and the SpMM column and the \
-         simulator experiments (Figs. 10-13) carry the co-design \
-         comparison",
+         (its 2x2 body keeps both rows in registers) and 7-7.5 ns per \
+         SW-SMASH block, about half of it the software line walk the \
+         paper's BMU does in hardware, with 1-4 non-zeros per block; so \
+         the BCSR and SW-SMASH columns fall below CSR, and the SpMM \
+         column and the simulator experiments (Figs. 10-13) carry the \
+         co-design comparison",
     );
     vec![t]
 }

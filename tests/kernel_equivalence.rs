@@ -370,22 +370,21 @@ fn arb_blockable() -> impl Strategy<Value = (Csr<f64>, Vec<usize>)> {
         })
 }
 
-/// The generic SMASH row order: each row's `line_cursor` walk with one
-/// `block_dot` per block, the last block clipped at `cols`.
+/// The generic SMASH row order, read independently of the line walk it
+/// checks: the hierarchy's depth-first scan of its occupied blocks, block
+/// `n` owning NZA ordinal `n`, with one `block_dot` per block into its
+/// row, the last block clipped at `cols`.
 fn smash_cursor_oracle<T: Scalar>(sm: &SmashMatrix<T>, x: &[T]) -> Vec<T> {
     let b0 = sm.config().block_size();
+    let bpl = sm.blocks_per_line();
     let nza = sm.nza().values();
-    (0..sm.rows())
-        .map(|row| {
-            let mut acc = T::ZERO;
-            for (ordinal, logical) in sm.line_cursor(row) {
-                let col = (logical - row * sm.blocks_per_line()) * b0;
-                let n = b0.min(sm.cols() - col);
-                acc += block_dot(&nza[ordinal * b0..], x, col, n);
-            }
-            acc
-        })
-        .collect()
+    let mut y = vec![T::ZERO; sm.rows()];
+    for (ordinal, logical) in sm.hierarchy().blocks().enumerate() {
+        let (row, col) = (logical / bpl, (logical % bpl) * b0);
+        let n = b0.min(sm.cols() - col);
+        y[row] += block_dot(&nza[ordinal * b0..], x, col, n);
+    }
+    y
 }
 
 /// SpMV and `spmm_dense` at 1, 3 and 8 right-hand sides, serial and

@@ -1,11 +1,13 @@
 //! Property tests for the line-directory indexing layer:
 //! `LineDirectory`/`LineCursor` against the full-expansion oracle in both
-//! layouts, the directory's auxiliary-memory bounds, and the
+//! layouts, on narrow lines and on lines several words wide, under
+//! hierarchies with word-sized (ratio-64) levels, the directory's
+//! auxiliary-memory bounds, and the
 //! directory-backed kernels against the seed kernels — **bit-identical**
 //! (`==`), at thread counts {1, 2, 8}, across adversarial shapes.
 
 use proptest::prelude::*;
-use smash::encoding::{Layout, SmashConfig, SmashMatrix};
+use smash::encoding::{Bitmap, Layout, SmashConfig, SmashMatrix};
 use smash::kernels::native;
 use smash::matrix::{generators, spmv_rows, Coo, Csr};
 use smash::parallel::{par_spmv_rows, ThreadPool};
@@ -38,9 +40,36 @@ fn arb_matrix() -> impl Strategy<Value = Csr<f64>> {
         })
 }
 
-/// Arbitrary hierarchy configuration: 1-4 levels, small ratios.
+/// Arbitrary hierarchy configuration: 1-4 levels, a small block size,
+/// and upper ratios that are small or word-sized (64).
 fn arb_ratios() -> impl Strategy<Value = Vec<u32>> {
-    proptest::collection::vec(2u32..9, 1..5)
+    (
+        2u32..9,
+        proptest::collection::vec(
+            (2u32..9, any::<bool>()).prop_map(|(r, word)| if word { 64 } else { r }),
+            0..4,
+        ),
+    )
+        .prop_map(|(b0, upper)| std::iter::once(b0).chain(upper).collect())
+}
+
+/// Arbitrary sparse matrix whose lines span two to six Bitmap-0 words at
+/// block size 2 or more, filled so sparsely that most lines and most of
+/// each line's words are empty.
+fn arb_wide_matrix() -> impl Strategy<Value = Csr<f64>> {
+    (1usize..12, 130usize..800)
+        .prop_flat_map(|(r, c)| {
+            let entries = proptest::collection::vec((0..r, 0..c, 1u32..1000u32), 0..40);
+            (Just(r), Just(c), entries)
+        })
+        .prop_map(|(r, c, entries)| {
+            let mut coo = Coo::new(r, c);
+            for (i, j, v) in entries {
+                coo.push(i, j, v as f64 / 16.0);
+            }
+            coo.compress();
+            Csr::from_coo(&coo)
+        })
 }
 
 /// Either block layout.
@@ -89,6 +118,20 @@ fn arb_straddling() -> impl Strategy<Value = (Vec<u32>, Csr<f64>)> {
     })
 }
 
+/// Recomputes the per-line block starts by scanning an expanded
+/// Bitmap-0: the oracle for the directory-backed `line_block_starts`.
+fn line_block_starts_in(sm: &SmashMatrix<f64>, full: &Bitmap) -> Vec<u32> {
+    let bpl = sm.blocks_per_line();
+    let mut starts = vec![0u32; sm.line_count() + 1];
+    for logical in full.iter_ones() {
+        starts[logical / bpl + 1] += 1;
+    }
+    for line in 0..sm.line_count() {
+        starts[line + 1] += starts[line];
+    }
+    starts
+}
+
 /// Every line's cursor output against the full-expansion oracle.
 fn assert_cursor_matches_expansion(
     a: &Csr<f64>,
@@ -106,7 +149,11 @@ fn assert_cursor_matches_expansion(
             prop_assert_eq!(pair.1 / bpl, line);
             got.push(pair);
         }
-        prop_assert_eq!(got.len() - before, sm.directory().blocks_in_line(line));
+        let starts = sm.line_block_starts();
+        prop_assert_eq!(
+            got.len() - before,
+            (starts[line + 1] - starts[line]) as usize
+        );
     }
     prop_assert_eq!(got, want);
     Ok(())
@@ -130,6 +177,17 @@ proptest! {
         assert_cursor_matches_expansion(&straddling.1, &straddling.0, layout)?;
     }
 
+    /// The same on lines several words wide with mostly empty lines and
+    /// words.
+    #[test]
+    fn line_cursor_matches_full_expansion_on_wide_lines(
+        a in arb_wide_matrix(),
+        ratios in arb_ratios(),
+        layout in arb_layout(),
+    ) {
+        assert_cursor_matches_expansion(&a, &ratios, layout)?;
+    }
+
     /// Directory-backed per-line starts must equal the expansion oracle
     /// in either layout.
     #[test]
@@ -140,7 +198,7 @@ proptest! {
     ) {
         let sm = encode_lines(&a, &ratios, layout);
         let full = sm.full_bitmap0();
-        prop_assert_eq!(sm.line_block_starts(), &sm.line_block_starts_in(&full)[..]);
+        prop_assert_eq!(sm.line_block_starts(), &line_block_starts_in(&sm, &full)[..]);
     }
 
     /// The directory-backed parallel SpMV must be bit-identical to the
@@ -239,4 +297,38 @@ fn spmm_aux_memory_is_sublinear() {
         aux_growth < bits_growth / 2.0,
         "aux grew {aux_growth:.1}x for a {bits_growth:.1}x larger logical bitmap"
     );
+}
+
+/// The directory costs at most 8 bytes per line plus 12 per stored block
+/// (a line never has more non-empty words than blocks), whatever the
+/// shape, fill or hierarchy config. The 65,536-row operand is nearly
+/// empty, so the line term dominates; its `[2, 64, 64]` top level is
+/// 64 KiB.
+#[test]
+fn directory_aux_bytes_are_bounded_by_lines_and_blocks() {
+    let cases = [
+        (generators::uniform(300, 5_000, 900, 1), &[2u32][..]),
+        (generators::clustered(257, 389, 4_000, 9, 2), &[3, 5]),
+        (generators::banded(512, 512, 8, 6_000, 3), &[2, 4, 16]),
+        (generators::uniform(64, 64, 4_096, 4), &[2, 64]),
+        (generators::power_law(400, 700, 3_000, 1.2, 5), &[8, 64, 64]),
+        (generators::uniform(65_536, 65_536, 40, 6), &[2, 64, 64]),
+        (Csr::from_coo(&Coo::new(1_000, 1_000)), &[2, 4]),
+    ];
+    for (a, ratios) in cases {
+        for config in [
+            SmashConfig::row_major(ratios).unwrap(),
+            SmashConfig::col_major(ratios).unwrap(),
+        ] {
+            let sm = SmashMatrix::encode(&a, config);
+            let aux = sm.directory().aux_bytes();
+            let bound = 8 * (sm.line_count() + 1) + 12 * sm.num_blocks();
+            assert!(
+                aux <= bound,
+                "{}x{} {ratios:?}: aux {aux} B over the bound {bound} B",
+                a.rows(),
+                a.cols()
+            );
+        }
+    }
 }
